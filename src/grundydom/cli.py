@@ -5,7 +5,7 @@ conjecture scan, and isoperimetric checks.
 Reports are line oriented and deterministic for fixed inputs and flags;
 lines starting with '#' carry statistics or context and are excluded from
 stable-output comparisons. Exit codes: 0 success, 1 parameter or domain
-error, 2 capacity limit.
+error (or a violated bound, which means a solver bug), 2 capacity limit.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import re
 import sys
 from typing import Sequence
 
-from .errors import CapacityError, ParameterError, ParseError
+from .errors import CapacityError, InvariantError, ParameterError, ParseError
 from .graphs import FamilySpec, Graph, enumerate_connected_graphs, make_graph
 from .products import KINDS, normalize_kind, product
 from .sequences import check_sequence
@@ -35,6 +35,10 @@ from .theory import (
     product_bounds,
 )
 
+# Largest graph order read or written (the order of a product of two
+# solver-size factors). Adjacency is bitset based, so this also bounds a
+# parsed graph at about 2 MB; it is checked before anything is allocated.
+MAX_FILE_ORDER = 4096
 _FAMILY_TOKEN = re.compile(r"^([PCKS])(\d+)$")
 _TOKEN_FAMILIES = {"P": "path", "C": "cycle", "K": "complete", "S": "star"}
 
@@ -48,7 +52,8 @@ def parse_graph(text: str, name: str | None = None) -> Graph:
 
     Text format: a header line "n m" followed by m edge lines "u v"; blank
     lines and lines starting with '#' are skipped. JSON format: an object
-    with "n", "edges" (and optionally "name") fields.
+    with "n", "edges" (and optionally "name") fields. An order above
+    MAX_FILE_ORDER raises CapacityError.
     """
     if text.lstrip().startswith("{"):
         return _parse_graph_json(text, name)
@@ -70,6 +75,7 @@ def parse_graph(text: str, name: str | None = None) -> Graph:
         if header is None:
             if a < 0 or b < 0:
                 raise ParseError("header counts must be non-negative", line=lineno)
+            _check_file_order(a)
             header = (a, b)
             adj = [0] * a
             continue
@@ -85,6 +91,11 @@ def parse_graph(text: str, name: str | None = None) -> Graph:
     if len(edges) != header[1]:
         raise ParseError(f"header announced {header[1]} edges, found {len(edges)}")
     return Graph(header[0], edges, name=name)
+
+
+def _check_file_order(n: int) -> None:
+    if n > MAX_FILE_ORDER:
+        raise CapacityError(f"graph order {n} exceeds file cap {MAX_FILE_ORDER}")
 
 
 def _append_edge(adj: list[int], n: int, u: int, v: int, lineno: int | None) -> None:
@@ -108,6 +119,7 @@ def _parse_graph_json(text: str, name: str | None) -> Graph:
     if not isinstance(data.get("n"), int) or data["n"] < 0:
         raise ParseError("JSON graph needs a non-negative integer 'n'")
     n = data["n"]
+    _check_file_order(n)
     edges = data.get("edges", [])
     if not isinstance(edges, list):
         raise ParseError("JSON 'edges' must be a list of pairs")
@@ -259,13 +271,16 @@ def _emit_graph(G: Graph, args, prefix: str = "") -> str:
 
 
 def _cmd_gen(args) -> str:
-    spec = FamilySpec(args.family, tuple(args.params))
-    return _emit_graph(make_graph(spec), args)
+    G = make_graph(FamilySpec(args.family, tuple(args.params)))
+    _check_file_order(G.n)
+    return _emit_graph(G, args)
 
 
 def _cmd_product(args) -> str:
     kind = normalize_kind(args.kind)
-    desc = product(kind, _load_graph(args.file_g), _load_graph(args.file_h))
+    G, H = _load_graph(args.file_g), _load_graph(args.file_h)
+    _check_file_order(G.n * H.n)
+    desc = product(kind, G, H)
     prefix = f"# product kind={kind} nG={desc.nG} nH={desc.nH}\n"
     return _emit_graph(desc.graph, args, prefix=prefix)
 
@@ -427,7 +442,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ParameterError as exc:
+    except (ParameterError, InvariantError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if text:

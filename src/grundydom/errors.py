@@ -2,7 +2,8 @@
 
 ParameterError covers bad input values and domain violations (exit code 1).
 CapacityError covers configured resource caps such as solver order limits or
-subset-enumeration guards (exit code 2).
+subset-enumeration guards (exit code 2). InvariantError reports a computed
+value that breaks a proven bound, which means a solver bug (exit code 1).
 """
 
 
@@ -12,6 +13,10 @@ class ParameterError(ValueError):
 
 class CapacityError(RuntimeError):
     """A configured resource cap would be exceeded."""
+
+
+class InvariantError(RuntimeError):
+    """A computed value contradicts a proven bound."""
 
 
 class ParseError(ParameterError):

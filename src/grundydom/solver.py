@@ -17,6 +17,10 @@ Two exact-safe prunings keep the search tractable on 25-vertex products:
 
 grundy_bruteforce is an independent oracle: plain enumeration of all legal
 sequences straight from the definition, no memo, no pruning.
+
+max_weighted_sequence (behind lex_grundy) also memoizes on the dominated
+set alone: in closed mode an unchosen vertex has a chosen neighbor exactly
+when it is dominated, so the dominated set fixes the weight of every move.
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from .graphs import Graph, has_isolated_vertex
 
 MAX_SOLVER_ORDER = 64
 BRUTE_MAX_ORDER = 10
-WEIGHTED_MAX_ORDER = 20
+WEIGHTED_MAX_ORDER = 25
 MEMO_CAP_ENV = "GRUNDYDOM_MEMO_CAP"
 
 
@@ -67,10 +71,9 @@ def _env_memo_cap() -> int | None:
     if raw is None:
         return None
     try:
-        cap = int(raw)
+        return int(raw)
     except ValueError:
         raise ParameterError(f"{MEMO_CAP_ENV} must be an integer, got {raw!r}")
-    return cap if cap > 0 else None
 
 
 class _Search:
@@ -196,6 +199,8 @@ def grundy(
     rows = _mode_rows(G, mode)
     if memo_cap is None:
         memo_cap = _env_memo_cap()
+    if memo_cap is not None and memo_cap < 1:
+        raise ParameterError(f"memo_cap and {MEMO_CAP_ENV} must be positive, got {memo_cap}")
     start = time.perf_counter()
     search = _Search(rows, n, memo_cap)
     val = search.root_value(threads)
@@ -254,11 +259,13 @@ def max_weighted_sequence(G: Graph, w_independent: int, w_dependent: int) -> tup
     """Best total weight of a legal dominating sequence (closed mode).
 
     An item weighs w_independent when no earlier item is adjacent to it and
-    w_dependent otherwise, mirroring the a-value split. Positions are pairs
-    (covered set, chosen set) since the weight of a new item depends on the
-    chosen set. Weights must be nonnegative so that extending a sequence
-    never hurts; the maximum is then attained by a maximal legal sequence,
-    which is automatically dominating.
+    w_dependent otherwise, mirroring the a-value split. Positions are
+    dominated sets: an unchosen vertex has a chosen neighbor exactly when it
+    is dominated, and a chosen vertex has nothing new to dominate, so the
+    dominated set fixes every move and its weight. Weights must be
+    nonnegative so that extending a sequence never hurts; the maximum is then
+    attained by a maximal legal sequence, which is automatically dominating.
+    The witness is the lexicographically least optimal maximal sequence.
     """
     n = G.n
     if n < 1:
@@ -267,45 +274,36 @@ def max_weighted_sequence(G: Graph, w_independent: int, w_dependent: int) -> tup
         raise CapacityError(f"weighted search capped at {WEIGHTED_MAX_ORDER} vertices")
     if w_independent < 0 or w_dependent < 0:
         raise ParameterError("weights must be nonnegative")
-    adj = G.adj
-    rows = [adj[v] | 1 << v for v in range(n)]
-    memo: dict[tuple[int, int], int] = {}
+    rows = _mode_rows(G, "closed")
+    memo: dict[int, int] = {}
 
-    def value(dom: int, chosen: int) -> int:
-        key = (dom, chosen)
-        cached = memo.get(key)
+    def value(dom: int) -> int:
+        cached = memo.get(dom)
         if cached is not None:
             return cached
         best = 0
         for u in range(n):
-            if chosen >> u & 1:
-                continue
             new = rows[u] & ~dom
             if new:
-                w = w_independent if adj[u] & chosen == 0 else w_dependent
-                got = w + value(dom | new, chosen | 1 << u)
+                got = (w_dependent if dom >> u & 1 else w_independent) + value(dom | new)
                 if got > best:
                     best = got
-        memo[key] = best
+        memo[dom] = best
         return best
 
-    total = value(0, 0)
+    total = value(0)
     seq: list[int] = []
     dom = 0
-    chosen = 0
     t = total
     # extend until maximal so the witness is dominating even with zero weights
     while dom != G.full_mask:
         for u in range(n):
-            if chosen >> u & 1:
-                continue
             new = rows[u] & ~dom
             if new:
-                w = w_independent if adj[u] & chosen == 0 else w_dependent
-                if w + value(dom | new, chosen | 1 << u) == t:
+                w = w_dependent if dom >> u & 1 else w_independent
+                if w + value(dom | new) == t:
                     seq.append(u)
                     dom |= new
-                    chosen |= 1 << u
                     t -= w
                     break
         else:

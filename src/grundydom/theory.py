@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, InvariantError, ParameterError
 from .graphs import (
     Graph,
     ball,
@@ -516,7 +516,10 @@ def formula_value(formula_id: str, params: Iterable[int]) -> tuple[int, str]:
         known = ", ".join(sorted(FORMULAS))
         raise ParameterError(f"unknown formula id '{formula_id}' (known: {known})")
     params = tuple(params)
-    _chk(all(isinstance(p, int) for p in params), "parameters must be integers")
+    _chk(
+        all(isinstance(p, int) and not isinstance(p, bool) for p in params),
+        "parameters must be integers",
+    )
     try:
         value = entry.fn(params)
     except ParameterError as exc:
@@ -821,7 +824,8 @@ def conjecture_scan(
     pairs beyond max_order or past the time budget are recorded as skipped.
     A counterexample is reported with full witnesses, never asserted away.
     The product lower bound and the blow-up and simplicial upper bounds are
-    asserted on every solved pair; a violation would mean a solver bug.
+    checked on every solved pair; a violation would mean a solver bug and
+    raises InvariantError.
     """
     jobs = list(pairs)
     deadline = None if time_budget is None else time.monotonic() + time_budget
@@ -847,7 +851,7 @@ def conjecture_scan(
             strong_simplicial_upper(H, G),
         )
         if not lower <= g_p <= upper:
-            raise RuntimeError(
+            raise InvariantError(
                 f"bound violation on {G.display_name} x {H.display_name}:"
                 f" expected {lower} <= {g_p} <= {upper}"
             )

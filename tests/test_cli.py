@@ -4,7 +4,9 @@ import json
 
 import pytest
 
+from grundydom import theory
 from grundydom.cli import (
+    MAX_FILE_ORDER,
     graph_to_json,
     main,
     parse_graph,
@@ -12,7 +14,7 @@ from grundydom.cli import (
     serialize_graph,
     serialize_sequence,
 )
-from grundydom.errors import ParseError
+from grundydom.errors import CapacityError, ParseError
 from grundydom.graphs import Graph, cycle, path, star
 from grundydom.products import product
 from grundydom.solver import grundy
@@ -105,6 +107,25 @@ def test_sequence_round_trip():
         parse_sequence("1 two 3")
 
 
+def test_parse_rejects_order_above_cap(tmp_path, capsys):
+    # a header just above the cap is refused before any adjacency is built
+    over = MAX_FILE_ORDER + 1
+    for text in (f"{over} 0\n", json.dumps({"n": over, "edges": []})):
+        with pytest.raises(CapacityError):
+            parse_graph(text)
+        code, _, err = run(capsys, "grundy", write(tmp_path, "big.txt", text))
+        assert code == 2 and "file cap" in err
+    assert parse_graph(f"{MAX_FILE_ORDER} 0\n").n == MAX_FILE_ORDER
+
+
+def test_written_graphs_stay_within_file_cap(tmp_path, capsys):
+    code, _, err = run(capsys, "gen", "path", str(MAX_FILE_ORDER + 1))
+    assert code == 2 and "file cap" in err
+    big = write(tmp_path, "k65.txt", serialize_graph(Graph(65)))
+    code, _, err = run(capsys, "product", "--kind", "direct", big, big)
+    assert code == 2 and "file cap" in err
+
+
 # === verbs ===
 
 
@@ -183,6 +204,9 @@ def test_grundy_errors(tmp_path, capsys):
     bad = write(tmp_path, "bad.txt", "3 1\n0 0\n")
     code, _, err = run(capsys, "grundy", bad)
     assert code == 1 and "line 2: loop edge at vertex 0" in err
+    small = write(tmp_path, "p3.txt", serialize_graph(path(3)))
+    code, _, err = run(capsys, "grundy", small, "--memo-cap", "0")
+    assert code == 1 and "must be positive" in err
 
 
 def test_check_seq_verb(tmp_path, capsys):
@@ -311,6 +335,13 @@ def test_scan_errors(capsys):
     assert code == 1
     code, _, err = run(capsys, "scan", "--families", "Q7")
     assert code == 1 and "unknown family token" in err
+
+
+def test_scan_bound_violation_is_an_error_line(capsys, monkeypatch):
+    monkeypatch.setattr(theory, "strong_simplicial_upper", lambda G, H: 0)
+    code, out, err = run(capsys, "scan", "--max-n", "2")
+    assert code == 1 and out == ""
+    assert err.startswith("error: bound violation") and "Traceback" not in err
 
 
 def test_iso_check_verb(capsys):

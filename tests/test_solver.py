@@ -132,9 +132,13 @@ def test_memo_cap_env_default(monkeypatch):
     monkeypatch.setenv("GRUNDYDOM_MEMO_CAP", "32")
     res = grundy(cycle(8))
     assert res.value == 6 and res.stats.memo_entries <= 32
-    monkeypatch.setenv("GRUNDYDOM_MEMO_CAP", "many")
+    for raw in ("many", "0", "-3"):
+        monkeypatch.setenv("GRUNDYDOM_MEMO_CAP", raw)
+        with pytest.raises(ParameterError):
+            grundy(cycle(8))
+    monkeypatch.delenv("GRUNDYDOM_MEMO_CAP")
     with pytest.raises(ParameterError):
-        grundy(cycle(8))
+        grundy(cycle(8), memo_cap=0)
 
 
 def test_threads_do_not_change_answer():
@@ -181,24 +185,44 @@ def test_lex_grundy_witness_scores_its_value():
         assert rep.a_value * gh + (rep.length - rep.a_value) == val
 
 
-def brute_max_weight(g: Graph, wi: int, wd: int) -> int:
-    # enumerate all legal sequences; maximal legal ones are dominating
+def brute_max_weight(g: Graph, wi: int, wd: int) -> tuple[int, list[int]]:
+    """Enumerate all legal sequences; maximal legal ones are dominating.
+
+    Returns the best weight and the first maximal sequence reaching it in
+    ascending depth-first order, which is the lexicographically least one.
+    """
     rows = [g.adj[v] | 1 << v for v in range(g.n)]
-    best = 0
+    best = -1
+    best_seq: list[int] = []
+    seq: list[int] = []
 
     def rec(dominated, chosen, weight):
-        nonlocal best
+        nonlocal best, best_seq
         if dominated == g.full_mask and weight > best:
             best = weight
+            best_seq = seq.copy()
         for u in range(g.n):
             if chosen >> u & 1:
                 continue
             if rows[u] & ~dominated:
                 w = wi if g.adj[u] & chosen == 0 else wd
+                seq.append(u)
                 rec(dominated | rows[u], chosen | 1 << u, weight + w)
+                seq.pop()
 
     rec(0, 0, 0)
-    return best
+    return best, best_seq
+
+
+GATE_WEIGHTS = [(1, 1), (3, 1), (1, 0), (0, 1), (2, 3)]
+
+
+def assert_weighted_matches_brute(g: Graph, wi: int, wd: int) -> None:
+    got = max_weighted_sequence(g, wi, wd)
+    assert got == brute_max_weight(g, wi, wd), (g.display_name, wi, wd)
+    rep = check_sequence(g, got[1])
+    assert rep.legal and rep.dominating
+    assert rep.a_value * wi + (rep.length - rep.a_value) * wd == got[0]
 
 
 def test_max_weighted_sequence_against_brute():
@@ -206,11 +230,19 @@ def test_max_weighted_sequence_against_brute():
     weights = [(1, 1), (4, 1), (1, 0), (3, 2), (0, 1)]
     for g in graphs:
         for wi, wd in weights:
-            val, seq = max_weighted_sequence(g, wi, wd)
-            assert val == brute_max_weight(g, wi, wd), (g.display_name, wi, wd)
-            rep = check_sequence(g, seq)
-            assert rep.legal and rep.dominating
-            assert rep.a_value * wi + (rep.length - rep.a_value) * wd == val
+            assert_weighted_matches_brute(g, wi, wd)
+
+
+def test_max_weighted_sequence_oracle_gate():
+    # value and lexicographically least witness on every connected graph of
+    # order <= 6 and on seeded random graphs of order 8; (2, 3) makes
+    # dependent items weigh more than independent ones
+    graphs = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
+    rng = random.Random(2016)
+    graphs += [random_connected_graph(rng, 8) for _ in range(10)]
+    for g in graphs:
+        for wi, wd in GATE_WEIGHTS:
+            assert_weighted_matches_brute(g, wi, wd)
 
 
 def test_max_weighted_sequence_unit_weights_match_grundy():
@@ -223,4 +255,9 @@ def test_max_weighted_sequence_guards():
     with pytest.raises(ParameterError):
         max_weighted_sequence(path(3), -1, 1)
     with pytest.raises(CapacityError):
-        max_weighted_sequence(path(21), 1, 1)
+        max_weighted_sequence(path(26), 1, 1)
+
+
+def test_max_weighted_sequence_accepts_cap_order():
+    val, seq = max_weighted_sequence(path(25), 1, 1)
+    assert val == grundy(path(25)).value == len(seq)

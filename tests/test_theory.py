@@ -293,6 +293,14 @@ def test_formula_unknown_and_arity():
         formula_value("thm_cart_grid", (3.0, 4))
 
 
+def test_formula_rejects_bool_params():
+    for params in ((True, 4), (3, False), (4, 4, True)):
+        with pytest.raises(ParameterError) as err:
+            formula_value("prop_cart_multi_paths", params)
+        assert str(err.value) == "parameters must be integers", params
+    assert formula_value("prop_cart_multi_paths", (2, 2, 5)) == (16, "exact")
+
+
 def test_exact_entries_match_solver():
     grid_cases = [(2, 2), (2, 3), (3, 3), (3, 4), (2, 5)]
     for k, l in grid_cases:
