@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 from typing import Sequence
@@ -116,7 +115,7 @@ def _parse_graph_json(text: str, name: str | None) -> Graph:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno)
     if not isinstance(data, dict):
         raise ParseError("JSON graph must be an object")
-    if not isinstance(data.get("n"), int) or data["n"] < 0:
+    if not _is_json_int(data.get("n")) or data["n"] < 0:
         raise ParseError("JSON graph needs a non-negative integer 'n'")
     n = data["n"]
     _check_file_order(n)
@@ -126,7 +125,7 @@ def _parse_graph_json(text: str, name: str | None) -> Graph:
     adj = [0] * n
     pairs = []
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(isinstance(x, int) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(_is_json_int(x) for x in e)):
             raise ParseError(f"JSON edge {e!r} is not a pair of integers")
         _append_edge(adj, n, e[0], e[1], None)
         pairs.append((e[0], e[1]))
@@ -134,6 +133,11 @@ def _parse_graph_json(text: str, name: str | None) -> Graph:
     if json_name is not None and not isinstance(json_name, str):
         raise ParseError("JSON 'name' must be a string")
     return Graph(n, pairs, name=name or json_name)
+
+
+def _is_json_int(x) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not vertex ids
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def serialize_graph(G: Graph) -> str:
@@ -212,7 +216,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--mode", choices=["closed", "open"], default="closed")
     p.add_argument("--witness", action="store_true", help="also print one optimal sequence")
-    p.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     p.add_argument("--memo-cap", type=int, default=None)
 
     p = sub.add_parser("check-seq", help="check a sequence against a graph")
@@ -244,7 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--self-pairs", action="store_true",
                    help="pair each enumerated graph with itself")
     p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
-    p.add_argument("--workers", type=int, default=1)
 
     p = sub.add_parser("iso-check", help="ball-versus-subset boundary check")
     p.add_argument("kind", choices=["even-torus", "grid"])
@@ -270,10 +272,18 @@ def _emit_graph(G: Graph, args, prefix: str = "") -> str:
     return text
 
 
+def _family_order(family: str, params: Sequence[int]) -> int:
+    """Order of the graph a family spec describes, read before building it."""
+    if not params:
+        return 0  # make_graph reports the missing parameter
+    if family == "caterpillar":
+        return params[0] + sum(params[1:])
+    return params[0]  # path, cycle, complete, star: k; custom: n
+
+
 def _cmd_gen(args) -> str:
-    G = make_graph(FamilySpec(args.family, tuple(args.params)))
-    _check_file_order(G.n)
-    return _emit_graph(G, args)
+    _check_file_order(_family_order(args.family, args.params))
+    return _emit_graph(make_graph(FamilySpec(args.family, tuple(args.params))), args)
 
 
 def _cmd_product(args) -> str:
@@ -287,20 +297,15 @@ def _cmd_product(args) -> str:
 
 def _cmd_grundy(args) -> str:
     G = parse_graph(_read(args.file))
-    result = grundy(
-        G,
-        mode=args.mode,
-        memo_cap=args.memo_cap,
-        threads=max(1, args.threads),
-        witness=args.witness,
-    )
+    result = grundy(G, mode=args.mode, memo_cap=args.memo_cap, witness=args.witness)
     lines = [f"value={result.value}"]
     if args.witness:
         lines.append("witness=" + " ".join(str(v) for v in result.witness))
     s = result.stats
     lines.append(
         f"# stats nodes={s.nodes} memo_entries={s.memo_entries}"
-        f" elapsed={s.elapsed:.3f}s"
+        f" elapsed={s.elapsed:.3f}s components={s.components}"
+        f" orbit_skips={s.orbit_skips}"
     )
     return "\n".join(lines) + "\n"
 
@@ -385,9 +390,7 @@ def _cmd_scan(args) -> str:
         pairs.extend((G, H) for G in lefts for H in rights)
     if args.self_pairs or not args.families:
         pairs.extend((G, G) for G in lefts)
-    report = conjecture_scan(
-        pairs, time_budget=args.budget, workers=max(1, args.workers)
-    )
+    report = conjecture_scan(pairs, time_budget=args.budget)
     lines = []
     for r in report.records:
         if r.status == "skipped":

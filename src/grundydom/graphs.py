@@ -232,17 +232,16 @@ def ball(G: Graph, v: int, r: int) -> int:
 def connected_components(G: Graph) -> list[int]:
     """Vertex-set masks of the connected components, ordered by least vertex."""
     out = []
-    remaining = G.full_mask
+    adj = G.adj
+    remaining = (1 << G.n) - 1
     while remaining:
-        start = remaining & -remaining
-        comp = start
-        frontier = start
-        while frontier:
+        comp = frontier = remaining & -remaining
+        while frontier and comp != remaining:
             nxt = 0
             m = frontier
             while m:
                 low = m & -m
-                nxt |= G.adj[low.bit_length() - 1]
+                nxt |= adj[low.bit_length() - 1]
                 m ^= low
             frontier = nxt & ~comp
             comp |= frontier
@@ -257,6 +256,21 @@ def is_connected(G: Graph) -> bool:
 
 def has_isolated_vertex(G: Graph) -> bool:
     return any(row == 0 for row in G.adj)
+
+
+def mode_rows(G: Graph, mode: str) -> list[int]:
+    """Closed or open neighborhood of every vertex, as the rows a sequence covers.
+
+    Open mode needs a graph with no isolated vertices: an isolated vertex can
+    never be covered, so no total dominating sequence exists.
+    """
+    if mode == "closed":
+        return [row | 1 << v for v, row in enumerate(G.adj)]
+    if mode == "open":
+        if has_isolated_vertex(G):
+            raise ParameterError("open mode requires a graph with no isolated vertices")
+        return list(G.adj)
+    raise ParameterError(f"unknown mode '{mode}'")
 
 
 def independence_number(G: Graph) -> int:
@@ -418,6 +432,82 @@ def canonical_code(G: Graph) -> int:
     rec([0] * n)
     assert best is not None
     return best
+
+
+def _individualize(n: int, adj: tuple[int, ...], colors: list[int], v: int) -> list[int]:
+    colors = list(colors)
+    colors[v] = -1
+    return _refine(n, adj, colors)
+
+
+def _map_automorphism(n: int, adj: tuple[int, ...], base: list[int], r: int, v: int) -> list[int] | None:
+    # Individualize r on one side and v on the other, then keep individualizing
+    # the least vertex of the first non-singleton cell on both sides, with no
+    # backtracking. A discrete pair of colorings defines a bijection; it is
+    # returned only if it maps every adjacency row onto a row, so a wrong
+    # guess costs a missed automorphism, never a false one.
+    a = _individualize(n, adj, base, r)
+    b = _individualize(n, adj, base, v)
+    while True:
+        if sorted(a) != sorted(b):
+            return None
+        if len(set(a)) == n:
+            break
+        counts: dict[int, int] = {}
+        for c in a:
+            counts[c] = counts.get(c, 0) + 1
+        target = min(c for c, k in counts.items() if k > 1)
+        a = _individualize(n, adj, a, a.index(target))
+        b = _individualize(n, adj, b, b.index(target))
+    at = [0] * n
+    for y, c in enumerate(b):
+        at[c] = y
+    perm = [at[c] for c in a]
+    for x in range(n):
+        image = 0
+        for u in bit_indices(adj[x]):
+            image |= 1 << perm[u]
+        if image != adj[perm[x]]:
+            return None
+    return perm
+
+
+def vertex_orbits(G: Graph) -> list[int]:
+    """Least vertex of each vertex's orbit under the automorphisms found.
+
+    Two vertices can share an orbit only if they share a refined color. For
+    each vertex, an automorphism is sought from every earlier orbit of its
+    color (individualize and refine, first matching candidate, no
+    backtracking), and every automorphism found merges orbits along all its
+    cycles. Vertices grouped together are always automorphic; a failed search
+    can leave two orbit mates apart, which costs a caller pruning, never
+    correctness.
+    """
+    n, adj = G.n, G.adj
+    rep = list(range(n))
+
+    def find(x: int) -> int:
+        while rep[x] != x:
+            rep[x] = rep[rep[x]]
+            x = rep[x]
+        return x
+
+    base = _refine(n, adj, [0] * n)
+    for v in range(n):
+        if find(v) != v:
+            continue
+        for r in range(v):
+            if base[r] != base[v] or find(r) != r:
+                continue
+            perm = _map_automorphism(n, adj, base, r, v)
+            if perm is None:
+                continue
+            for x, y in enumerate(perm):
+                fx, fy = find(x), find(y)
+                if fx != fy:
+                    rep[max(fx, fy)] = min(fx, fy)
+            break
+    return [find(v) for v in range(n)]
 
 
 def graph_from_code(n: int, code: int, name: str | None = None) -> Graph:

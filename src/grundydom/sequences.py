@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ParameterError
-from .graphs import Graph, bit_indices, has_isolated_vertex
+from .graphs import Graph, bit_indices, mode_rows
 
 
 @dataclass
@@ -46,14 +46,7 @@ def check_sequence(G: Graph, items, mode: str = "closed") -> SequenceReport:
     the report describes the whole input.
     """
     items = _validated_items(G, items)
-    if mode == "closed":
-        rows = [G.adj[v] | 1 << v for v in range(G.n)]
-    elif mode == "open":
-        if has_isolated_vertex(G):
-            raise ParameterError("open mode requires a graph with no isolated vertices")
-        rows = list(G.adj)
-    else:
-        raise ParameterError(f"unknown mode '{mode}'")
+    rows = mode_rows(G, mode)
 
     dominated = 0
     chosen = 0

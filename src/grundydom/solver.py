@@ -15,6 +15,14 @@ Two exact-safe prunings keep the search tractable on 25-vertex products:
     vertices and the number of playable vertices, so sibling exploration
     stops once the cap is reached.
 
+Two exact reductions come first. The value adds up over connected
+components, so each component is searched on its own, from the position
+where every other component is already covered. At a component's root, a
+move that an automorphism maps onto an earlier root move has the same value
+and is skipped; orbits are only computed once the first root move's subtree
+has expanded at least n^2 nodes (n the component's order), about what the
+orbit finder itself costs, so small solves never pay for them.
+
 grundy_bruteforce is an independent oracle: plain enumeration of all legal
 sequences straight from the definition, no memo, no pruning.
 
@@ -25,16 +33,16 @@ when it is dominated, so the dominated set fixes the weight of every move.
 
 from __future__ import annotations
 
+import heapq
 import os
-import threading
 import time
-from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
+from collections import deque
 from dataclasses import dataclass, field
 from itertools import combinations
+from typing import Sequence
 
 from .errors import CapacityError, ParameterError
-from .graphs import Graph, has_isolated_vertex
+from .graphs import Graph, bit_indices, connected_components, mode_rows, vertex_orbits
 
 MAX_SOLVER_ORDER = 64
 BRUTE_MAX_ORDER = 10
@@ -47,6 +55,8 @@ class SolveStats:
     nodes: int = 0
     memo_entries: int = 0
     elapsed: float = 0.0
+    components: int = 0
+    orbit_skips: int = 0
 
 
 @dataclass
@@ -54,16 +64,6 @@ class SolveResult:
     value: int
     witness: list[int] = field(default_factory=list)
     stats: SolveStats = field(default_factory=SolveStats)
-
-
-def _mode_rows(G: Graph, mode: str) -> list[int]:
-    if mode == "closed":
-        return [G.adj[v] | 1 << v for v in range(G.n)]
-    if mode == "open":
-        if has_isolated_vertex(G):
-            raise ParameterError("open mode requires a graph with no isolated vertices")
-        return list(G.adj)
-    raise ParameterError(f"unknown mode '{mode}'")
 
 
 def _env_memo_cap() -> int | None:
@@ -76,16 +76,39 @@ def _env_memo_cap() -> int | None:
         raise ParameterError(f"{MEMO_CAP_ENV} must be an integer, got {raw!r}")
 
 
-class _Search:
-    """Memoized value function over covered-set positions."""
+def _component_orbits(G: Graph, verts: Sequence[int]) -> list[int]:
+    """Orbit representative of every vertex of one component (others map to themselves)."""
+    if len(verts) == G.n:
+        return vertex_orbits(G)
+    local = {v: i for i, v in enumerate(verts)}
+    edges = [(local[u], local[v]) for u, v in G.edges() if u in local]
+    reps = list(range(G.n))
+    for v, r in zip(verts, vertex_orbits(Graph(len(verts), edges))):
+        reps[v] = verts[r]
+    return reps
 
-    def __init__(self, rows: list[int], n: int, memo_cap: int | None):
+
+class _Search:
+    """Memoized value function over covered-set positions.
+
+    A component is searched from the position where every other component is
+    already covered, so positions are full-width covered sets, one memo serves
+    every component, and memo_cap bounds the whole solve (oldest entries are
+    evicted first). verts lists the vertices of the component being searched.
+    """
+
+    def __init__(self, G: Graph, rows: list[int], memo_cap: int | None):
+        self.G = G
         self.rows = rows
-        self.n = n
+        self.n = G.n
         self.memo_cap = memo_cap
-        self.memo: dict = OrderedDict() if memo_cap else {}
-        self.lock = threading.Lock() if memo_cap else None
+        self.memo: dict[int, int] = {}
+        # insertion order for eviction: deleting a dict's oldest key via
+        # next(iter(memo)) slows down with every earlier deletion
+        self.order: deque[int] | None = deque() if memo_cap else None
+        self.verts: Sequence[int] = ()
         self.nodes = 0
+        self.orbit_skips = 0
 
     def value(self, S: int) -> int:
         memo = self.memo
@@ -95,7 +118,7 @@ class _Search:
         rows = self.rows
         n = self.n
         moves = []
-        for u in range(n):
+        for u in self.verts:
             new = rows[u] & ~S
             if new:
                 moves.append((new.bit_count(), new))
@@ -124,44 +147,79 @@ class _Search:
                     if best == cap:
                         break
         if self.memo_cap:
-            with self.lock:
-                if len(memo) >= self.memo_cap:
-                    memo.popitem(last=False)
-                memo[S] = best
-        else:
-            memo[S] = best
+            if len(memo) >= self.memo_cap:
+                del memo[self.order.popleft()]
+            self.order.append(S)
+        memo[S] = best
         return best
 
-    def root_value(self, threads: int) -> int:
-        if threads <= 1 or self.n == 0:
-            return self.value(0)
-        children = []
-        for u in range(self.n):
-            new = self.rows[u]
-            if new:
-                children.append(new)
-        if not children:
-            return self.value(0)
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            vals = list(pool.map(self.value, children))
-        best = 1 + max(vals)
-        if self.memo_cap:
-            with self.lock:
-                self.memo[0] = best
-        else:
-            self.memo[0] = best
-        return best
+    def root_value(self, verts: Sequence[int], S: int) -> tuple[int, list[int] | None]:
+        """Value of the component on verts from position S (everything else covered),
+        and the orbit representatives used at its root.
 
-    def reconstruct(self) -> list[int]:
+        Root moves run in ascending vertex order within equal coverage size, so
+        each orbit is first met at its least vertex. Orbits are computed only
+        when the first move did not settle the root and its subtree expanded
+        at least k^2 nodes (k the component's order). After that, a move whose
+        orbit was already handled (searched, dominated or bound-skipped) has a
+        value no better than the best so far and is skipped. The
+        representatives are None when the orbits were never computed.
+        """
+        rows, n = self.rows, self.n
+        self.verts = verts
+        k = len(verts)
+        self.nodes += 1
+        moves = [(rows[u].bit_count(), u) for u in verts]
+        moves.sort()
+        first = moves[0][1]
+        start = self.nodes
+        best = 1 + self.value(S | rows[first])
+        if best == k:
+            return best, None
+        reps: list[int] | None = None
+        if self.nodes - start >= k * k:
+            reps = _component_orbits(self.G, verts)
+            handled = {reps[first]}
+        kept = [rows[first]]
+        for _, u in moves[1:]:
+            if reps is not None:
+                if reps[u] in handled:
+                    self.orbit_skips += 1
+                    continue
+                handled.add(reps[u])
+            new = rows[u]
+            for old in kept:
+                if old & ~new == 0:
+                    break
+            else:
+                kept.append(new)
+                child = S | new
+                if n - child.bit_count() < best:
+                    continue
+                got = 1 + self.value(child)
+                if got > best:
+                    best = got
+                    if best == k:
+                        break
+        return best, reps
+
+    def reconstruct(self, verts: Sequence[int], S: int, t: int, reps: list[int] | None) -> list[int]:
         # Greedy walk: at each position take the smallest-id vertex that still
         # achieves the memoized value. This is deterministic regardless of
-        # search order and yields the lexicographically least optimal witness.
-        seq: list[int] = []
-        S = 0
-        t = self.value(0)
+        # search order and yields the lexicographically least optimal witness
+        # of the component.
         rows = self.rows
+        self.verts = verts
+        seq: list[int] = []
+        if reps:
+            # at the root, read each child's value at its orbit representative,
+            # the move the search expanded
+            u = next(u for u in verts if self.value(S | rows[reps[u]]) == t - 1)
+            seq.append(u)
+            S |= rows[u]
+            t -= 1
         while t:
-            for u in range(self.n):
+            for u in verts:
                 new = rows[u] & ~S
                 if new and self.value(S | new) == t - 1:
                     seq.append(u)
@@ -178,17 +236,15 @@ def grundy(
     mode: str = "closed",
     *,
     memo_cap: int | None = None,
-    threads: int = 1,
     max_order: int | None = None,
     witness: bool = True,
 ) -> SolveResult:
     """Length of a longest legal (total) dominating sequence, with witness.
 
-    memo_cap bounds the number of cached positions (oldest entries are evicted
-    first; the answer is unchanged, recomputation just grows). The environment
-    variable GRUNDYDOM_MEMO_CAP supplies a default cap. threads > 1 fans the
-    root branches out over a shared memo; value and witness do not depend on
-    the schedule.
+    memo_cap bounds the number of cached positions over the whole solve
+    (oldest entries are evicted first; the answer is unchanged, recomputation
+    just grows). The environment variable GRUNDYDOM_MEMO_CAP supplies a
+    default cap.
     """
     n = G.n
     if n < 1:
@@ -196,22 +252,38 @@ def grundy(
     limit = MAX_SOLVER_ORDER if max_order is None else max_order
     if n > limit:
         raise CapacityError(f"graph order {n} exceeds solver cap {limit}")
-    rows = _mode_rows(G, mode)
+    rows = mode_rows(G, mode)
     if memo_cap is None:
         memo_cap = _env_memo_cap()
     if memo_cap is not None and memo_cap < 1:
         raise ParameterError(f"memo_cap and {MEMO_CAP_ENV} must be positive, got {memo_cap}")
     start = time.perf_counter()
-    search = _Search(rows, n, memo_cap)
-    val = search.root_value(threads)
-    seq = search.reconstruct() if witness else []
+    search = _Search(G, rows, memo_cap)
+    full = (1 << n) - 1
+    comps = connected_components(G)
+    parts = []
+    val = 0
+    for comp in comps:
+        verts = range(n) if comp == full else bit_indices(comp)
+        outside = full & ~comp
+        t, reps = search.root_value(verts, outside)
+        parts.append((verts, outside, t, reps))
+        val += t
+    seq: list[int] = []
+    if witness:
+        walks = [search.reconstruct(*part) for part in parts]
+        # Components are independent, so the least witness of G repeatedly
+        # takes the smallest next vertex among the components' least
+        # witnesses: exactly what heapq.merge does with its inputs' heads.
+        seq = walks[0] if len(walks) == 1 else list(heapq.merge(*walks))
+        assert len(seq) == val
     stats = SolveStats(
         nodes=search.nodes,
         memo_entries=len(search.memo),
         elapsed=time.perf_counter() - start,
+        components=len(comps),
+        orbit_skips=search.orbit_skips,
     )
-    if witness:
-        assert len(seq) == val
     return SolveResult(value=val, witness=seq, stats=stats)
 
 
@@ -227,7 +299,7 @@ def grundy_bruteforce(G: Graph, mode: str = "closed") -> SolveResult:
         raise ParameterError("solver needs at least one vertex")
     if n > BRUTE_MAX_ORDER:
         raise CapacityError(f"brute force capped at {BRUTE_MAX_ORDER} vertices")
-    rows = _mode_rows(G, mode)
+    rows = mode_rows(G, mode)
     full = G.full_mask
     start = time.perf_counter()
     best_len = 0
@@ -274,7 +346,7 @@ def max_weighted_sequence(G: Graph, w_independent: int, w_dependent: int) -> tup
         raise CapacityError(f"weighted search capped at {WEIGHTED_MAX_ORDER} vertices")
     if w_independent < 0 or w_dependent < 0:
         raise ParameterError("weights must be nonnegative")
-    rows = _mode_rows(G, "closed")
+    rows = mode_rows(G, "closed")
     memo: dict[int, int] = {}
 
     def value(dom: int) -> int:
@@ -329,7 +401,7 @@ def domination_number(G: Graph, mode: str = "closed") -> int:
         raise ParameterError("needs at least one vertex")
     if n > 16:
         raise CapacityError("domination number search capped at 16 vertices")
-    rows = _mode_rows(G, mode)
+    rows = mode_rows(G, mode)
     full = G.full_mask
     for k in range(1, n + 1):
         for sub in combinations(range(n), k):

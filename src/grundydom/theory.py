@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
@@ -816,7 +815,6 @@ def conjecture_scan(
     *,
     max_order: int = MAX_SOLVER_ORDER,
     time_budget: float | None = None,
-    workers: int = 1,
 ) -> ScanReport:
     """Test grundy(strong(G, H)) == grundy(G) * grundy(H) over factor pairs.
 
@@ -827,11 +825,9 @@ def conjecture_scan(
     checked on every solved pair; a violation would mean a solver bug and
     raises InvariantError.
     """
-    jobs = list(pairs)
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
-    def run_pair(job: tuple[Graph, Graph]) -> ScanRecord:
-        G, H = job
+    def run_pair(G: Graph, H: Graph) -> ScanRecord:
         names = {"name_g": G.display_name, "name_h": H.display_name}
         if deadline is not None and time.monotonic() > deadline:
             return ScanRecord(**names, reason="time budget exhausted")
@@ -873,12 +869,7 @@ def conjecture_scan(
             witness_product=tuple(grundy(prod_graph).witness),
         )
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(run_pair, jobs))
-    else:
-        records = [run_pair(job) for job in jobs]
-    return ScanReport(tuple(records))
+    return ScanReport(tuple(run_pair(G, H) for G, H in pairs))
 
 
 # ---------------------------------------------------------------------------

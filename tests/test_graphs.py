@@ -32,7 +32,9 @@ from grundydom.graphs import (
     path,
     star,
     substitute_clique,
+    vertex_orbits,
 )
+from grundydom.products import product
 
 # the tree with alpha = 5: a path u-v where v carries two cherries
 TREE8_EDGES = [(0, 1), (1, 2), (1, 5), (2, 3), (2, 4), (5, 6), (5, 7)]
@@ -278,3 +280,75 @@ def test_enumeration_matches_independent_count_n5():
     assert len(classes) == 21
     enum_codes = {canonical_code(g) for g in enumerate_connected_graphs(5)}
     assert enum_codes == classes
+
+
+def brute_orbits(g: Graph) -> list[int]:
+    """Least vertex of each orbit of the full automorphism group."""
+    edges = set(g.edges())
+    reps = list(range(g.n))
+    for p in permutations(range(g.n)):
+        if all((min(p[u], p[v]), max(p[u], p[v])) in edges for u, v in edges):
+            for v in range(g.n):
+                reps[p[v]] = min(reps[p[v]], v)
+    return reps
+
+
+def test_vertex_orbits_match_automorphism_group():
+    graphs = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
+    assert len(graphs) == 143
+    for g in graphs:
+        assert vertex_orbits(g) == brute_orbits(g), g.edges()
+
+
+def random_regular_graph(rng: random.Random, n: int, d: int) -> Graph:
+    """Connected d-regular graph from the configuration model, by rejection."""
+    while True:
+        points = [v for v in range(n) for _ in range(d)]
+        rng.shuffle(points)
+        pairs = {tuple(sorted(points[i:i + 2])) for i in range(0, len(points), 2)}
+        if len(pairs) == n * d // 2 and all(u != v for u, v in pairs):
+            g = Graph(n, sorted(pairs))
+            if is_connected(g):
+                return g
+
+
+def is_automorphic(g: Graph, r: int, v: int) -> bool:
+    """Whether some automorphism maps r to v, by backtracking in BFS order from r."""
+    order = [r]
+    for x in order:
+        order.extend(u for u in bit_indices(g.adj[x]) if u not in order)
+    image: dict[int, int] = {}
+
+    def extend(i: int) -> bool:
+        if i == g.n:
+            return True
+        x = order[i]
+        for y in [v] if i == 0 else range(g.n):
+            if y in image.values() or g.degree(y) != g.degree(x):
+                continue
+            if all(g.has_edge(x, w) == g.has_edge(y, image[w]) for w in order[:i]):
+                image[x] = y
+                if extend(i + 1):
+                    return True
+                del image[x]
+        return False
+
+    return extend(0)
+
+
+def test_vertex_orbits_group_only_automorphic_vertices():
+    # regular graphs give refinement nothing to split, so the first-candidate
+    # path often ends in a bijection that is not an automorphism; the row
+    # check must reject it
+    rng = random.Random(5)
+    for _ in range(12):
+        g = random_regular_graph(rng, rng.choice((8, 10, 12)), rng.choice((3, 4)))
+        for v, r in enumerate(vertex_orbits(g)):
+            assert r <= v and is_automorphic(g, r, v), (g.edges(), r, v)
+
+
+def test_vertex_orbit_counts():
+    for k in range(3, 13):
+        assert set(vertex_orbits(cycle(k))) == {0}
+        assert len(set(vertex_orbits(path(k)))) == (k + 1) // 2
+    assert len(set(vertex_orbits(product("cartesian", path(6), path(6)).graph))) == 6

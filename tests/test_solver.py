@@ -9,12 +9,16 @@ from grundydom.errors import CapacityError, ParameterError
 from grundydom.graphs import (
     Graph,
     complete,
+    connected_components,
     cycle,
     disjoint_union,
     enumerate_connected_graphs,
+    has_isolated_vertex,
+    mode_rows,
     path,
     star,
 )
+from grundydom.products import product
 from grundydom.sequences import a_value, check_sequence
 from grundydom.solver import (
     BRUTE_MAX_ORDER,
@@ -119,13 +123,14 @@ def test_domination_number_is_lower_bound():
 
 
 def test_memo_cap_does_not_change_value():
-    g = cycle(8)
-    free = grundy(g)
-    for cap in (1, 16, 100):
-        capped = grundy(g, memo_cap=cap)
-        assert capped.value == free.value
-        assert capped.witness == free.witness
-        assert capped.stats.memo_entries <= cap
+    # the cap bounds the whole solve, across components too
+    for g in (cycle(8), disjoint_union(cycle(7), star(5))):
+        free = grundy(g)
+        for cap in (1, 16, 100):
+            capped = grundy(g, memo_cap=cap)
+            assert capped.value == free.value
+            assert capped.witness == free.witness
+            assert capped.stats.memo_entries <= cap
 
 
 def test_memo_cap_env_default(monkeypatch):
@@ -141,12 +146,112 @@ def test_memo_cap_env_default(monkeypatch):
         grundy(cycle(8), memo_cap=0)
 
 
-def test_threads_do_not_change_answer():
-    g = cycle(9)
-    base = grundy(g)
-    for t in (2, 4):
-        res = grundy(g, threads=t)
-        assert res.value == base.value and res.witness == base.witness
+def random_graph(rng: random.Random, n: int, p: float) -> Graph:
+    """Each pair independently with probability p; may be disconnected."""
+    return Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def relabel(g: Graph, rng: random.Random) -> Graph:
+    perm = list(range(g.n))
+    rng.shuffle(perm)
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_components_and_orbits_match_bruteforce():
+    # the component split and the orbit trigger against the oracle on graphs
+    # that are not forced to be connected, and on disjoint unions
+    rng = random.Random(1111)
+    graphs = [random_graph(rng, rng.randrange(6, 11), rng.choice((0.15, 0.25, 0.4)))
+              for _ in range(24)]
+    graphs += [
+        disjoint_union(cycle(4), path(3)),
+        disjoint_union(star(4), disjoint_union(path(2), cycle(3))),
+        disjoint_union(complete(3), complete(3)),
+        disjoint_union(path(2), relabel(cycle(5), rng)),
+        disjoint_union(Graph(1), disjoint_union(path(4), Graph(1))),
+    ]
+    for g in graphs:
+        for mode in ("closed", "open"):
+            if mode == "open" and has_isolated_vertex(g):
+                continue
+            fast = grundy(g, mode)
+            slow = grundy_bruteforce(g, mode)
+            assert (fast.value, fast.witness) == (slow.value, slow.witness), (g.edges(), mode)
+            assert fast.stats.components == len(connected_components(g))
+
+
+def unreduced_grundy(g: Graph, mode: str) -> tuple[int, list[int]]:
+    """The search without component split or orbit pruning, and its witness walk."""
+    rows = mode_rows(g, mode)
+    n = g.n
+    memo: dict[int, int] = {}
+
+    def value(S: int) -> int:
+        if S in memo:
+            return memo[S]
+        moves = []
+        for u in range(n):
+            new = rows[u] & ~S
+            if new:
+                moves.append((new.bit_count(), new))
+        moves.sort()
+        kept: list[int] = []
+        for _, new in moves:
+            for old in kept:
+                if old & ~new == 0:
+                    break
+            else:
+                kept.append(new)
+        cap = min(len(moves), n - S.bit_count())
+        best = 0
+        for new in kept:
+            if n - (S | new).bit_count() >= best:
+                best = max(best, 1 + value(S | new))
+                if best == cap:
+                    break
+        memo[S] = best
+        return best
+
+    seq: list[int] = []
+    S, t = 0, value(0)
+    while t:
+        u = next(u for u in range(n) if rows[u] & ~S and value(S | rows[u]) == t - 1)
+        seq.append(u)
+        S |= rows[u]
+        t -= 1
+    return value(0), seq
+
+
+def test_reductions_match_unreduced_search():
+    # value and lexicographically least witness on products where the orbit
+    # trigger fires (three vertex-transitive ones, and three that are not),
+    # on relabelled copies, and on unions
+    rng = random.Random(3)
+    tailed_triangle = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 5)])
+    cases = [
+        ("closed", product("strong", cycle(5), cycle(6)).graph),
+        ("open", product("cartesian", cycle(5), cycle(5)).graph),
+        ("open", product("direct", cycle(5), cycle(5)).graph),
+        ("open", product("direct", path(4), cycle(5)).graph),
+        ("open", product("cartesian", path(4), path(6)).graph),
+        # here the first root move is not optimal, so skipping too much shows
+        ("open", product("cartesian", tailed_triangle, cycle(4)).graph),
+    ]
+    cases += [(mode, relabel(g, rng)) for mode, g in cases for _ in range(2)]
+    for mode, g in cases:
+        res = grundy(g, mode)
+        assert (res.value, res.witness) == unreduced_grundy(g, mode), (mode, g.edges())
+        assert res.stats.orbit_skips > 0, (mode, g.edges())
+    union = disjoint_union(relabel(product("cartesian", cycle(3), cycle(4)).graph, rng), cycle(9))
+    for mode in ("closed", "open"):
+        res = grundy(union, mode)
+        assert (res.value, res.witness) == unreduced_grundy(union, mode), mode
+        assert res.stats.components == 2
+    # orbits of a component whose vertex ids do not start at 0
+    union = disjoint_union(path(3), product("direct", path(4), cycle(5)).graph)
+    res = grundy(union, "open")
+    assert (res.value, res.witness) == unreduced_grundy(union, "open")
+    assert res.stats.components == 2 and res.stats.orbit_skips > 0
 
 
 def test_capacity_and_parameter_errors():
