@@ -2,8 +2,8 @@
 
 Vertex subsets are plain Python ints used as bit sets (bit v set means vertex v
 is in the set), so they compose with &, |, ~ and int.bit_count(). Standard
-families, neighborhood/boundary/ball queries, and an isomorphism-free
-enumerator for small connected graphs live here.
+families, boundary/ball queries, and an isomorphism-free enumerator for
+small connected graphs live here.
 """
 
 from __future__ import annotations
@@ -181,17 +181,6 @@ def _expect_params(fam, params, count):
 
 
 # === neighborhood-style queries ===
-
-
-def neighborhood(G: Graph, v: int, mode: str = "closed") -> int:
-    """Open or closed neighborhood of v as a bit mask."""
-    if not 0 <= v < G.n:
-        raise ParameterError(f"vertex {v} out of range")
-    if mode == "closed":
-        return G.adj[v] | 1 << v
-    if mode == "open":
-        return G.adj[v]
-    raise ParameterError(f"unknown mode '{mode}'")
 
 
 def boundary(G: Graph, S: int) -> int:
@@ -398,6 +387,22 @@ def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
         colors = new
 
 
+def _individualize(n: int, adj: tuple[int, ...], colors: list[int], v: int) -> list[int]:
+    colors = list(colors)
+    colors[v] = -1
+    return _refine(n, adj, colors)
+
+
+def _target_cell(colors: list[int]) -> int | None:
+    """Least color shared by two or more vertices; None once the coloring is discrete."""
+    if len(set(colors)) == len(colors):
+        return None
+    counts: dict[int, int] = {}
+    for c in colors:
+        counts[c] = counts.get(c, 0) + 1
+    return min(c for c, k in counts.items() if k > 1)
+
+
 def canonical_code(G: Graph) -> int:
     """Isomorphism-invariant integer code; equal codes mean isomorphic graphs."""
     n, adj = G.n, G.adj
@@ -408,8 +413,8 @@ def canonical_code(G: Graph) -> int:
 
     def rec(colors: list[int]):
         nonlocal best
-        colors = _refine(n, adj, colors)
-        if len(set(colors)) == n:
+        target = _target_cell(colors)
+        if target is None:
             code = 0
             for u, v in edges:
                 a, b = colors[u], colors[v]
@@ -419,69 +424,27 @@ def canonical_code(G: Graph) -> int:
             if best is None or code < best:
                 best = code
             return
-        counts: dict[int, int] = {}
-        for c in colors:
-            counts[c] = counts.get(c, 0) + 1
-        target = min(c for c, k in counts.items() if k > 1)
         for v in range(n):
             if colors[v] == target:
-                child = list(colors)
-                child[v] = -1
-                rec(child)
+                rec(_individualize(n, adj, colors, v))
 
-    rec([0] * n)
+    rec(_refine(n, adj, [0] * n))
     assert best is not None
     return best
-
-
-def _individualize(n: int, adj: tuple[int, ...], colors: list[int], v: int) -> list[int]:
-    colors = list(colors)
-    colors[v] = -1
-    return _refine(n, adj, colors)
-
-
-def _map_automorphism(n: int, adj: tuple[int, ...], base: list[int], r: int, v: int) -> list[int] | None:
-    # Individualize r on one side and v on the other, then keep individualizing
-    # the least vertex of the first non-singleton cell on both sides, with no
-    # backtracking. A discrete pair of colorings defines a bijection; it is
-    # returned only if it maps every adjacency row onto a row, so a wrong
-    # guess costs a missed automorphism, never a false one.
-    a = _individualize(n, adj, base, r)
-    b = _individualize(n, adj, base, v)
-    while True:
-        if sorted(a) != sorted(b):
-            return None
-        if len(set(a)) == n:
-            break
-        counts: dict[int, int] = {}
-        for c in a:
-            counts[c] = counts.get(c, 0) + 1
-        target = min(c for c, k in counts.items() if k > 1)
-        a = _individualize(n, adj, a, a.index(target))
-        b = _individualize(n, adj, b, b.index(target))
-    at = [0] * n
-    for y, c in enumerate(b):
-        at[c] = y
-    perm = [at[c] for c in a]
-    for x in range(n):
-        image = 0
-        for u in bit_indices(adj[x]):
-            image |= 1 << perm[u]
-        if image != adj[perm[x]]:
-            return None
-    return perm
 
 
 def vertex_orbits(G: Graph) -> list[int]:
     """Least vertex of each vertex's orbit under the automorphisms found.
 
-    Two vertices can share an orbit only if they share a refined color. For
-    each vertex, an automorphism is sought from every earlier orbit of its
-    color (individualize and refine, first matching candidate, no
-    backtracking), and every automorphism found merges orbits along all its
-    cycles. Vertices grouped together are always automorphic; a failed search
-    can leave two orbit mates apart, which costs a caller pruning, never
-    correctness.
+    Two vertices can share an orbit only if they share a refined color. Each
+    vertex gets one leaf of the refinement tree: individualize it, then keep
+    individualizing the first vertex of the target cell until the coloring
+    is discrete. Two leaves define a bijection, kept only if it maps every
+    adjacency row onto a row; for each vertex, one is sought against every
+    earlier orbit of its color, and every automorphism found merges orbits
+    along all its cycles. Vertices grouped together are always automorphic;
+    a leaf that followed another walk can leave two orbit mates apart, which
+    costs a caller pruning, never correctness.
     """
     n, adj = G.n, G.adj
     rep = list(range(n))
@@ -493,20 +456,34 @@ def vertex_orbits(G: Graph) -> list[int]:
         return x
 
     base = _refine(n, adj, [0] * n)
+    leaves: dict[int, list[int]] = {}
+
+    def leaf(v: int) -> list[int]:
+        if v not in leaves:
+            colors = _individualize(n, adj, base, v)
+            while (target := _target_cell(colors)) is not None:
+                colors = _individualize(n, adj, colors, colors.index(target))
+            leaves[v] = colors
+        return leaves[v]
+
     for v in range(n):
         if find(v) != v:
             continue
         for r in range(v):
             if base[r] != base[v] or find(r) != r:
                 continue
-            perm = _map_automorphism(n, adj, base, r, v)
-            if perm is None:
+            at = [0] * n
+            for y, c in enumerate(leaf(v)):
+                at[c] = y
+            perm = [at[c] for c in leaf(r)]
+            if any(mask_of(perm[u] for u in bit_indices(adj[x])) != adj[perm[x]] for x in range(n)):
                 continue
             for x, y in enumerate(perm):
                 fx, fy = find(x), find(y)
                 if fx != fy:
                     rep[max(fx, fy)] = min(fx, fy)
-            break
+            if find(v) != v:
+                break
     return [find(v) for v in range(n)]
 
 

@@ -116,41 +116,46 @@ class _Search:
         if cached is not None:
             return cached
         rows = self.rows
-        n = self.n
         moves = []
         for u in self.verts:
             new = rows[u] & ~S
             if new:
                 moves.append((new.bit_count(), new))
         self.nodes += 1
-        if not moves:
-            best = 0
-        else:
-            moves.sort()
-            kept: list[int] = []
-            for _, new in moves:
-                for old in kept:
-                    if old & ~new == 0:
-                        break
-                else:
-                    kept.append(new)
-            cap = min(len(moves), n - S.bit_count())
-            best = 0
-            value = self.value
-            for new in kept:
-                child = S | new
-                if n - child.bit_count() < best:
-                    continue
-                got = 1 + value(child)
-                if got > best:
-                    best = got
-                    if best == cap:
-                        break
+        moves.sort()
+        best = self.play(moves, S, min(len(moves), self.n - S.bit_count())) if moves else 0
         if self.memo_cap:
             if len(memo) >= self.memo_cap:
                 del memo[self.order.popleft()]
             self.order.append(S)
         memo[S] = best
+        return best
+
+    def play(self, moves: list[tuple[int, int]], S: int, cap: int, best: int = 0) -> int:
+        """Best value over moves from S, (coverage size, fresh coverage) pairs in order.
+
+        A move whose fresh coverage contains an earlier move's is dropped, a
+        move that cannot beat best even by covering every vertex left is
+        skipped, and the loop stops once best reaches cap.
+        """
+        kept: list[int] = []
+        for _, new in moves:
+            for old in kept:
+                if old & ~new == 0:
+                    break
+            else:
+                kept.append(new)
+        n = self.n
+        value = self.value
+        for new in kept:
+            child = S | new
+            if n - child.bit_count() < best:
+                continue
+            got = 1 + value(child)
+            if got > best:
+                best = got
+                if best == cap:
+                    break
         return best
 
     def root_value(self, verts: Sequence[int], S: int) -> tuple[int, list[int] | None]:
@@ -160,48 +165,29 @@ class _Search:
         Root moves run in ascending vertex order within equal coverage size, so
         each orbit is first met at its least vertex. Orbits are computed only
         when the first move did not settle the root and its subtree expanded
-        at least k^2 nodes (k the component's order). After that, a move whose
-        orbit was already handled (searched, dominated or bound-skipped) has a
-        value no better than the best so far and is skipped. The
+        at least k^2 nodes (k the component's order). Then a move in the orbit
+        of an earlier move has that move's value and is dropped. The
         representatives are None when the orbits were never computed.
         """
-        rows, n = self.rows, self.n
+        rows = self.rows
         self.verts = verts
         k = len(verts)
         self.nodes += 1
         moves = [(rows[u].bit_count(), u) for u in verts]
         moves.sort()
-        first = moves[0][1]
         start = self.nodes
-        best = 1 + self.value(S | rows[first])
+        best = 1 + self.value(S | rows[moves[0][1]])
         if best == k:
             return best, None
         reps: list[int] | None = None
         if self.nodes - start >= k * k:
             reps = _component_orbits(self.G, verts)
-            handled = {reps[first]}
-        kept = [rows[first]]
-        for _, u in moves[1:]:
-            if reps is not None:
-                if reps[u] in handled:
-                    self.orbit_skips += 1
-                    continue
-                handled.add(reps[u])
-            new = rows[u]
-            for old in kept:
-                if old & ~new == 0:
-                    break
-            else:
-                kept.append(new)
-                child = S | new
-                if n - child.bit_count() < best:
-                    continue
-                got = 1 + self.value(child)
-                if got > best:
-                    best = got
-                    if best == k:
-                        break
-        return best, reps
+            # automorphic moves cover equally many vertices, so each orbit
+            # comes first at its least vertex, its representative
+            moves = [(c, u) for c, u in moves if reps[u] == u]
+            self.orbit_skips += k - len(moves)
+        # the first move is played again, as a memo hit or a bound skip
+        return self.play([(c, rows[u]) for c, u in moves], S, k, best), reps
 
     def reconstruct(self, verts: Sequence[int], S: int, t: int, reps: list[int] | None) -> list[int]:
         # Greedy walk: at each position take the smallest-id vertex that still
@@ -241,17 +227,20 @@ def grundy(
 ) -> SolveResult:
     """Length of a longest legal (total) dominating sequence, with witness.
 
-    memo_cap bounds the number of cached positions over the whole solve
-    (oldest entries are evicted first; the answer is unchanged, recomputation
-    just grows). The environment variable GRUNDYDOM_MEMO_CAP supplies a
-    default cap.
+    max_order (default MAX_SOLVER_ORDER) caps the order of each connected
+    component, since each is searched on its own. memo_cap bounds the number
+    of cached positions over the whole solve (oldest entries are evicted
+    first; the answer is unchanged, recomputation just grows). The
+    environment variable GRUNDYDOM_MEMO_CAP supplies a default cap.
     """
     n = G.n
     if n < 1:
         raise ParameterError("solver needs at least one vertex")
+    comps = connected_components(G)
     limit = MAX_SOLVER_ORDER if max_order is None else max_order
-    if n > limit:
-        raise CapacityError(f"graph order {n} exceeds solver cap {limit}")
+    largest = max(map(int.bit_count, comps))
+    if largest > limit:
+        raise CapacityError(f"component order {largest} exceeds solver cap {limit}")
     rows = mode_rows(G, mode)
     if memo_cap is None:
         memo_cap = _env_memo_cap()
@@ -260,7 +249,6 @@ def grundy(
     start = time.perf_counter()
     search = _Search(G, rows, memo_cap)
     full = (1 << n) - 1
-    comps = connected_components(G)
     parts = []
     val = 0
     for comp in comps:

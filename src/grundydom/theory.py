@@ -25,7 +25,7 @@ import random
 import time
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import CapacityError, InvariantError, ParameterError
 from .graphs import (
@@ -188,26 +188,30 @@ def boundary_sufficient_bound(
     explicitly flagged as uncertified.
     """
     _chk(1 <= m <= G.n, "m must satisfy 1 <= m <= n")
+    subsets, checked, exhaustive = _subsets(G.n, m, trials, seed, limit)
+    best = min(boundary(G, mask).bit_count() for mask in subsets)
+    return BoundaryBound(G.n, m, best, certified=exhaustive, checked=checked)
+
+
+def _subsets(
+    n: int, m: int, trials: int | None, seed: int, limit: int
+) -> tuple[Iterator[int], int, bool]:
+    """m-subsets of range(n) as masks, how many there are, and whether that is all.
+
+    With trials=None every one of the C(n, m) subsets is yielded, guarded by
+    limit; otherwise trials subsets drawn by random.Random(seed).sample.
+    """
     if trials is None:
-        total = math.comb(G.n, m)
+        total = math.comb(n, m)
         if total > limit:
             raise CapacityError(
-                f"C({G.n},{m}) = {total} subsets exceed the exhaustive guard"
-                f" ({limit}); pass trials= for sampled evidence"
+                f"C({n},{m}) = {total} subsets exceed the exhaustive guard"
+                f" ({limit}); pass trials= to sample"
             )
-        best = min(
-            boundary(G, mask_of(sub)).bit_count()
-            for sub in combinations(range(G.n), m)
-        )
-        return BoundaryBound(G.n, m, best, certified=True, checked=total)
+        return (mask_of(c) for c in combinations(range(n), m)), total, True
     _chk(trials >= 1, "trials must be positive")
     rng = random.Random(seed)
-    verts = range(G.n)
-    best = min(
-        boundary(G, mask_of(rng.sample(verts, m))).bit_count()
-        for _ in range(trials)
-    )
-    return BoundaryBound(G.n, m, best, certified=False, checked=trials)
+    return (mask_of(rng.sample(range(n), m)) for _ in range(trials)), trials, False
 
 
 def boundary_prefix_profile(G: Graph, items: Sequence[int]) -> list[int]:
@@ -705,17 +709,30 @@ def strong_simplicial_upper(G: Graph, H: Graph, *, exact_cap: int = 16) -> int:
     small enough it is solved exactly; if no simplicial vertex remains the
     blow-up bound min{|V| * grundy(H), grundy * |V(H)|} finishes instead.
     """
-    g_h = grundy(H, witness=False).value
+    return _simplicial_peel(G, H, None, grundy(H, witness=False).value, exact_cap)
+
+
+def _simplicial_peel(G: Graph, H: Graph, g_g: int | None, g_h: int, exact_cap: int = 16) -> int:
+    # strong_simplicial_upper from grundy(H), and grundy(G) when known
     cur = G
     total = 0
     while cur.n * H.n > exact_cap and cur.n >= 2:
         v = next((u for u in range(cur.n) if is_simplicial(cur, u)), None)
         if v is None:
-            g_cur = grundy(cur, witness=False).value
-            return total + min(cur.n * g_h, g_cur * H.n)
+            if cur is not G or g_g is None:
+                g_g = grundy(cur, witness=False).value
+            return total + min(cur.n * g_h, g_g * H.n)
         total += g_h
         cur = delete_vertex(cur, v)
     return total + grundy(product("strong", cur, H).graph, witness=False).value
+
+
+def _strong_uppers(G: Graph, H: Graph, g_g: int, g_h: int) -> tuple[int, int]:
+    """Blow-up and simplicial peeling upper bounds for grundy(strong(G, H)),
+    from g_g = grundy(G) and g_h = grundy(H)."""
+    blowup = min(G.n * g_h, g_g * H.n)
+    peel = min(_simplicial_peel(G, H, g_g, g_h), _simplicial_peel(H, G, g_h, g_g))
+    return blowup, peel
 
 
 def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
@@ -731,8 +748,6 @@ def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
     """
     desc = product(kind, G, H)  # validates kind and factor compatibility
     kind = desc.kind
-    g_g = grundy(G, witness=False).value
-    g_h = grundy(H, witness=False).value
     lower: list[tuple[str, int]] = []
     upper: list[tuple[str, int]] = []
     if kind == "cartesian":
@@ -747,6 +762,8 @@ def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
         if best is not None:
             lower.append(("cartesian_layer_replication", best))
     elif kind == "lexicographic":
+        g_g = grundy(G, witness=False).value
+        g_h = grundy(H, witness=False).value
         lower.append(
             ("lex_alpha_replication", max(independence_number(G) * g_h, g_g))
         )
@@ -767,9 +784,11 @@ def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
         if best is not None:
             lower.append(("direct_layered_replication", best))
     else:
+        g_g = grundy(G, witness=False).value
+        g_h = grundy(H, witness=False).value
+        blowup, peel = _strong_uppers(G, H, g_g, g_h)
         lower.append(("strong_grundy_product", g_g * g_h))
-        upper.append(("strong_min_blowup", min(G.n * g_h, g_g * H.n)))
-        peel = min(strong_simplicial_upper(G, H), strong_simplicial_upper(H, G))
+        upper.append(("strong_min_blowup", blowup))
         upper.append(("strong_simplicial_peeling", peel))
     return BoundsReport(kind, tuple(lower), tuple(upper))
 
@@ -840,12 +859,7 @@ def conjecture_scan(
         prod_graph = product("strong", G, H).graph
         g_p = grundy(prod_graph, witness=False).value
         lower = g_g * g_h
-        upper = min(
-            G.n * g_h,
-            g_g * H.n,
-            strong_simplicial_upper(G, H),
-            strong_simplicial_upper(H, G),
-        )
+        upper = min(_strong_uppers(G, H, g_g, g_h))
         if not lower <= g_p <= upper:
             raise InvariantError(
                 f"bound violation on {G.display_name} x {H.display_name}:"
@@ -931,23 +945,7 @@ def isoperimetric_check(
     ball_boundary = boundary(prod_graph, ball_mask).bit_count()
     violations = 0
     examples: list[int] = []
-    if trials is None:
-        total = math.comb(prod_graph.n, size)
-        if total > limit:
-            raise CapacityError(
-                f"C({prod_graph.n},{size}) = {total} subsets exceed the"
-                f" exhaustive guard ({limit}); pass trials= to sample"
-            )
-        subsets = (mask_of(c) for c in combinations(range(prod_graph.n), size))
-        checked = total
-        exhaustive = True
-    else:
-        _chk(trials >= 1, "trials must be positive")
-        rng = random.Random(seed)
-        verts = range(prod_graph.n)
-        subsets = (mask_of(rng.sample(verts, size)) for _ in range(trials))
-        checked = trials
-        exhaustive = False
+    subsets, checked, exhaustive = _subsets(prod_graph.n, size, trials, seed, limit)
     for mask in subsets:
         if boundary(prod_graph, mask).bit_count() < ball_boundary:
             violations += 1

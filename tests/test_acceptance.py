@@ -186,8 +186,12 @@ def test_acceptance_08_strong_product_scan():
 def test_acceptance_09_edge_clique_cover():
     ok = True
     checked = 0
+    # connected graphs per order, OEIS A001349
+    classes = {2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
     for n in range(2, 9):
-        for g in enumerate_connected_graphs(n):
+        graphs = list(enumerate_connected_graphs(n))
+        ok &= len(graphs) == classes[n]
+        for g in graphs:
             ok &= grundy(g, witness=False).value <= edge_clique_cover_number(g)
             checked += 1
     # strong products of triangle-free factors need one clique per edge pair

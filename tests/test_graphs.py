@@ -28,7 +28,7 @@ from grundydom.graphs import (
     is_simplicial,
     make_graph,
     mask_of,
-    neighborhood,
+    mode_rows,
     path,
     star,
     substitute_clique,
@@ -104,10 +104,10 @@ def test_make_graph_families():
 
 def test_neighborhoods_boundary_ball():
     p = path(4)
-    assert neighborhood(p, 1, "closed") == 0b0111
-    assert neighborhood(p, 1, "open") == 0b0101
+    assert mode_rows(p, "closed")[1] == 0b0111
+    assert mode_rows(p, "open")[1] == 0b0101
     with pytest.raises(ParameterError):
-        neighborhood(p, 1, "weird")
+        mode_rows(p, "weird")
     assert boundary(p, mask_of([0])) == mask_of([1])
     assert boundary(p, mask_of([1, 2])) == mask_of([0, 3])
     assert boundary(p, p.full_mask) == 0
@@ -249,7 +249,7 @@ def test_canonical_code_separates_nonisomorphic():
 
 
 def test_enumeration_counts():
-    expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
+    expected = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}  # OEIS A001349
     for n, count in expected.items():
         graphs = list(enumerate_connected_graphs(n))
         assert len(graphs) == count
@@ -352,3 +352,5 @@ def test_vertex_orbit_counts():
         assert set(vertex_orbits(cycle(k))) == {0}
         assert len(set(vertex_orbits(path(k)))) == (k + 1) // 2
     assert len(set(vertex_orbits(product("cartesian", path(6), path(6)).graph))) == 6
+    for kind in ("cartesian", "strong"):
+        assert set(vertex_orbits(product(kind, cycle(6), cycle(6)).graph)) == {0}

@@ -269,6 +269,24 @@ def test_capacity_and_parameter_errors():
         grundy(path(3), "sideways")
 
 
+def test_solver_cap_counts_the_largest_component():
+    copies = Graph(0)
+    for _ in range(7):
+        copies = disjoint_union(copies, cycle(10))
+    assert copies.n == 70 > MAX_SOLVER_ORDER
+    for mode in ("closed", "open"):
+        res = grundy(copies, mode)
+        assert res.value == 7 * grundy(cycle(10), mode).value
+        rep = check_sequence(copies, res.witness, mode=mode)
+        assert rep.legal and rep.dominating and rep.length == res.value
+        assert res.stats.components == 7
+    one = disjoint_union(cycle(MAX_SOLVER_ORDER + 1), path(2))
+    with pytest.raises(CapacityError, match="component order 65"):
+        grundy(one)
+    with pytest.raises(CapacityError):
+        grundy(copies, max_order=9)
+
+
 def test_lex_grundy_examples():
     val, seq = lex_grundy(path(4), 2)
     assert val == 5
