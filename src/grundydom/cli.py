@@ -14,7 +14,7 @@ import argparse
 import json
 import re
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import CapacityError, InvariantError, ParameterError, ParseError
 from .graphs import FamilySpec, Graph, enumerate_connected_graphs, make_graph
@@ -173,6 +173,14 @@ def _read(path: str) -> str:
         raise ParameterError(f"cannot read {path}: {exc.strerror}")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ParameterError(f"cannot write {path}: {exc.strerror}")
+
+
 def _load_graph(path: str) -> Graph:
     return parse_graph(_read(path))
 
@@ -266,8 +274,7 @@ def _emit_graph(G: Graph, args, prefix: str = "") -> str:
     body = graph_to_json(G) if args.json else serialize_graph(G)
     text = prefix + body
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, text)
         return ""
     return text
 
@@ -375,22 +382,23 @@ def _cmd_construct(args) -> str:
             _load_graph(fh), parse_sequence(seq_h),
         )
     if args.emit_seq:
-        with open(args.emit_seq, "w", encoding="utf-8") as fh:
-            fh.write(serialize_sequence(seq))
+        _write(args.emit_seq, serialize_sequence(seq))
     return f"length={len(seq)}\nsequence=" + " ".join(str(v) for v in seq) + "\n"
 
 
 def _cmd_scan(args) -> str:
     if args.max_n < 1:
         raise ParameterError("--max-n must be at least 1")
-    lefts = [G for n in range(1, args.max_n + 1) for G in enumerate_connected_graphs(n)]
-    pairs: list[tuple[Graph, Graph]] = []
-    if args.families:
-        rights = [_family_graph(tok) for tok in args.families]
-        pairs.extend((G, H) for G in lefts for H in rights)
-    if args.self_pairs or not args.families:
-        pairs.extend((G, G) for G in lefts)
-    report = conjecture_scan(pairs, time_budget=args.budget)
+    rights = [_family_graph(tok) for tok in args.families or ()]
+
+    def pairs() -> Iterator[tuple[Graph, Graph]]:
+        # lazy, so that a bad budget is refused before anything is enumerated
+        lefts = [G for n in range(1, args.max_n + 1) for G in enumerate_connected_graphs(n)]
+        yield from ((G, H) for G in lefts for H in rights)
+        if args.self_pairs or not args.families:
+            yield from ((G, G) for G in lefts)
+
+    report = conjecture_scan(pairs(), time_budget=args.budget)
     lines = []
     for r in report.records:
         if r.status == "skipped":
@@ -406,6 +414,12 @@ def _cmd_scan(args) -> str:
     lines.append(
         f"counterexamples={len(report.counterexamples)}"
         f" skipped={len(report.skipped)} checked={len(report.records)}"
+    )
+    lines.append(
+        f"# stats pairs={len(report.records)}"
+        f" solved={len(report.records) - len(report.skipped)}"
+        f" nodes={sum(r.nodes for r in report.records)}"
+        f" elapsed={sum(r.elapsed for r in report.records):.3f}s"
     )
     return "\n".join(lines) + "\n"
 

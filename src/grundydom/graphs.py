@@ -361,6 +361,18 @@ def disjoint_union(G: Graph, H: Graph) -> Graph:
 # explored, individualizing one vertex of the first non-singleton class at a
 # time. Refinement colors are isomorphism-invariant, so the minimum agrees
 # with the minimum over all permutations.
+#
+# Two leaves with equal codes differ by an automorphism, which the search
+# records. At a node reached by individualizing the prefix p, a vertex of the
+# target cell is skipped when the recorded automorphisms that fix p pointwise
+# map it onto a vertex already branched on: refinement and the target-cell
+# choice are label-equivariant, so such an automorphism maps one subtree onto
+# the other with equal leaf codes, and the minimum is unchanged.
+#
+# Enumeration grows each class of order n-1 by a new vertex attached to a
+# nonempty set A; sets A and g(A) for an automorphism g of the parent give
+# isomorphic children, so one set per orbit under the recorded automorphisms
+# is tried, and children are deduplicated by canonical code.
 
 
 def _pair_bit(n: int, i: int, j: int) -> int:
@@ -405,14 +417,25 @@ def _target_cell(colors: list[int]) -> int | None:
 
 def canonical_code(G: Graph) -> int:
     """Isomorphism-invariant integer code; equal codes mean isomorphic graphs."""
+    return _canonical_search(G)[0]
+
+
+def _canonical_search(G: Graph) -> tuple[int, list[list[int]]]:
+    """Canonical code of G and the automorphisms found while computing it.
+
+    Each automorphism is a list perm with perm[x] the image of vertex x; it
+    is read off a leaf whose code equals the best leaf's.
+    """
     n, adj = G.n, G.adj
     if n <= 1:
-        return 0
+        return 0, []
     edges = G.edges()
     best: int | None = None
+    best_at: list[int] = []  # best_at[c] is the vertex colored c at the best leaf
+    autos: list[list[int]] = []
 
-    def rec(colors: list[int]):
-        nonlocal best
+    def rec(colors: list[int], prefix: list[int]):
+        nonlocal best, best_at
         target = _target_cell(colors)
         if target is None:
             code = 0
@@ -423,14 +446,36 @@ def canonical_code(G: Graph) -> int:
                 code |= 1 << _pair_bit(n, a, b)
             if best is None or code < best:
                 best = code
+                best_at = [0] * n
+                for y, c in enumerate(colors):
+                    best_at[c] = y
+            elif code == best:
+                autos.append([best_at[c] for c in colors])
             return
+        # orbit[x]: orbit id of x under the automorphisms that fix the prefix
+        orbit: list[int] | None = None
+        used = 0
+        branched: list[int] = []
         for v in range(n):
-            if colors[v] == target:
-                rec(_individualize(n, adj, colors, v))
+            if colors[v] != target:
+                continue
+            for g in autos[used:]:
+                if all(g[p] == p for p in prefix):
+                    if orbit is None:
+                        orbit = list(range(n))
+                    for x, y in enumerate(g):
+                        a, b = orbit[x], orbit[y]
+                        if a != b:
+                            orbit = [a if o == b else o for o in orbit]
+            used = len(autos)
+            if orbit is not None and any(orbit[w] == orbit[v] for w in branched):
+                continue
+            rec(_individualize(n, adj, colors, v), prefix + [v])
+            branched.append(v)
 
-    rec(_refine(n, adj, [0] * n))
+    rec(_refine(n, adj, [0] * n), [])
     assert best is not None
-    return best
+    return best, autos
 
 
 def vertex_orbits(G: Graph) -> list[int]:
@@ -510,12 +555,32 @@ def _connected_codes(n: int) -> list[int]:
     for code in prev:
         base = graph_from_code(n - 1, code)
         base_edges = base.edges()
-        for attach in range(1, 1 << (n - 1)):
+        for attach in _subset_orbit_representatives(n - 1, _canonical_search(base)[1]):
             edges = base_edges + [(u, n - 1) for u in bit_indices(attach)]
             seen.add(canonical_code(Graph(n, edges)))
     out = sorted(seen)
     _ENUM_CACHE[n] = out
     return out
+
+
+def _subset_orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
+    """Least mask of each orbit of nonempty subsets of range(n) under the
+    group the permutations generate."""
+    reps = []
+    done = set()
+    for s in range(1, 1 << n):
+        if s in done:
+            continue
+        reps.append(s)
+        done.add(s)
+        orbit = [s]
+        for t in orbit:
+            for g in perms:
+                image = mask_of(g[u] for u in bit_indices(t))
+                if image not in done:
+                    done.add(image)
+                    orbit.append(image)
+    return reps
 
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:

@@ -811,6 +811,11 @@ class ScanRecord:
     witness_g: tuple[int, ...] | None = None
     witness_h: tuple[int, ...] | None = None
     witness_product: tuple[int, ...] | None = None
+    # seconds spent on the pair, and the search nodes of its solves of G, H
+    # and the product (with witnesses too for a counterexample; the peeling
+    # bound's own solves are not counted); records compare without them
+    elapsed: float = field(default=0.0, compare=False)
+    nodes: int = field(default=0, compare=False)
 
 
 @dataclass(frozen=True)
@@ -842,8 +847,11 @@ def conjecture_scan(
     A counterexample is reported with full witnesses, never asserted away.
     The product lower bound and the blow-up and simplicial upper bounds are
     checked on every solved pair; a violation would mean a solver bug and
-    raises InvariantError.
+    raises InvariantError. A time budget must be a nonnegative number of
+    seconds.
     """
+    if time_budget is not None and not time_budget >= 0:
+        raise ParameterError(f"time budget must be nonnegative, got {time_budget}")
     deadline = None if time_budget is None else time.monotonic() + time_budget
 
     def run_pair(G: Graph, H: Graph) -> ScanRecord:
@@ -854,10 +862,11 @@ def conjecture_scan(
             return ScanRecord(
                 **names, reason=f"product order {G.n * H.n} exceeds {max_order}"
             )
-        g_g = grundy(G, witness=False).value
-        g_h = grundy(H, witness=False).value
+        start = time.perf_counter()
+        solves = [grundy(G, witness=False), grundy(H, witness=False)]
         prod_graph = product("strong", G, H).graph
-        g_p = grundy(prod_graph, witness=False).value
+        solves.append(grundy(prod_graph, witness=False))
+        g_g, g_h, g_p = (sol.value for sol in solves)
         lower = g_g * g_h
         upper = min(_strong_uppers(G, H, g_g, g_h))
         if not lower <= g_p <= upper:
@@ -874,13 +883,20 @@ def conjecture_scan(
             upper=upper,
         )
         if g_p == lower:
-            return ScanRecord(**common, status="equality")
+            common["status"] = "equality"
+        else:
+            witnessed = [grundy(G), grundy(H), grundy(prod_graph)]
+            solves.extend(witnessed)
+            common.update(
+                status="counterexample",
+                witness_g=tuple(witnessed[0].witness),
+                witness_h=tuple(witnessed[1].witness),
+                witness_product=tuple(witnessed[2].witness),
+            )
         return ScanRecord(
             **common,
-            status="counterexample",
-            witness_g=tuple(grundy(G).witness),
-            witness_h=tuple(grundy(H).witness),
-            witness_product=tuple(grundy(prod_graph).witness),
+            elapsed=time.perf_counter() - start,
+            nodes=sum(sol.stats.nodes for sol in solves),
         )
 
     return ScanReport(tuple(run_pair(G, H) for G, H in pairs))

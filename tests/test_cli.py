@@ -157,6 +157,19 @@ def test_gen_output_file(tmp_path, capsys):
     assert parse_graph(open(target).read()) == path(3)
 
 
+def test_unwritable_output_is_an_error_line(tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "x")
+    p3 = write(tmp_path, "p3.txt", serialize_graph(path(3)))
+    for argv in (
+        ["gen", "path", "3", "-o", missing],
+        ["product", "--kind", "strong", p3, p3, "-o", missing],
+        ["construct", "odd_torus", "5", "--emit-seq", missing],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "", argv
+        assert err.startswith(f"error: cannot write {missing}:") and "Traceback" not in err
+
+
 def test_gen_checks_order_before_building(capsys, monkeypatch):
     # the order is read from the family parameters, so an oversized graph is
     # refused without ever being built
@@ -332,6 +345,8 @@ def test_scan_verb(capsys):
     assert lines[0] == "pair=g1_0xP3 gL=1 gR=2 gProd=2 status=equality"
     assert lines[1] == "pair=g2_0xP3 gL=1 gR=2 gProd=2 status=equality"
     assert lines[2] == "counterexamples=0 skipped=0 checked=2"
+    stats = out.splitlines()[-1]
+    assert stats.startswith("# stats pairs=2 solved=2 nodes=") and " elapsed=" in stats
 
 
 def test_scan_self_pairs_and_budget(capsys):
@@ -343,13 +358,22 @@ def test_scan_self_pairs_and_budget(capsys):
     assert "status=skipped" in lines[0]
     assert lines[1].startswith("# skipped g1_0xg1_0:")
     assert stable(out)[-1] == "counterexamples=0 skipped=1 checked=1"
+    assert out.splitlines()[-1] == "# stats pairs=1 solved=0 nodes=0 elapsed=0.000s"
 
 
-def test_scan_errors(capsys):
+def test_scan_errors(capsys, monkeypatch):
     code, _, err = run(capsys, "scan", "--max-n", "0")
     assert code == 1
     code, _, err = run(capsys, "scan", "--families", "Q7")
     assert code == 1 and "unknown family token" in err
+    # a bad budget is refused before any graph is enumerated
+    def refuse(n):
+        raise AssertionError(f"enumerated order {n}")
+
+    monkeypatch.setattr(cli, "enumerate_connected_graphs", refuse)
+    for budget in ("-1", "nan"):
+        code, out, err = run(capsys, "scan", "--max-n", "8", "--budget", budget)
+        assert code == 1 and out == "" and "time budget must be nonnegative" in err
 
 
 def test_scan_bound_violation_is_an_error_line(capsys, monkeypatch):

@@ -1,5 +1,6 @@
 """Graph families, queries, canonical codes, and small-graph enumeration."""
 
+import hashlib
 import random
 from itertools import combinations, permutations
 
@@ -7,6 +8,12 @@ import pytest
 
 from grundydom.errors import CapacityError, ParameterError
 from grundydom.graphs import (
+    _canonical_search,
+    _connected_codes,
+    _individualize,
+    _pair_bit,
+    _refine,
+    _target_cell,
     FamilySpec,
     Graph,
     ball,
@@ -246,6 +253,70 @@ def test_canonical_code_separates_nonisomorphic():
         by_mine.setdefault(canonical_code(g), set()).add(bits)
     # identical partitions of the labeled graphs into isomorphism classes
     assert sorted(map(sorted, by_brute.values())) == sorted(map(sorted, by_mine.values()))
+
+
+def unpruned_canonical_code(g: Graph) -> int:
+    """The canonical code without automorphism pruning: every vertex of
+    every target cell is branched on."""
+    n, adj = g.n, g.adj
+    if n <= 1:
+        return 0
+    edges = g.edges()
+    best = None
+
+    def rec(colors):
+        nonlocal best
+        target = _target_cell(colors)
+        if target is None:
+            code = 0
+            for u, v in edges:
+                a, b = sorted((colors[u], colors[v]))
+                code |= 1 << _pair_bit(n, a, b)
+            best = code if best is None else min(best, code)
+            return
+        for v in range(n):
+            if colors[v] == target:
+                rec(_individualize(n, adj, colors, v))
+
+    rec(_refine(n, adj, [0] * n))
+    return best
+
+
+def test_pruned_canonical_search_matches_unpruned():
+    labelled5 = [
+        Graph(5, [e for i, e in enumerate(combinations(range(5), 2)) if bits >> i & 1])
+        for bits in range(1 << 10)
+    ]
+    rng = random.Random(8)
+    seeded = [
+        Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        for n in (6, 7, 8) for p in (0.2, 0.5, 0.8) for _ in range(8)
+    ]
+    k44 = Graph(8, [(u, v) for u in range(4) for v in range(4, 8)])
+    q3 = Graph(8, [(u, u ^ b) for u in range(8) for b in (1, 2, 4) if u < u ^ b])
+    two_k4 = disjoint_union(complete(4), complete(4))
+    symmetric = [complete(8), k44, cycle(8), q3, two_k4]
+    assert not all(is_connected(g) for g in seeded)
+    for g in labelled5 + seeded + symmetric:
+        code, autos = _canonical_search(g)
+        assert code == unpruned_canonical_code(g) == canonical_code(g), g.edges()
+        for perm in autos:
+            assert sorted(perm) == list(range(g.n))
+            for x in range(g.n):
+                assert mask_of(perm[u] for u in bit_indices(g.adj[x])) == g.adj[perm[x]]
+    for g in symmetric:
+        # every group here is transitive, so the search must meet automorphisms
+        assert _canonical_search(g)[1], g.edges()
+
+
+def test_connected_codes_are_pinned():
+    # digest of the class codes of orders 1..7 as produced by extending each
+    # class by every attachment set; it pins the classes, their order and so
+    # their g{n}_{i} names
+    codes = repr([_connected_codes(n) for n in range(1, 8)]).encode()
+    assert hashlib.sha256(codes).hexdigest() == (
+        "99130372a299eaaea471589383ebf1d0590992916ca80058257d938345cb3ff6"
+    )
 
 
 def test_enumeration_counts():

@@ -540,6 +540,11 @@ def test_conjecture_scan_equalities():
         assert rec.status == "equality"
         assert rec.gamma_product == rec.lower == rec.gamma_g * rec.gamma_h
         assert rec.witness_product is None
+        assert rec.nodes > 0 and rec.elapsed > 0
+    # the per-pair time and node count do not take part in comparisons
+    again = conjecture_scan(pairs)
+    assert again == report
+    assert [r.nodes for r in again.records] == [r.nodes for r in report.records]
 
 
 def test_conjecture_scan_skips():
@@ -550,6 +555,10 @@ def test_conjecture_scan_skips():
     report = conjecture_scan([(path(3), path(3))], time_budget=0.0)
     assert report.records[0].status == "skipped"
     assert "budget" in report.records[0].reason
+    assert report.records[0].nodes == 0 and report.records[0].elapsed == 0.0
+    for budget in (-1.0, float("nan")):
+        with pytest.raises(ParameterError, match="time budget"):
+            conjecture_scan([(path(3), path(3))], time_budget=budget)
 
 
 # === isoperimetric spot checks ===
