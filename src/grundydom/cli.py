@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 
 from .errors import CapacityError, InvariantError, ParameterError, ParseError
 from .graphs import FamilySpec, Graph, enumerate_connected_graphs, make_graph
-from .products import KINDS, normalize_kind, product
+from .products import normalize_kind, product
 from .sequences import check_sequence
 from .solver import grundy
 from .theory import (

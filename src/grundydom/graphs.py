@@ -369,6 +369,14 @@ def disjoint_union(G: Graph, H: Graph) -> Graph:
 # choice are label-equivariant, so such an automorphism maps one subtree onto
 # the other with equal leaf codes, and the minimum is unchanged.
 #
+# The recorded automorphisms generate the whole automorphism group, so
+# vertex_orbits reads the orbits off them. An automorphism g maps the best
+# leaf onto a leaf with the best code. If the search reached that leaf, it
+# recorded g. Otherwise the leaf lies below a skipped vertex, and recorded
+# automorphisms that fix that node's prefix map it into a subtree the
+# search explored, one skip at a time. So g is a product of recorded ones
+# (McKay and Piperno, "Practical graph isomorphism, II", 2014).
+#
 # Enumeration grows each class of order n-1 by a new vertex attached to a
 # nonempty set A; sets A and g(A) for an automorphism g of the parent give
 # isomorphic children, so one set per orbit under the recorded automorphisms
@@ -415,6 +423,24 @@ def _target_cell(colors: list[int]) -> int | None:
     return min(c for c, k in counts.items() if k > 1)
 
 
+def _find(rep: list[int], x: int) -> int:
+    """Root of x in the union-find forest rep, halving the path on the way."""
+    while rep[x] != x:
+        rep[x] = rep[rep[x]]
+        x = rep[x]
+    return x
+
+
+def _join(rep: list[int], perm: list[int]) -> None:
+    """Merge the set of every x with that of perm[x]; the lesser root stays,
+    so a root is its set's least member."""
+    for x, y in enumerate(perm):
+        if x != y:
+            a, b = _find(rep, x), _find(rep, y)
+            if a != b:
+                rep[max(a, b)] = min(a, b)
+
+
 def canonical_code(G: Graph) -> int:
     """Isomorphism-invariant integer code; equal codes mean isomorphic graphs."""
     return _canonical_search(G)[0]
@@ -424,7 +450,8 @@ def _canonical_search(G: Graph) -> tuple[int, list[list[int]]]:
     """Canonical code of G and the automorphisms found while computing it.
 
     Each automorphism is a list perm with perm[x] the image of vertex x; it
-    is read off a leaf whose code equals the best leaf's.
+    is read off a leaf whose code equals the best leaf's. Together they
+    generate the automorphism group of G.
     """
     n, adj = G.n, G.adj
     if n <= 1:
@@ -452,8 +479,8 @@ def _canonical_search(G: Graph) -> tuple[int, list[list[int]]]:
             elif code == best:
                 autos.append([best_at[c] for c in colors])
             return
-        # orbit[x]: orbit id of x under the automorphisms that fix the prefix
-        orbit: list[int] | None = None
+        # union-find over the orbits of the automorphisms that fix the prefix
+        rep: list[int] | None = None
         used = 0
         branched: list[int] = []
         for v in range(n):
@@ -461,14 +488,11 @@ def _canonical_search(G: Graph) -> tuple[int, list[list[int]]]:
                 continue
             for g in autos[used:]:
                 if all(g[p] == p for p in prefix):
-                    if orbit is None:
-                        orbit = list(range(n))
-                    for x, y in enumerate(g):
-                        a, b = orbit[x], orbit[y]
-                        if a != b:
-                            orbit = [a if o == b else o for o in orbit]
+                    if rep is None:
+                        rep = list(range(n))
+                    _join(rep, g)
             used = len(autos)
-            if orbit is not None and any(orbit[w] == orbit[v] for w in branched):
+            if rep is not None and any(_find(rep, w) == _find(rep, v) for w in branched):
                 continue
             rec(_individualize(n, adj, colors, v), prefix + [v])
             branched.append(v)
@@ -479,57 +503,16 @@ def _canonical_search(G: Graph) -> tuple[int, list[list[int]]]:
 
 
 def vertex_orbits(G: Graph) -> list[int]:
-    """Least vertex of each vertex's orbit under the automorphisms found.
+    """Least vertex of each vertex's orbit under the automorphism group of G.
 
-    Two vertices can share an orbit only if they share a refined color. Each
-    vertex gets one leaf of the refinement tree: individualize it, then keep
-    individualizing the first vertex of the target cell until the coloring
-    is discrete. Two leaves define a bijection, kept only if it maps every
-    adjacency row onto a row; for each vertex, one is sought against every
-    earlier orbit of its color, and every automorphism found merges orbits
-    along all its cycles. Vertices grouped together are always automorphic;
-    a leaf that followed another walk can leave two orbit mates apart, which
-    costs a caller pruning, never correctness.
+    The automorphisms _canonical_search records generate the whole group
+    (see the comment on canonical codes above), so merging every x with
+    perm[x] over them gives the orbits exactly.
     """
-    n, adj = G.n, G.adj
-    rep = list(range(n))
-
-    def find(x: int) -> int:
-        while rep[x] != x:
-            rep[x] = rep[rep[x]]
-            x = rep[x]
-        return x
-
-    base = _refine(n, adj, [0] * n)
-    leaves: dict[int, list[int]] = {}
-
-    def leaf(v: int) -> list[int]:
-        if v not in leaves:
-            colors = _individualize(n, adj, base, v)
-            while (target := _target_cell(colors)) is not None:
-                colors = _individualize(n, adj, colors, colors.index(target))
-            leaves[v] = colors
-        return leaves[v]
-
-    for v in range(n):
-        if find(v) != v:
-            continue
-        for r in range(v):
-            if base[r] != base[v] or find(r) != r:
-                continue
-            at = [0] * n
-            for y, c in enumerate(leaf(v)):
-                at[c] = y
-            perm = [at[c] for c in leaf(r)]
-            if any(mask_of(perm[u] for u in bit_indices(adj[x])) != adj[perm[x]] for x in range(n)):
-                continue
-            for x, y in enumerate(perm):
-                fx, fy = find(x), find(y)
-                if fx != fy:
-                    rep[max(fx, fy)] = min(fx, fy)
-            if find(v) != v:
-                break
-    return [find(v) for v in range(n)]
+    rep = list(range(G.n))
+    for perm in _canonical_search(G)[1]:
+        _join(rep, perm)
+    return [_find(rep, v) for v in range(G.n)]
 
 
 def graph_from_code(n: int, code: int, name: str | None = None) -> Graph:

@@ -19,9 +19,10 @@ Two exact reductions come first. The value adds up over connected
 components, so each component is searched on its own, from the position
 where every other component is already covered. At a component's root, a
 move that an automorphism maps onto an earlier root move has the same value
-and is skipped; orbits are only computed once the first root move's subtree
-has expanded at least n^2 nodes (n the component's order), about what the
-orbit finder itself costs, so small solves never pay for them.
+and is skipped. The orbits are merged from the automorphisms that the
+canonical labelling search records (graphs.vertex_orbits), and are only
+computed once the first root move's subtree has expanded at least n^2 nodes
+(n the component's order), so small solves never pay for that search.
 
 grundy_bruteforce is an independent oracle: plain enumeration of all legal
 sequences straight from the definition, no memo, no pruning.
@@ -34,11 +35,9 @@ when it is dominated, so the dominated set fixes the weight of every move.
 from __future__ import annotations
 
 import heapq
-import os
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Sequence
 
 from .errors import CapacityError, ParameterError
@@ -47,7 +46,6 @@ from .graphs import Graph, bit_indices, connected_components, mode_rows, vertex_
 MAX_SOLVER_ORDER = 64
 BRUTE_MAX_ORDER = 10
 WEIGHTED_MAX_ORDER = 25
-MEMO_CAP_ENV = "GRUNDYDOM_MEMO_CAP"
 
 
 @dataclass
@@ -64,16 +62,6 @@ class SolveResult:
     value: int
     witness: list[int] = field(default_factory=list)
     stats: SolveStats = field(default_factory=SolveStats)
-
-
-def _env_memo_cap() -> int | None:
-    raw = os.environ.get(MEMO_CAP_ENV)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ParameterError(f"{MEMO_CAP_ENV} must be an integer, got {raw!r}")
 
 
 def _component_orbits(G: Graph, verts: Sequence[int]) -> list[int]:
@@ -230,8 +218,7 @@ def grundy(
     max_order (default MAX_SOLVER_ORDER) caps the order of each connected
     component, since each is searched on its own. memo_cap bounds the number
     of cached positions over the whole solve (oldest entries are evicted
-    first; the answer is unchanged, recomputation just grows). The
-    environment variable GRUNDYDOM_MEMO_CAP supplies a default cap.
+    first; the answer is unchanged, recomputation just grows).
     """
     n = G.n
     if n < 1:
@@ -242,10 +229,8 @@ def grundy(
     if largest > limit:
         raise CapacityError(f"component order {largest} exceeds solver cap {limit}")
     rows = mode_rows(G, mode)
-    if memo_cap is None:
-        memo_cap = _env_memo_cap()
     if memo_cap is not None and memo_cap < 1:
-        raise ParameterError(f"memo_cap and {MEMO_CAP_ENV} must be positive, got {memo_cap}")
+        raise ParameterError(f"memo_cap must be positive, got {memo_cap}")
     start = time.perf_counter()
     search = _Search(G, rows, memo_cap)
     full = (1 << n) - 1
@@ -380,22 +365,3 @@ def lex_grundy(G: Graph, gamma_h: int) -> tuple[int, list[int]]:
     if gamma_h < 1:
         raise ParameterError("gamma_h must be at least 1")
     return max_weighted_sequence(G, gamma_h, 1)
-
-
-def domination_number(G: Graph, mode: str = "closed") -> int:
-    """Smallest (total) dominating set size, by subset enumeration."""
-    n = G.n
-    if n < 1:
-        raise ParameterError("needs at least one vertex")
-    if n > 16:
-        raise CapacityError("domination number search capped at 16 vertices")
-    rows = mode_rows(G, mode)
-    full = G.full_mask
-    for k in range(1, n + 1):
-        for sub in combinations(range(n), k):
-            cover = 0
-            for v in sub:
-                cover |= rows[v]
-            if cover == full:
-                return k
-    raise ParameterError("graph has no dominating set in this mode")

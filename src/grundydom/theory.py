@@ -701,19 +701,19 @@ class BoundsReport:
         return min((v for _, v in self.upper), default=None)
 
 
-def strong_simplicial_upper(G: Graph, H: Graph, *, exact_cap: int = 16) -> int:
+def strong_simplicial_upper(
+    G: Graph, H: Graph, *, exact_cap: int = 16, g_g: int | None = None, g_h: int | None = None
+) -> int:
     """Upper bound for grundy(strong(G, H)) by peeling simplicial vertices.
 
     A simplicial vertex of G accounts for at most grundy(H) sequence items,
     so it is deleted and grundy(H) is added. When the remaining product is
     small enough it is solved exactly; if no simplicial vertex remains the
     blow-up bound min{|V| * grundy(H), grundy * |V(H)|} finishes instead.
+    g_g and g_h are grundy(G) and grundy(H) when the caller knows them.
     """
-    return _simplicial_peel(G, H, None, grundy(H, witness=False).value, exact_cap)
-
-
-def _simplicial_peel(G: Graph, H: Graph, g_g: int | None, g_h: int, exact_cap: int = 16) -> int:
-    # strong_simplicial_upper from grundy(H), and grundy(G) when known
+    if g_h is None:
+        g_h = grundy(H, witness=False).value
     cur = G
     total = 0
     while cur.n * H.n > exact_cap and cur.n >= 2:
@@ -731,7 +731,10 @@ def _strong_uppers(G: Graph, H: Graph, g_g: int, g_h: int) -> tuple[int, int]:
     """Blow-up and simplicial peeling upper bounds for grundy(strong(G, H)),
     from g_g = grundy(G) and g_h = grundy(H)."""
     blowup = min(G.n * g_h, g_g * H.n)
-    peel = min(_simplicial_peel(G, H, g_g, g_h), _simplicial_peel(H, G, g_h, g_g))
+    peel = min(
+        strong_simplicial_upper(G, H, g_g=g_g, g_h=g_h),
+        strong_simplicial_upper(H, G, g_g=g_h, g_h=g_g),
+    )
     return blowup, peel
 
 

@@ -408,14 +408,18 @@ def is_automorphic(g: Graph, r: int, v: int) -> bool:
 
 
 def test_vertex_orbits_group_only_automorphic_vertices():
-    # regular graphs give refinement nothing to split, so the first-candidate
-    # path often ends in a bijection that is not an automorphism; the row
-    # check must reject it
+    # regular graphs give refinement nothing to split, so many leaves of the
+    # canonical search end in a bijection that is not an automorphism; only
+    # leaves with the best code may join orbits
     rng = random.Random(5)
     for _ in range(12):
         g = random_regular_graph(rng, rng.choice((8, 10, 12)), rng.choice((3, 4)))
         for v, r in enumerate(vertex_orbits(g)):
             assert r <= v and is_automorphic(g, r, v), (g.edges(), r, v)
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    return Graph(a + b, [(u, v) for u in range(a) for v in range(a, a + b)])
 
 
 def test_vertex_orbit_counts():
@@ -425,3 +429,17 @@ def test_vertex_orbit_counts():
     assert len(set(vertex_orbits(product("cartesian", path(6), path(6)).graph))) == 6
     for kind in ("cartesian", "strong"):
         assert set(vertex_orbits(product(kind, cycle(6), cycle(6)).graph)) == {0}
+    # the canonical search records many automorphisms on these
+    petersen = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                     + [(i, i + 5) for i in range(5)]
+                     + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+    vertex_transitive = [
+        complete_bipartite(4, 4),
+        product("cartesian", path(2), product("cartesian", path(2), path(2)).graph).graph,
+        petersen,
+        product("cartesian", complete(3), complete(3)).graph,
+        product("lexicographic", cycle(4), Graph(2)).graph,
+    ]
+    for g in vertex_transitive:
+        assert set(vertex_orbits(g)) == {0}, g
+    assert vertex_orbits(complete_bipartite(2, 5)) == [0, 0, 2, 2, 2, 2, 2]

@@ -23,7 +23,6 @@ from grundydom.sequences import a_value, check_sequence
 from grundydom.solver import (
     BRUTE_MAX_ORDER,
     MAX_SOLVER_ORDER,
-    domination_number,
     grundy,
     grundy_bruteforce,
     lex_grundy,
@@ -114,6 +113,19 @@ def test_additive_over_components():
         assert grundy(u, "open").value == grundy(g, "open").value + grundy(h, "open").value
 
 
+def domination_number(G: Graph, mode: str = "closed") -> int:
+    """Smallest (total) dominating set size, by subset enumeration."""
+    rows = mode_rows(G, mode)
+    for k in range(1, G.n + 1):
+        for sub in combinations(range(G.n), k):
+            cover = 0
+            for v in sub:
+                cover |= rows[v]
+            if cover == G.full_mask:
+                return k
+    raise AssertionError("graph has no dominating set in this mode")
+
+
 def test_domination_number_is_lower_bound():
     assert domination_number(path(6)) == 2
     assert domination_number(cycle(7)) == 3
@@ -133,17 +145,10 @@ def test_memo_cap_does_not_change_value():
             assert capped.stats.memo_entries <= cap
 
 
-def test_memo_cap_env_default(monkeypatch):
-    monkeypatch.setenv("GRUNDYDOM_MEMO_CAP", "32")
-    res = grundy(cycle(8))
-    assert res.value == 6 and res.stats.memo_entries <= 32
-    for raw in ("many", "0", "-3"):
-        monkeypatch.setenv("GRUNDYDOM_MEMO_CAP", raw)
-        with pytest.raises(ParameterError):
-            grundy(cycle(8))
-    monkeypatch.delenv("GRUNDYDOM_MEMO_CAP")
-    with pytest.raises(ParameterError):
-        grundy(cycle(8), memo_cap=0)
+def test_memo_cap_must_be_positive():
+    for cap in (0, -3):
+        with pytest.raises(ParameterError, match="memo_cap must be positive"):
+            grundy(cycle(8), memo_cap=cap)
 
 
 def random_graph(rng: random.Random, n: int, p: float) -> Graph:
