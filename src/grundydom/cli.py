@@ -191,7 +191,9 @@ def _family_graph(token: str) -> Graph:
         raise ParameterError(
             f"unknown family token {token!r}; use P<k>, C<k>, K<k>, or S<k>"
         )
-    return make_graph(FamilySpec(_TOKEN_FAMILIES[m.group(1)], (int(m.group(2)),)))
+    k = int(m.group(2))
+    _check_file_order(k)
+    return make_graph(FamilySpec(_TOKEN_FAMILIES[m.group(1)], (k,)))
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--mode", choices=["closed", "open"], default="closed")
     p.add_argument("--witness", action="store_true", help="also print one optimal sequence")
-    p.add_argument("--memo-cap", type=int, default=None)
 
     p = sub.add_parser("check-seq", help="check a sequence against a graph")
     p.add_argument("graph_file")
@@ -304,7 +305,7 @@ def _cmd_product(args) -> str:
 
 def _cmd_grundy(args) -> str:
     G = parse_graph(_read(args.file))
-    result = grundy(G, mode=args.mode, memo_cap=args.memo_cap, witness=args.witness)
+    result = grundy(G, mode=args.mode, witness=args.witness)
     lines = [f"value={result.value}"]
     if args.witness:
         lines.append("witness=" + " ".join(str(v) for v in result.witness))

@@ -1,9 +1,10 @@
 """Error taxonomy shared by the library and the command line tool.
 
 ParameterError covers bad input values and domain violations (exit code 1).
-CapacityError covers configured resource caps such as solver order limits or
-subset-enumeration guards (exit code 2). InvariantError reports a computed
-value that breaks a proven bound, which means a solver bug (exit code 1).
+CapacityError covers the fixed resource caps, module constants such as solver
+order limits or subset-enumeration guards (exit code 2). InvariantError
+reports a computed value that breaks a proven bound, which means a solver bug
+(exit code 1).
 """
 
 
@@ -12,7 +13,7 @@ class ParameterError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """A configured resource cap would be exceeded."""
+    """A fixed resource cap would be exceeded."""
 
 
 class InvariantError(RuntimeError):

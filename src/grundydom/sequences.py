@@ -29,7 +29,8 @@ def _validated_items(G: Graph, items) -> list[int]:
     items = list(items)
     seen = 0
     for it in items:
-        if not isinstance(it, int) or not 0 <= it < G.n:
+        # bool is a subclass of int, but True and False are not vertex ids
+        if not isinstance(it, int) or isinstance(it, bool) or not 0 <= it < G.n:
             raise ParameterError(f"sequence item {it} out of range")
         if seen >> it & 1:
             raise ParameterError(f"repeated vertex {it} in sequence")

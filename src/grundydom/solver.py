@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import heapq
 import time
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -80,20 +79,16 @@ class _Search:
     """Memoized value function over covered-set positions.
 
     A component is searched from the position where every other component is
-    already covered, so positions are full-width covered sets, one memo serves
-    every component, and memo_cap bounds the whole solve (oldest entries are
-    evicted first). verts lists the vertices of the component being searched.
+    already covered, so positions are full-width covered sets and one memo
+    serves every component. Nothing is evicted: every expanded position keeps
+    its entry. verts lists the vertices of the component being searched.
     """
 
-    def __init__(self, G: Graph, rows: list[int], memo_cap: int | None):
+    def __init__(self, G: Graph, rows: list[int]):
         self.G = G
         self.rows = rows
         self.n = G.n
-        self.memo_cap = memo_cap
         self.memo: dict[int, int] = {}
-        # insertion order for eviction: deleting a dict's oldest key via
-        # next(iter(memo)) slows down with every earlier deletion
-        self.order: deque[int] | None = deque() if memo_cap else None
         self.verts: Sequence[int] = ()
         self.nodes = 0
         self.orbit_skips = 0
@@ -112,10 +107,6 @@ class _Search:
         self.nodes += 1
         moves.sort()
         best = self.play(moves, S, min(len(moves), self.n - S.bit_count())) if moves else 0
-        if self.memo_cap:
-            if len(memo) >= self.memo_cap:
-                del memo[self.order.popleft()]
-            self.order.append(S)
         memo[S] = best
         return best
 
@@ -205,34 +196,25 @@ class _Search:
         return seq
 
 
-def grundy(
-    G: Graph,
-    mode: str = "closed",
-    *,
-    memo_cap: int | None = None,
-    max_order: int | None = None,
-    witness: bool = True,
-) -> SolveResult:
+def grundy(G: Graph, mode: str = "closed", *, witness: bool = True) -> SolveResult:
     """Length of a longest legal (total) dominating sequence, with witness.
 
-    max_order (default MAX_SOLVER_ORDER) caps the order of each connected
-    component, since each is searched on its own. memo_cap bounds the number
-    of cached positions over the whole solve (oldest entries are evicted
-    first; the answer is unchanged, recomputation just grows).
+    Each connected component is searched on its own, so MAX_SOLVER_ORDER
+    caps the order of each component, not of G. The memo keeps every
+    position the search expands.
     """
     n = G.n
     if n < 1:
         raise ParameterError("solver needs at least one vertex")
     comps = connected_components(G)
-    limit = MAX_SOLVER_ORDER if max_order is None else max_order
     largest = max(map(int.bit_count, comps))
-    if largest > limit:
-        raise CapacityError(f"component order {largest} exceeds solver cap {limit}")
+    if largest > MAX_SOLVER_ORDER:
+        raise CapacityError(
+            f"component order {largest} exceeds solver cap {MAX_SOLVER_ORDER}"
+        )
     rows = mode_rows(G, mode)
-    if memo_cap is not None and memo_cap < 1:
-        raise ParameterError(f"memo_cap must be positive, got {memo_cap}")
     start = time.perf_counter()
-    search = _Search(G, rows, memo_cap)
+    search = _Search(G, rows)
     full = (1 << n) - 1
     parts = []
     val = 0

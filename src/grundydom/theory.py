@@ -41,7 +41,7 @@ from .graphs import (
     mask_of,
     path,
 )
-from .products import product
+from .products import normalize_kind, product
 from .sequences import check_sequence
 from .solver import (
     MAX_SOLVER_ORDER,
@@ -115,17 +115,19 @@ def _min_set_cover(n_items: int, sets: list[int]) -> int:
     return best
 
 
-def edge_clique_cover_number(G: Graph, *, max_order: int = THETA_MAX_ORDER) -> int:
+def edge_clique_cover_number(G: Graph) -> int:
     """Minimum number of cliques covering every edge of G (exact).
 
     Triangle-free graphs need one clique per edge, so that case is answered
     directly. Otherwise solve set cover over the edges with maximal cliques
     as the candidate sets; a minimum cover by arbitrary cliques can always
-    be grown to one by maximal cliques, so this is exact.
+    be grown to one by maximal cliques, so this is exact. Graphs above
+    THETA_MAX_ORDER vertices raise CapacityError.
     """
-    if G.n > max_order:
+    if G.n > THETA_MAX_ORDER:
         raise CapacityError(
-            f"edge clique cover is exact only up to {max_order} vertices, got {G.n}"
+            f"edge clique cover is exact only up to {THETA_MAX_ORDER} vertices,"
+            f" got {G.n}"
         )
     edges = G.edges()
     if not edges:
@@ -179,34 +181,35 @@ def boundary_sufficient_bound(
     *,
     trials: int | None = None,
     seed: int = 0,
-    limit: int = SUBSET_ENUM_LIMIT,
 ) -> BoundaryBound:
     """Certify (or sample) min |boundary(A)| over all m-subsets A of V(G).
 
-    With trials=None all C(n, m) subsets are enumerated, guarded by `limit`.
-    Passing trials switches to seeded random sampling; the result is then
-    explicitly flagged as uncertified.
+    With trials=None all C(n, m) subsets are enumerated; more than
+    SUBSET_ENUM_LIMIT of them raise CapacityError. Passing trials switches
+    to seeded random sampling; the result is then explicitly flagged as
+    uncertified.
     """
     _chk(1 <= m <= G.n, "m must satisfy 1 <= m <= n")
-    subsets, checked, exhaustive = _subsets(G.n, m, trials, seed, limit)
+    subsets, checked, exhaustive = _subsets(G.n, m, trials, seed)
     best = min(boundary(G, mask).bit_count() for mask in subsets)
     return BoundaryBound(G.n, m, best, certified=exhaustive, checked=checked)
 
 
 def _subsets(
-    n: int, m: int, trials: int | None, seed: int, limit: int
+    n: int, m: int, trials: int | None, seed: int
 ) -> tuple[Iterator[int], int, bool]:
     """m-subsets of range(n) as masks, how many there are, and whether that is all.
 
     With trials=None every one of the C(n, m) subsets is yielded, guarded by
-    limit; otherwise trials subsets drawn by random.Random(seed).sample.
+    SUBSET_ENUM_LIMIT; otherwise trials subsets drawn by
+    random.Random(seed).sample.
     """
     if trials is None:
         total = math.comb(n, m)
-        if total > limit:
+        if total > SUBSET_ENUM_LIMIT:
             raise CapacityError(
                 f"C({n},{m}) = {total} subsets exceed the exhaustive guard"
-                f" ({limit}); pass trials= to sample"
+                f" ({SUBSET_ENUM_LIMIT}); pass trials= to sample"
             )
         return (mask_of(c) for c in combinations(range(n), m)), total, True
     _chk(trials >= 1, "trials must be positive")
@@ -749,8 +752,9 @@ def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
     maximum sequences all contain a self-only footprinter. The lexicographic
     kind carries its exact sequence formula in both lists.
     """
-    desc = product(kind, G, H)  # validates kind and factor compatibility
-    kind = desc.kind
+    kind = normalize_kind(kind)
+    if G.n < 1 or H.n < 1:
+        raise ParameterError("product factors must be nonempty")
     lower: list[tuple[str, int]] = []
     upper: list[tuple[str, int]] = []
     if kind == "cartesian":
@@ -840,13 +844,13 @@ class ScanReport:
 def conjecture_scan(
     pairs: Iterable[tuple[Graph, Graph]],
     *,
-    max_order: int = MAX_SOLVER_ORDER,
     time_budget: float | None = None,
 ) -> ScanReport:
     """Test grundy(strong(G, H)) == grundy(G) * grundy(H) over factor pairs.
 
     Each pair is solved exactly and classified as equality or counterexample;
-    pairs beyond max_order or past the time budget are recorded as skipped.
+    pairs whose product has more than MAX_SOLVER_ORDER vertices, or that come
+    past the time budget, are recorded as skipped.
     A counterexample is reported with full witnesses, never asserted away.
     The product lower bound and the blow-up and simplicial upper bounds are
     checked on every solved pair; a violation would mean a solver bug and
@@ -861,9 +865,9 @@ def conjecture_scan(
         names = {"name_g": G.display_name, "name_h": H.display_name}
         if deadline is not None and time.monotonic() > deadline:
             return ScanRecord(**names, reason="time budget exhausted")
-        if G.n * H.n > max_order:
+        if G.n * H.n > MAX_SOLVER_ORDER:
             return ScanRecord(
-                **names, reason=f"product order {G.n * H.n} exceeds {max_order}"
+                **names, reason=f"product order {G.n * H.n} exceeds {MAX_SOLVER_ORDER}"
             )
         start = time.perf_counter()
         solves = [grundy(G, witness=False), grundy(H, witness=False)]
@@ -929,42 +933,41 @@ def isoperimetric_check(
     *,
     trials: int | None = None,
     seed: int = 0,
-    limit: int = SUBSET_ENUM_LIMIT,
-    max_order: int = ISO_MAX_ORDER,
 ) -> IsoReport:
     """Check that balls minimize boundary among equal-size vertex subsets.
 
     kind 'even-torus' builds cart(C_2k1, ..., C_2kn) from half-lengths;
     'grid' builds cart(P_k1, ..., P_kn) and measures the ball around the
-    corner vertex (minimum degree), where the inequality is stated. With
-    trials=None all subsets of the ball's size are enumerated (guarded);
-    otherwise that many seeded random subsets are tested. Violations are
-    reported, not asserted: zero is the expected outcome for these proved
-    inequalities, so any hit points at the ball/boundary code.
+    corner vertex (minimum degree), where the inequality is stated. A
+    product above ISO_MAX_ORDER vertices raises CapacityError before it is
+    built. With trials=None all subsets of the ball's size are enumerated
+    (at most SUBSET_ENUM_LIMIT); otherwise that many seeded random subsets
+    are tested. Violations are reported, not asserted: zero is the expected
+    outcome for these proved inequalities, so any hit points at the
+    ball/boundary code.
     """
     _chk(kind in ("even-torus", "grid"), "kind must be 'even-torus' or 'grid'")
     factors = tuple(factors)
     _chk(len(factors) >= 1, "at least one factor is required")
     _chk(all(f >= 2 for f in factors), "factors must be at least 2")
     _chk(r >= 0, "r must be non-negative")
-    if kind == "even-torus":
-        graphs = [cycle(2 * f) for f in factors]
-    else:
-        graphs = [path(f) for f in factors]
+    torus = kind == "even-torus"
+    order = math.prod(2 * f if torus else f for f in factors)
+    if order > ISO_MAX_ORDER:
+        raise CapacityError(
+            f"product order {order} exceeds the check cap {ISO_MAX_ORDER}"
+        )
+    graphs = [cycle(2 * f) if torus else path(f) for f in factors]
     prod_graph = graphs[0]
     for g in graphs[1:]:
         prod_graph = product("cartesian", prod_graph, g).graph
-    if prod_graph.n > max_order:
-        raise CapacityError(
-            f"product order {prod_graph.n} exceeds the check cap {max_order}"
-        )
     # vertex 0 is (0, ..., 0): any torus vertex, the grid corner
     ball_mask = ball(prod_graph, 0, r)
     size = ball_mask.bit_count()
     ball_boundary = boundary(prod_graph, ball_mask).bit_count()
     violations = 0
     examples: list[int] = []
-    subsets, checked, exhaustive = _subsets(prod_graph.n, size, trials, seed, limit)
+    subsets, checked, exhaustive = _subsets(prod_graph.n, size, trials, seed)
     for mask in subsets:
         if boundary(prod_graph, mask).bit_count() < ball_boundary:
             violations += 1

@@ -1,6 +1,9 @@
 """Command line verbs, the shared text formats, and the exit code taxonomy."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -242,8 +245,8 @@ def test_grundy_errors(tmp_path, capsys):
     code, _, err = run(capsys, "grundy", bad)
     assert code == 1 and "line 2: loop edge at vertex 0" in err
     small = write(tmp_path, "p3.txt", serialize_graph(path(3)))
-    code, _, err = run(capsys, "grundy", small, "--memo-cap", "0")
-    assert code == 1 and "must be positive" in err
+    code, out, err = run(capsys, "grundy", small, "--memo-cap", "5")
+    assert code == 1 and out == "" and err.startswith("error:") and "--memo-cap" in err
 
 
 def test_check_seq_verb(tmp_path, capsys):
@@ -376,6 +379,16 @@ def test_scan_errors(capsys, monkeypatch):
         assert code == 1 and out == "" and "time budget must be nonnegative" in err
 
 
+def test_scan_checks_family_order_before_building(capsys, monkeypatch):
+    def refuse(spec):
+        raise AssertionError(f"make_graph called for {spec}")
+
+    monkeypatch.setattr(cli, "make_graph", refuse)
+    for token in ("P20000", f"C{MAX_FILE_ORDER + 1}"):
+        code, out, err = run(capsys, "scan", "--max-n", "1", "--families", token)
+        assert code == 2 and out == "" and "file cap" in err, token
+
+
 def test_scan_bound_violation_is_an_error_line(capsys, monkeypatch):
     monkeypatch.setattr(theory, "_strong_uppers", lambda G, H, g_g, g_h: (0, 0))
     code, out, err = run(capsys, "scan", "--max-n", "2")
@@ -403,3 +416,28 @@ def test_unknown_verb_and_flags(capsys):
     assert code == 1
     code, _, err = run(capsys, "gen", "path", "--bogus")
     assert code == 1
+
+
+def test_readme_command_line_block(tmp_path, capsys, monkeypatch):
+    # each `$ grundydom` line of the README's "Command line" code block, with
+    # the output lines under it, '#' lines dropped
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    runs: list[tuple[str, list[str]]] = []
+    for line in block.splitlines():
+        if line.startswith("$ "):
+            runs.append((line[2:], []))
+        elif line and not line.startswith("#"):
+            runs[-1][1].append(line)
+    assert len(runs) == 11
+    monkeypatch.chdir(tmp_path)
+    for command, want in runs:
+        # an inline comment "FILE holds: TEXT" supplies an input file
+        note = re.search(r"#\s*(\S+) holds: (.*)$", command)
+        if note:
+            (tmp_path / note.group(1)).write_text(note.group(2) + "\n")
+        prog, *argv = shlex.split(command, comments=True)
+        assert prog == "grundydom"
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, ""), command
+        assert stable(out) == want, command

@@ -70,6 +70,12 @@ def test_item_validation():
         check_sequence(path(3), [0, 0])
     with pytest.raises(ParameterError):
         check_sequence(path(3), [0], mode="half-open")
+    # bool is an int subclass, but True and False are not vertex ids
+    for items in ([True], [0, False]):
+        with pytest.raises(ParameterError):
+            check_sequence(path(3), items)
+        with pytest.raises(ParameterError):
+            a_value(path(3), items)
 
 
 def test_empty_sequence():

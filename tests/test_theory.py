@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from grundydom import theory
 from grundydom.errors import CapacityError, ParameterError
 from grundydom.graphs import (
     Graph,
@@ -129,7 +130,7 @@ def test_edge_clique_cover_against_brute():
 def test_edge_clique_cover_guard():
     with pytest.raises(CapacityError):
         edge_clique_cover_number(path(17))
-    assert edge_clique_cover_number(path(17), max_order=20) == 16
+    assert edge_clique_cover_number(path(16)) == 15
 
 
 def test_theta_upper_bounds_grundy():
@@ -164,7 +165,7 @@ def test_boundary_bound_guards():
     with pytest.raises(ParameterError):
         boundary_sufficient_bound(path(3), 4)
     with pytest.raises(CapacityError):
-        boundary_sufficient_bound(product("cartesian", cycle(6), cycle(6)).graph, 15, limit=1000)
+        boundary_sufficient_bound(product("cartesian", cycle(6), cycle(6)).graph, 15)
     with pytest.raises(ParameterError):
         boundary_sufficient_bound(path(3), 1, trials=0)
 
@@ -503,6 +504,22 @@ def test_product_bounds_strong():
     assert rep.best_lower == rep.best_upper == 4
 
 
+def test_product_bounds_check_caps_without_building_the_product(monkeypatch):
+    # only the factors are solved, so oversize factors fail at the solver cap
+    def refuse(kind, G, H):
+        raise AssertionError(f"product {kind} built")
+
+    monkeypatch.setattr(theory, "product", refuse)
+    big = path(200)
+    for kind in ("cartesian", "strong", "direct", "lexicographic"):
+        with pytest.raises(CapacityError, match="solver cap"):
+            product_bounds(kind, big, big)
+    with pytest.raises(ParameterError, match="unknown product kind"):
+        product_bounds("moebius", path(3), path(3))
+    with pytest.raises(ParameterError, match="nonempty"):
+        product_bounds("strong", Graph(0), path(3))
+
+
 def test_product_bounds_sandwich_exact_value():
     pairs = [(path(3), path(3)), (path(3), cycle(4)), (cycle(4), cycle(4)), (complete(3), path(3))]
     for kind in ("cartesian", "strong", "direct", "lexicographic"):
@@ -548,7 +565,7 @@ def test_conjecture_scan_equalities():
 
 
 def test_conjecture_scan_skips():
-    report = conjecture_scan([(path(3), path(3)), (cycle(5), cycle(4))], max_order=16)
+    report = conjecture_scan([(path(3), path(3)), (cycle(5), path(13))])
     assert [r.status for r in report.records] == ["equality", "skipped"]
     assert "exceeds" in report.records[1].reason
     assert report.skipped[0].gamma_product is None
@@ -607,3 +624,18 @@ def test_iso_guards():
         isoperimetric_check("even-torus", [3, 3], 2)  # C(36,13) subsets
     rep = isoperimetric_check("even-torus", [3, 3], 2, trials=10)
     assert rep.checked == 10
+
+
+def test_iso_checks_order_before_building(monkeypatch):
+    # the order is read from the factors: 2f per torus factor, f per grid factor
+    def refuse(*args):
+        raise AssertionError(f"graph built from {args}")
+
+    for name in ("product", "path", "cycle"):
+        monkeypatch.setattr(theory, name, refuse)
+    for kind, factors in (("grid", [150, 150]), ("grid", [5000]), ("even-torus", [33, 33])):
+        with pytest.raises(CapacityError, match="exceeds the check cap"):
+            isoperimetric_check(kind, factors, 1)
+    monkeypatch.undo()
+    rep = isoperimetric_check("even-torus", [32, 32], 0, trials=1)
+    assert rep.ball_size == 1 and rep.ball_boundary == 4
