@@ -17,10 +17,10 @@ import sys
 from typing import Iterator, Sequence
 
 from .errors import CapacityError, InvariantError, ParameterError, ParseError
-from .graphs import FamilySpec, Graph, enumerate_connected_graphs, make_graph
+from .graphs import ENUM_MAX_VERTICES, FamilySpec, Graph, enumerate_connected_graphs, make_graph
 from .products import normalize_kind, product
 from .sequences import check_sequence
-from .solver import grundy
+from .solver import MAX_SOLVER_ORDER, grundy
 from .theory import (
     conjecture_scan,
     construct_cartesian_witness,
@@ -193,6 +193,9 @@ def _family_graph(token: str) -> Graph:
         )
     k = int(m.group(2))
     _check_file_order(k)
+    # scan skips every pair with a factor this large, so it is never built
+    if k > MAX_SOLVER_ORDER:
+        raise CapacityError(f"graph order {k} exceeds solver cap {MAX_SOLVER_ORDER}")
     return make_graph(FamilySpec(_TOKEN_FAMILIES[m.group(1)], (k,)))
 
 
@@ -390,6 +393,8 @@ def _cmd_construct(args) -> str:
 def _cmd_scan(args) -> str:
     if args.max_n < 1:
         raise ParameterError("--max-n must be at least 1")
+    if args.max_n > ENUM_MAX_VERTICES:
+        raise ParameterError(f"enumeration capped at {ENUM_MAX_VERTICES} vertices")
     rights = [_family_graph(tok) for tok in args.families or ()]
 
     def pairs() -> Iterator[tuple[Graph, Graph]]:

@@ -377,10 +377,22 @@ def disjoint_union(G: Graph, H: Graph) -> Graph:
 # search explored, one skip at a time. So g is a product of recorded ones
 # (McKay and Piperno, "Practical graph isomorphism, II", 2014).
 #
-# Enumeration grows each class of order n-1 by a new vertex attached to a
-# nonempty set A; sets A and g(A) for an automorphism g of the parent give
-# isomorphic children, so one set per orbit under the recorded automorphisms
-# is tried, and children are deduplicated by canonical code.
+# Enumeration follows McKay's canonical construction path ("Isomorph-free
+# exhaustive generation", J. Algorithms 26, 1998). Each class of order n-1,
+# in its canonical labels, grows by a new vertex v attached to a nonempty
+# set A. Sets A and g(A) for an automorphism g of the parent give
+# isomorphic children, so one set per orbit is tried. A child is kept only
+# when v lies in the automorphism orbit of its deletion vertex: the non-cut
+# vertex of least degree, then of least sorted list of neighbor degrees,
+# then of greatest canonical label. That choice is isomorphism-invariant up
+# to automorphisms, so every class is kept once: from the canonical form of
+# the class without its deletion vertex, which is connected, and from the
+# one attachment orbit that rebuilds the class. Degrees and neighbor
+# degrees reject most children before any labelling, and a child whose v
+# has no tie left is kept without an orbit test, so orders up to 7 label
+# 1,028 of 4,159 children and order 8 labels 11,830 of 67,141. A kept
+# class carries the automorphisms its search recorded, relabelled into its
+# canonical labels, so no parent is searched again.
 
 
 def _pair_bit(n: int, i: int, j: int) -> int:
@@ -446,16 +458,19 @@ def canonical_code(G: Graph) -> int:
     return _canonical_search(G)[0]
 
 
-def _canonical_search(G: Graph) -> tuple[int, list[list[int]]]:
-    """Canonical code of G and the automorphisms found while computing it.
+def _canonical_search(G: Graph) -> tuple[int, list[list[int]], list[int]]:
+    """Canonical code of G, the automorphisms found while computing it, and
+    the canonical labelling.
 
     Each automorphism is a list perm with perm[x] the image of vertex x; it
     is read off a leaf whose code equals the best leaf's. Together they
-    generate the automorphism group of G.
+    generate the automorphism group of G. The labelling is a list best_at
+    with best_at[c] the vertex that gets label c: relabelling G by it gives
+    graph_from_code(G.n, code).
     """
     n, adj = G.n, G.adj
     if n <= 1:
-        return 0, []
+        return 0, [], list(range(n))
     edges = G.edges()
     best: int | None = None
     best_at: list[int] = []  # best_at[c] is the vertex colored c at the best leaf
@@ -499,7 +514,7 @@ def _canonical_search(G: Graph) -> tuple[int, list[list[int]]]:
 
     rec(_refine(n, adj, [0] * n), [])
     assert best is not None
-    return best, autos
+    return best, autos, best_at
 
 
 def vertex_orbits(G: Graph) -> list[int]:
@@ -509,10 +524,15 @@ def vertex_orbits(G: Graph) -> list[int]:
     (see the comment on canonical codes above), so merging every x with
     perm[x] over them gives the orbits exactly.
     """
-    rep = list(range(G.n))
-    for perm in _canonical_search(G)[1]:
+    return _orbits(G.n, _canonical_search(G)[1])
+
+
+def _orbits(n: int, perms: list[list[int]]) -> list[int]:
+    """Least member of each vertex's orbit under the group perms generate."""
+    rep = list(range(n))
+    for perm in perms:
         _join(rep, perm)
-    return [_find(rep, v) for v in range(G.n)]
+    return [_find(rep, v) for v in range(n)]
 
 
 def graph_from_code(n: int, code: int, name: str | None = None) -> Graph:
@@ -526,6 +546,9 @@ def graph_from_code(n: int, code: int, name: str | None = None) -> Graph:
 
 
 _ENUM_CACHE: dict[int, list[int]] = {1: [0]}
+# automorphism generators of each class by order and code, in the labels of
+# graph_from_code; they come from the search that labelled the class
+_ENUM_AUTOS: dict[int, dict[int, list[list[int]]]] = {1: {0: []}}
 
 
 def _connected_codes(n: int) -> list[int]:
@@ -534,35 +557,104 @@ def _connected_codes(n: int) -> list[int]:
     if n in _ENUM_CACHE:
         return _ENUM_CACHE[n]
     prev = _connected_codes(n - 1)
-    seen = set()
-    for code in prev:
-        base = graph_from_code(n - 1, code)
+    parent_autos = _ENUM_AUTOS[n - 1]
+    v = n - 1
+    classes: dict[int, list[list[int]]] = {}
+    for parent in prev:
+        base = graph_from_code(v, parent)
         base_edges = base.edges()
-        for attach in _subset_orbit_representatives(n - 1, _canonical_search(base)[1]):
-            edges = base_edges + [(u, n - 1) for u in bit_indices(attach)]
-            seen.add(canonical_code(Graph(n, edges)))
-    out = sorted(seen)
+        for attach in _subset_orbit_representatives(v, parent_autos[parent]):
+            adj = [row | 1 << v if attach >> u & 1 else row for u, row in enumerate(base.adj)]
+            adj.append(attach)
+            ties = _deletion_ties(adj)
+            if ties is None:
+                continue
+            child = Graph(n, base_edges + [(u, v) for u in bit_indices(attach)])
+            code, autos, best_at = _canonical_search(child)
+            label = [0] * n
+            for c, y in enumerate(best_at):
+                label[y] = c
+            if len(ties) > 1:
+                orbit = _orbits(n, autos)
+                if orbit[max(ties, key=label.__getitem__)] != orbit[v]:
+                    continue
+            assert code not in classes
+            classes[code] = [[label[g[y]] for y in best_at] for g in autos]
+    _ENUM_AUTOS[n] = classes
+    out = sorted(classes)
     _ENUM_CACHE[n] = out
     return out
+
+
+def _deletion_ties(adj: list[int]) -> list[int] | None:
+    """Vertices that tie with the last vertex v to be deleted, v first, or
+    None when v cannot be the deletion vertex.
+
+    The deletion vertex is a non-cut vertex of least degree and, among those,
+    of least sorted list of neighbor degrees; the canonical labelling breaks
+    the ties left. Only vertices of degree at most v's are tested for being
+    cut vertices. v itself never is one, since the graph without it is
+    connected.
+    """
+    n = len(adj)
+    v = n - 1
+    degrees = [row.bit_count() for row in adj]
+    k = degrees[v]
+    full = (1 << n) - 1
+    ties = [v]
+    for u in range(v):
+        if degrees[u] <= k and not _is_cut_vertex(adj, full, u):
+            if degrees[u] < k:
+                return None
+            ties.append(u)
+    if len(ties) > 1:
+        around = {u: sorted(degrees[w] for w in bit_indices(adj[u])) for u in ties}
+        least = min(around.values())
+        if around[v] != least:
+            return None
+        ties = [u for u in ties if around[u] == least]
+    return ties
+
+
+def _is_cut_vertex(adj: list[int], full: int, u: int) -> bool:
+    """Whether removing u disconnects the graph on `full` with rows adj."""
+    rest = full & ~(1 << u)
+    seen = frontier = rest & -rest
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & rest & ~seen
+        seen |= frontier
+    return seen != rest
 
 
 def _subset_orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
     """Least mask of each orbit of nonempty subsets of range(n) under the
     group the permutations generate."""
+    images = []  # images[i][s] is the image of mask s under perms[i]
+    for g in perms:
+        image = [0] * (1 << n)
+        for s in range(1, 1 << n):
+            low = s & -s
+            image[s] = image[s ^ low] | 1 << g[low.bit_length() - 1]
+        images.append(image)
     reps = []
-    done = set()
+    done = [False] * (1 << n)
     for s in range(1, 1 << n):
-        if s in done:
+        if done[s]:
             continue
         reps.append(s)
-        done.add(s)
+        done[s] = True
         orbit = [s]
         for t in orbit:
-            for g in perms:
-                image = mask_of(g[u] for u in bit_indices(t))
-                if image not in done:
-                    done.add(image)
-                    orbit.append(image)
+            for image in images:
+                u = image[t]
+                if not done[u]:
+                    done[u] = True
+                    orbit.append(u)
     return reps
 
 

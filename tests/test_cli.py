@@ -18,7 +18,7 @@ from grundydom.cli import (
     serialize_sequence,
 )
 from grundydom.errors import CapacityError, ParseError
-from grundydom.graphs import Graph, cycle, path, star
+from grundydom.graphs import ENUM_MAX_VERTICES, Graph, cycle, path, star
 from grundydom.products import product
 from grundydom.solver import grundy
 
@@ -377,6 +377,11 @@ def test_scan_errors(capsys, monkeypatch):
     for budget in ("-1", "nan"):
         code, out, err = run(capsys, "scan", "--max-n", "8", "--budget", budget)
         assert code == 1 and out == "" and "time budget must be nonnegative" in err
+    # so is an order above the enumeration cap
+    too_big = str(ENUM_MAX_VERTICES + 1)
+    code, out, err = run(capsys, "scan", "--max-n", too_big, "--families", "P2")
+    assert code == 1 and out == ""
+    assert f"enumeration capped at {ENUM_MAX_VERTICES} vertices" in err
 
 
 def test_scan_checks_family_order_before_building(capsys, monkeypatch):
@@ -387,6 +392,10 @@ def test_scan_checks_family_order_before_building(capsys, monkeypatch):
     for token in ("P20000", f"C{MAX_FILE_ORDER + 1}"):
         code, out, err = run(capsys, "scan", "--max-n", "1", "--families", token)
         assert code == 2 and out == "" and "file cap" in err, token
+    # every pair with a factor above the solver cap would be skipped
+    for token in ("P65", "K65", "K1500"):
+        code, out, err = run(capsys, "scan", "--max-n", "1", "--families", token)
+        assert code == 2 and out == "" and "exceeds solver cap" in err, token
 
 
 def test_scan_bound_violation_is_an_error_line(capsys, monkeypatch):

@@ -8,9 +8,11 @@ import pytest
 
 from grundydom.errors import CapacityError, ParameterError
 from grundydom.graphs import (
+    _ENUM_AUTOS,
     _canonical_search,
     _connected_codes,
     _individualize,
+    _orbits,
     _pair_bit,
     _refine,
     _target_cell,
@@ -298,7 +300,7 @@ def test_pruned_canonical_search_matches_unpruned():
     symmetric = [complete(8), k44, cycle(8), q3, two_k4]
     assert not all(is_connected(g) for g in seeded)
     for g in labelled5 + seeded + symmetric:
-        code, autos = _canonical_search(g)
+        code, autos, _ = _canonical_search(g)
         assert code == unpruned_canonical_code(g) == canonical_code(g), g.edges()
         for perm in autos:
             assert sorted(perm) == list(range(g.n))
@@ -317,6 +319,50 @@ def test_connected_codes_are_pinned():
     assert hashlib.sha256(codes).hexdigest() == (
         "99130372a299eaaea471589383ebf1d0590992916ca80058257d938345cb3ff6"
     )
+
+
+def test_connected_codes_order_8_are_pinned():
+    # the 11,117 classes of order 8 as extending each class by one set per
+    # attachment orbit and deduplicating by code produced them
+    assert hashlib.sha256(repr(_connected_codes(8)).encode()).hexdigest() == (
+        "3366651ea0ea23904cb349260e0e1e9fc9a82a0a04702173f13c390394b78713"
+    )
+
+
+def relabel(g: Graph, order: list[int]) -> Graph:
+    """g with vertex order[c] renamed c."""
+    label = {y: c for c, y in enumerate(order)}
+    return Graph(g.n, [(label[u], label[v]) for u, v in g.edges()])
+
+
+def test_canonical_labelling_gives_code_graph():
+    rng = random.Random(12)
+    graphs = []
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            order = list(range(n))
+            rng.shuffle(order)
+            graphs.append(relabel(g, order))
+    graphs += [
+        Graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        for n in range(8, 13) for p in (0.2, 0.5, 0.8) for _ in range(4)
+    ]
+    for g in graphs:
+        code, _, best_at = _canonical_search(g)
+        assert sorted(best_at) == list(range(g.n))
+        assert relabel(g, best_at) == graph_from_code(g.n, code), g.edges()
+
+
+def test_carried_automorphisms_give_vertex_orbits():
+    for n in range(1, 8):
+        for code in _connected_codes(n):
+            g = graph_from_code(n, code)
+            perms = _ENUM_AUTOS[n][code]
+            for perm in perms:
+                assert sorted(perm) == list(range(n))
+                for x in range(n):
+                    assert mask_of(perm[u] for u in bit_indices(g.adj[x])) == g.adj[perm[x]]
+            assert _orbits(n, perms) == vertex_orbits(g), (n, code)
 
 
 def test_enumeration_counts():
