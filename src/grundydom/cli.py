@@ -316,7 +316,7 @@ def _cmd_grundy(args) -> str:
     lines.append(
         f"# stats nodes={s.nodes} memo_entries={s.memo_entries}"
         f" elapsed={s.elapsed:.3f}s components={s.components}"
-        f" orbit_skips={s.orbit_skips}"
+        f" orbit_skips={s.orbit_skips} forced={s.forced}"
     )
     return "\n".join(lines) + "\n"
 

@@ -7,13 +7,23 @@ covered set. Every maximal legal sequence covers all of V (in open mode this
 needs the no-isolated-vertices precondition), so the longest legal sequence
 is automatically dominating and no separate completion check is needed.
 
-Two exact-safe prunings keep the search tractable on 25-vertex products:
+One exact rule settles most positions without branching. If a move's
+fresh coverage rows[a] & ~S is a single vertex x, some longest sequence
+from S plays it first, so value(S) = 1 + value(S | x) and no other move is
+tried. Sketch: take a longest sequence s from S. If s never covers x, then
+a followed by s is legal and longer, which is impossible. Otherwise drop
+from s the move b that first covers x. Every other move of s keeps a
+footprint (the first vertex it covers) that is not x, so s without b is
+legal from S | x and has length |s| - 1. The argument uses only the rows,
+so it holds in closed and open mode alike. This is the one-white-neighbour
+case of the zero-forcing colour-change rule (Brešar et al., "Grundy
+dominating sequences and zero forcing sets", Discrete Optim. 26, 2017).
 
-  * a move whose fresh coverage contains another move's fresh coverage is
-    dropped (covering less can never shorten the best continuation), and
-  * the value of a position is capped by both the number of uncovered
-    vertices and the number of playable vertices, so sibling exploration
-    stops once the cap is reached.
+Elsewhere two exact-safe prunings cut the branching: a move that cannot
+beat the best sibling so far even by covering every vertex left is skipped,
+and the value of a position is capped by both the number of uncovered
+vertices and the number of playable vertices, so sibling exploration stops
+once the cap is reached.
 
 Two exact reductions come first. The value adds up over connected
 components, so each component is searched on its own, from the position
@@ -54,6 +64,7 @@ class SolveStats:
     elapsed: float = 0.0
     components: int = 0
     orbit_skips: int = 0
+    forced: int = 0
 
 
 @dataclass
@@ -92,41 +103,38 @@ class _Search:
         self.verts: Sequence[int] = ()
         self.nodes = 0
         self.orbit_skips = 0
+        self.forced = 0
 
     def value(self, S: int) -> int:
         memo = self.memo
         cached = memo.get(S)
         if cached is not None:
             return cached
+        self.nodes += 1
         rows = self.rows
         moves = []
         for u in self.verts:
             new = rows[u] & ~S
             if new:
-                moves.append((new.bit_count(), new))
-        self.nodes += 1
-        moves.sort()
+                if new & (new - 1) == 0:
+                    # a one-fresh-vertex move is played first by some longest sequence
+                    self.forced += 1
+                    best = memo[S] = 1 + self.value(S | new)
+                    return best
+                moves.append(new)
         best = self.play(moves, S, min(len(moves), self.n - S.bit_count())) if moves else 0
         memo[S] = best
         return best
 
-    def play(self, moves: list[tuple[int, int]], S: int, cap: int, best: int = 0) -> int:
-        """Best value over moves from S, (coverage size, fresh coverage) pairs in order.
+    def play(self, moves: list[int], S: int, cap: int, best: int = 0) -> int:
+        """Best value over moves from S, given as fresh coverage masks, in order.
 
-        A move whose fresh coverage contains an earlier move's is dropped, a
-        move that cannot beat best even by covering every vertex left is
+        A move that cannot beat best even by covering every vertex left is
         skipped, and the loop stops once best reaches cap.
         """
-        kept: list[int] = []
-        for _, new in moves:
-            for old in kept:
-                if old & ~new == 0:
-                    break
-            else:
-                kept.append(new)
         n = self.n
         value = self.value
-        for new in kept:
+        for new in moves:
             child = S | new
             if n - child.bit_count() < best:
                 continue
@@ -166,7 +174,7 @@ class _Search:
             moves = [(c, u) for c, u in moves if reps[u] == u]
             self.orbit_skips += k - len(moves)
         # the first move is played again, as a memo hit or a bound skip
-        return self.play([(c, rows[u]) for c, u in moves], S, k, best), reps
+        return self.play([rows[u] for _, u in moves], S, k, best), reps
 
     def reconstruct(self, verts: Sequence[int], S: int, t: int, reps: list[int] | None) -> list[int]:
         # Greedy walk: at each position take the smallest-id vertex that still
@@ -238,6 +246,7 @@ def grundy(G: Graph, mode: str = "closed", *, witness: bool = True) -> SolveResu
         elapsed=time.perf_counter() - start,
         components=len(comps),
         orbit_skips=search.orbit_skips,
+        forced=search.forced,
     )
     return SolveResult(value=val, witness=seq, stats=stats)
 

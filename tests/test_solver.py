@@ -68,8 +68,8 @@ def test_open_family_values():
 
 
 def test_matches_bruteforce_exhaustively():
-    # every connected graph on up to 5 vertices, both modes, value and witness
-    for n in range(1, 6):
+    # every connected graph on up to 7 vertices, both modes, value and witness
+    for n in range(1, 8):
         for g in enumerate_connected_graphs(n):
             for mode in ("closed", "open"):
                 if mode == "open" and n == 1:
@@ -85,7 +85,36 @@ def test_matches_bruteforce_random():
     for trial in range(30):
         g = random_connected_graph(rng, rng.randrange(2, 9))
         for mode in ("closed", "open"):
-            assert grundy(g, mode).value == grundy_bruteforce(g, mode).value
+            fast = grundy(g, mode)
+            slow = grundy_bruteforce(g, mode)
+            assert (fast.value, fast.witness) == (slow.value, slow.witness), (g.edges(), mode)
+
+
+def test_forced_move_lemma():
+    # a move whose fresh coverage is one vertex x is played first by some
+    # longest sequence: val(S) == 1 + val(S | x) at every covered set S,
+    # with val a plain memoized maximum over the legal moves
+    cases = 0
+    for n in range(1, 7):
+        for g in enumerate_connected_graphs(n):
+            for mode in ("closed", "open"):
+                if mode == "open" and n == 1:
+                    continue
+                rows = mode_rows(g, mode)
+                memo: dict[int, int] = {}
+
+                def val(S: int) -> int:
+                    if S not in memo:
+                        memo[S] = max((1 + val(S | r) for r in rows if r & ~S), default=0)
+                    return memo[S]
+
+                for S in range(1 << n):
+                    for r in rows:
+                        new = r & ~S
+                        if new and new & (new - 1) == 0:
+                            assert val(S) == 1 + val(S | new), (g.name, mode, S)
+                            cases += 1
+    assert cases > 0
 
 
 def test_witness_is_valid_sequence():
@@ -103,6 +132,16 @@ def test_witness_flag_and_stats():
     res = grundy(cycle(6))
     assert res.stats.nodes > 0 and res.stats.elapsed >= 0.0
     assert res.stats.memo_entries > 0
+
+
+def test_forced_positions_are_counted():
+    g = product("cartesian", path(4), cycle(5)).graph
+    for mode in ("closed", "open"):
+        first = grundy(g, mode).stats
+        again = grundy(g, mode).stats
+        assert first.forced == again.forced and first.nodes == again.nodes
+        assert 0 < first.forced <= first.nodes
+    assert grundy(complete(4)).stats.forced == 0
 
 
 def test_additive_over_components():
@@ -214,18 +253,17 @@ def unreduced_grundy(g: Graph, mode: str) -> tuple[int, list[int]]:
 
 def test_reductions_match_unreduced_search():
     # value and lexicographically least witness on products where the orbit
-    # trigger fires (three vertex-transitive ones, and three that are not),
-    # on relabelled copies, and on unions
+    # trigger fires (four vertex-transitive ones, and one that is not), on
+    # relabelled copies, and on unions
     rng = random.Random(3)
-    tailed_triangle = Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 5)])
+    g7 = Graph(7, [(0, 1), (0, 2), (0, 5), (0, 6), (1, 3), (1, 4), (1, 6), (2, 4), (2, 6), (3, 4)])
     cases = [
-        ("closed", product("strong", cycle(5), cycle(6)).graph),
         ("open", product("cartesian", cycle(5), cycle(5)).graph),
         ("open", product("direct", cycle(5), cycle(5)).graph),
-        ("open", product("direct", path(4), cycle(5)).graph),
-        ("open", product("cartesian", path(4), path(6)).graph),
+        ("open", product("strong", cycle(5), cycle(6)).graph),
+        ("closed", product("direct", cycle(5), cycle(5)).graph),
         # here the first root move is not optimal, so skipping too much shows
-        ("open", product("cartesian", tailed_triangle, cycle(4)).graph),
+        ("open", product("cartesian", g7, complete(3)).graph),
     ]
     cases += [(mode, relabel(g, rng)) for mode, g in cases for _ in range(2)]
     for mode, g in cases:
@@ -238,7 +276,7 @@ def test_reductions_match_unreduced_search():
         assert (res.value, res.witness) == unreduced_grundy(union, mode), mode
         assert res.stats.components == 2
     # orbits of a component whose vertex ids do not start at 0
-    union = disjoint_union(path(3), product("direct", path(4), cycle(5)).graph)
+    union = disjoint_union(path(3), product("cartesian", g7, complete(3)).graph)
     res = grundy(union, "open")
     assert (res.value, res.witness) == unreduced_grundy(union, "open")
     assert res.stats.components == 2 and res.stats.orbit_skips > 0
