@@ -54,6 +54,16 @@ class Graph:
         self.adj = tuple(rows)
         self.name = name
 
+    @classmethod
+    def _from_rows(cls, rows: Iterable[int], name: str | None = None) -> Graph:
+        """Graph whose adjacency rows the caller has built symmetric, loop-free
+        and within range; unlike the edge constructor it checks nothing."""
+        G = object.__new__(cls)
+        G.adj = tuple(rows)
+        G.n = len(G.adj)
+        G.name = name
+        return G
+
     @property
     def m(self) -> int:
         return sum(row.bit_count() for row in self.adj) // 2
@@ -341,10 +351,10 @@ def delete_vertex(G: Graph, v: int) -> Graph:
     """Remove v; vertices above v shift down by one."""
     if not 0 <= v < G.n:
         raise ParameterError(f"vertex {v} out of range")
-    def remap(u):
-        return u if u < v else u - 1
-    edges = [(remap(a), remap(b)) for a, b in G.edges() if a != v and b != v]
-    return Graph(G.n - 1, edges)
+    below = (1 << v) - 1
+    return Graph._from_rows(
+        row & below | row >> 1 & ~below for u, row in enumerate(G.adj) if u != v
+    )
 
 
 def disjoint_union(G: Graph, H: Graph) -> Graph:
@@ -562,14 +572,13 @@ def _connected_codes(n: int) -> list[int]:
     classes: dict[int, list[list[int]]] = {}
     for parent in prev:
         base = graph_from_code(v, parent)
-        base_edges = base.edges()
         for attach in _subset_orbit_representatives(v, parent_autos[parent]):
             adj = [row | 1 << v if attach >> u & 1 else row for u, row in enumerate(base.adj)]
             adj.append(attach)
             ties = _deletion_ties(adj)
             if ties is None:
                 continue
-            child = Graph(n, base_edges + [(u, v) for u in bit_indices(attach)])
+            child = Graph._from_rows(adj)
             code, autos, best_at = _canonical_search(child)
             label = [0] * n
             for c, y in enumerate(best_at):

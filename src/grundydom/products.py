@@ -6,6 +6,12 @@ A product vertex (g, h) gets id g * H.n + h. Given factor edges g1g2 and h1h2:
   direct         iff  g1g2 edge and h1h2 edge
   strong         union of cartesian and direct adjacency
   lexicographic  iff  g1g2 edge, or g1=g2 and h1h2 edge
+
+Rows are built directly: the row of (g, h) is Z(h) placed in layer g (the
+H.n bits of vertex g) plus Y(h) placed in every layer g' in N(g), with
+
+  cartesian  Y = {h},   Z = N(h)      strong         Y = N[h],  Z = N(h)
+  direct     Y = N(h),  Z = empty     lexicographic  Y = V(H),  Z = N(h)
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ParameterError
-from .graphs import Graph
+from .graphs import Graph, bit_indices, mask_of, mode_rows
 
 KINDS = ("cartesian", "strong", "direct", "lexicographic")
 
@@ -88,28 +94,19 @@ def product(kind: str, G: Graph, H: Graph) -> ProductDescriptor:
     nG, nH = G.n, H.n
     if nG < 1 or nH < 1:
         raise ParameterError("product factors must be nonempty")
-    ge = G.edges()
-    he = H.edges()
-    edges: list[tuple[int, int]] = []
-
-    def idx(g, h):
-        return g * nH + h
-
-    if kind in ("cartesian", "strong"):
-        for g in range(nG):
-            edges.extend((idx(g, h1), idx(g, h2)) for h1, h2 in he)
-        for g1, g2 in ge:
-            edges.extend((idx(g1, h), idx(g2, h)) for h in range(nH))
-    if kind in ("direct", "strong"):
-        for g1, g2 in ge:
-            for h1, h2 in he:
-                edges.append((idx(g1, h1), idx(g2, h2)))
-                edges.append((idx(g1, h2), idx(g2, h1)))
-    if kind == "lexicographic":
-        for g in range(nG):
-            edges.extend((idx(g, h1), idx(g, h2)) for h1, h2 in he)
-        for g1, g2 in ge:
-            edges.extend((idx(g1, h1), idx(g2, h2)) for h1 in range(nH) for h2 in range(nH))
-
+    Z = H.adj
+    if kind == "cartesian":
+        Y = [1 << h for h in range(nH)]
+    elif kind == "direct":
+        Y, Z = H.adj, (0,) * nH
+    elif kind == "strong":
+        Y = mode_rows(H, "closed")
+    else:
+        Y = ((1 << nH) - 1,) * nH
+    rows = []
+    for g, nb in enumerate(G.adj):
+        # one bit at the base of each layer g' in N(g); times Y(h) it fills them all
+        spread = mask_of(u * nH for u in bit_indices(nb))
+        rows.extend(z << g * nH | y * spread for y, z in zip(Y, Z))
     name = f"{kind}({G.display_name},{H.display_name})"
-    return ProductDescriptor(kind, G, H, Graph(nG * nH, edges, name=name))
+    return ProductDescriptor(kind, G, H, Graph._from_rows(rows, name))

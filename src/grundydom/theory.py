@@ -705,7 +705,13 @@ class BoundsReport:
 
 
 def strong_simplicial_upper(
-    G: Graph, H: Graph, *, exact_cap: int = 16, g_g: int | None = None, g_h: int | None = None
+    G: Graph,
+    H: Graph,
+    *,
+    exact_cap: int = 16,
+    g_g: int | None = None,
+    g_h: int | None = None,
+    g_p: int | None = None,
 ) -> int:
     """Upper bound for grundy(strong(G, H)) by peeling simplicial vertices.
 
@@ -713,7 +719,10 @@ def strong_simplicial_upper(
     so it is deleted and grundy(H) is added. When the remaining product is
     small enough it is solved exactly; if no simplicial vertex remains the
     blow-up bound min{|V| * grundy(H), grundy * |V(H)|} finishes instead.
-    g_g and g_h are grundy(G) and grundy(H) when the caller knows them.
+    g_g, g_h and g_p are grundy(G), grundy(H) and grundy(strong(G, H)) when
+    the caller knows them. When no vertex was peeled the product left to
+    solve is strong(G, H) itself, so g_p is returned instead of solving it;
+    this is always the case when G.n * H.n <= exact_cap.
     """
     if g_h is None:
         g_h = grundy(H, witness=False).value
@@ -727,16 +736,22 @@ def strong_simplicial_upper(
             return total + min(cur.n * g_h, g_g * H.n)
         total += g_h
         cur = delete_vertex(cur, v)
+    if cur is G and g_p is not None:
+        return g_p
     return total + grundy(product("strong", cur, H).graph, witness=False).value
 
 
-def _strong_uppers(G: Graph, H: Graph, g_g: int, g_h: int) -> tuple[int, int]:
+def _strong_uppers(
+    G: Graph, H: Graph, g_g: int, g_h: int, g_p: int | None = None
+) -> tuple[int, int]:
     """Blow-up and simplicial peeling upper bounds for grundy(strong(G, H)),
-    from g_g = grundy(G) and g_h = grundy(H)."""
+    from g_g = grundy(G), g_h = grundy(H) and, when known, g_p =
+    grundy(strong(G, H)); strong(H, G) is isomorphic to it, so g_p serves
+    both peeling orientations."""
     blowup = min(G.n * g_h, g_g * H.n)
     peel = min(
-        strong_simplicial_upper(G, H, g_g=g_g, g_h=g_h),
-        strong_simplicial_upper(H, G, g_g=g_h, g_h=g_g),
+        strong_simplicial_upper(G, H, g_g=g_g, g_h=g_h, g_p=g_p),
+        strong_simplicial_upper(H, G, g_g=g_h, g_h=g_g, g_p=g_p),
     )
     return blowup, peel
 
@@ -854,8 +869,11 @@ def conjecture_scan(
     A counterexample is reported with full witnesses, never asserted away.
     The product lower bound and the blow-up and simplicial upper bounds are
     checked on every solved pair; a violation would mean a solver bug and
-    raises InvariantError. A time budget must be a nonnegative number of
-    seconds.
+    raises InvariantError. The peeling bound is given the product's value,
+    so an orientation that peels no vertex (every product of at most
+    exact_cap = 16 vertices) reuses it rather than solving the product or
+    its swap again, and only the bounds left after peeling check the
+    solver. A time budget must be a nonnegative number of seconds.
     """
     if time_budget is not None and not time_budget >= 0:
         raise ParameterError(f"time budget must be nonnegative, got {time_budget}")
@@ -875,7 +893,7 @@ def conjecture_scan(
         solves.append(grundy(prod_graph, witness=False))
         g_g, g_h, g_p = (sol.value for sol in solves)
         lower = g_g * g_h
-        upper = min(_strong_uppers(G, H, g_g, g_h))
+        upper = min(_strong_uppers(G, H, g_g, g_h, g_p=g_p))
         if not lower <= g_p <= upper:
             raise InvariantError(
                 f"bound violation on {G.display_name} x {H.display_name}:"

@@ -399,7 +399,7 @@ def test_scan_checks_family_order_before_building(capsys, monkeypatch):
 
 
 def test_scan_bound_violation_is_an_error_line(capsys, monkeypatch):
-    monkeypatch.setattr(theory, "_strong_uppers", lambda G, H, g_g, g_h: (0, 0))
+    monkeypatch.setattr(theory, "_strong_uppers", lambda *args, **kwargs: (0, 0))
     code, out, err = run(capsys, "scan", "--max-n", "2")
     assert code == 1 and out == ""
     assert err.startswith("error: bound violation") and "Traceback" not in err

@@ -206,6 +206,15 @@ def test_delete_vertex():
     assert g.n == 2 and g.m == 0
     with pytest.raises(ParameterError):
         delete_vertex(path(2), 4)
+    # the rows are shifted bitwise; remapping the edge tuples is the reference
+    for n in range(1, 6):
+        for G in enumerate_connected_graphs(n):
+            for v in range(n):
+                edges = [(a - (a > v), b - (b > v)) for a, b in G.edges() if v not in (a, b)]
+                want = Graph(n - 1, edges)
+                got = delete_vertex(G, v)
+                assert got.n == want.n and got.adj == want.adj, (G.edges(), v)
+                assert got.edges() == want.edges()
 
 
 def test_disjoint_union():

@@ -5,7 +5,15 @@ from itertools import combinations
 import pytest
 
 from grundydom.errors import ParameterError
-from grundydom.graphs import Graph, bit_indices, complete, cycle, path, star
+from grundydom.graphs import (
+    Graph,
+    bit_indices,
+    complete,
+    cycle,
+    enumerate_connected_graphs,
+    path,
+    star,
+)
 from grundydom.products import KINDS, normalize_kind, product
 
 FACTOR_PAIRS = [
@@ -43,17 +51,25 @@ def test_normalize_kind():
 
 
 def test_products_match_definition():
-    for G, H in FACTOR_PAIRS:
+    # the rows are built directly, so compare them with the product built
+    # edge by edge from the definition, on every ordered pair of connected
+    # graphs of order <= 4 as well as the listed pairs
+    small = [g for n in range(1, 5) for g in enumerate_connected_graphs(n)]
+    assert len(small) == 10
+    for G, H in FACTOR_PAIRS + [(G, H) for G in small for H in small]:
         for kind in KINDS:
             P = product(kind, G, H)
             assert P.graph.n == G.n * H.n
-            for g1 in range(G.n):
-                for h1 in range(H.n):
-                    for g2 in range(G.n):
-                        for h2 in range(H.n):
-                            want = definition_adjacent(kind, G, H, g1, h1, g2, h2)
-                            got = P.graph.has_edge(P.index(g1, h1), P.index(g2, h2))
-                            assert got == want, (kind, G.display_name, H.display_name)
+            edges = []
+            for u, v in combinations(range(P.graph.n), 2):
+                (g1, h1), (g2, h2) = P.coords(u), P.coords(v)
+                want = definition_adjacent(kind, G, H, g1, h1, g2, h2)
+                assert P.graph.has_edge(u, v) == want, (kind, G.display_name, H.display_name)
+                if want:
+                    edges.append((u, v))
+            assert P.graph.edges() == edges
+            assert P.graph.adj == Graph(P.graph.n, edges).adj
+            assert P.graph.name == f"{kind}({G.display_name},{H.display_name})"
 
 
 def test_edge_count_identities():

@@ -545,6 +545,19 @@ def test_strong_simplicial_upper():
             assert exact("strong", G, H) <= cap
 
 
+def test_peeling_without_product_value_solves_both_orientations():
+    # without g_p, the peeling bound of a product of at most exact_cap = 16
+    # vertices solves strong(G, H) or, swapped, strong(H, G); both must give
+    # the product's value. The scan passes g_p and skips these solves.
+    graphs = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+    pairs = [(G, H) for G in graphs for H in graphs if G.n * H.n <= 16]
+    peel = {(G.name, H.name): strong_simplicial_upper(G, H) for G, H in pairs}
+    assert len(pairs) == 4128
+    for G, H in pairs:
+        want = exact("strong", G, H)
+        assert peel[G.name, H.name] == peel[H.name, G.name] == want, (G.name, H.name)
+
+
 # === conjecture scan ===
 
 
@@ -562,6 +575,18 @@ def test_conjecture_scan_equalities():
     again = conjecture_scan(pairs)
     assert again == report
     assert [r.nodes for r in again.records] == [r.nodes for r in report.records]
+
+
+def test_conjecture_scan_upper_is_the_bound_without_product_value():
+    # the scan's upper bound is the blow-up and both peeling orientations,
+    # whether or not the peeling bound is handed the product's value; the
+    # C4 pairs have 20 vertices, so their peeling bound deletes vertices
+    graphs = [g for n in range(1, 6) for g in enumerate_connected_graphs(n)]
+    pairs = [(G, H) for H in (path(2), path(3), cycle(4)) for G in graphs]
+    for (G, H), rec in zip(pairs, conjecture_scan(pairs).records):
+        blowup = min(G.n * rec.gamma_h, rec.gamma_g * H.n)
+        peel = min(strong_simplicial_upper(G, H), strong_simplicial_upper(H, G))
+        assert rec.upper == min(blowup, peel), (G.name, H.name)
 
 
 def test_conjecture_scan_skips():
