@@ -315,7 +315,8 @@ def _cmd_grundy(args) -> str:
     s = result.stats
     lines.append(
         f"# stats nodes={s.nodes} memo_entries={s.memo_entries}"
-        f" elapsed={s.elapsed:.3f}s components={s.components}"
+        f" search_s={s.search_s:.3f} reconstruct_s={s.reconstruct_s:.3f}"
+        f" components={s.components}"
         f" orbit_skips={s.orbit_skips} forced={s.forced}"
     )
     return "\n".join(lines) + "\n"

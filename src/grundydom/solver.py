@@ -39,7 +39,27 @@ sequences straight from the definition, no memo, no pruning.
 
 max_weighted_sequence (behind lex_grundy) also memoizes on the dominated
 set alone: in closed mode an unchosen vertex has a chosen neighbor exactly
-when it is dominated, so the dominated set fixes the weight of every move.
+when it is dominated, so the dominated set fixes the weight of every move:
+w_dependent for a dominated vertex, w_independent for an undominated one.
+Two weighted forms of the one-fresh-vertex rule settle a position D by the
+first move u in vertex order that meets one of them:
+
+(a) The weights are equal, w each, and u has a single fresh vertex x.
+    Every item weighs w, so this is the rule above: value(D) = w +
+    value(D | x).
+(b) w_independent >= w_dependent, u is undominated and its fresh set is
+    {u}, so every neighbor of u is dominated. Then value(D) =
+    w_independent + value(D | u). Sketch: let b be the first move of an
+    optimal maximal sequence s to cover u. If b = u, move it to the front:
+    that covers only u earlier, no other move has u as its footprint, and
+    no earlier move is a neighbor of u, so every weight stays. If b != u,
+    then b is a neighbor of u, hence dominated in D and weighing
+    w_dependent. Play u first and drop b: every other move keeps a fresh
+    footprint, and dropping b can only turn dependent items independent.
+
+Nothing else settles a position. On the path p-u-x from D = {p, u}, the
+dominated u has the one fresh vertex x but scores only w_dependent, while
+playing x scores w_independent.
 """
 
 from __future__ import annotations
@@ -61,7 +81,8 @@ WEIGHTED_MAX_ORDER = 25
 class SolveStats:
     nodes: int = 0
     memo_entries: int = 0
-    elapsed: float = 0.0
+    search_s: float = 0.0
+    reconstruct_s: float = 0.0
     components: int = 0
     orbit_skips: int = 0
     forced: int = 0
@@ -78,10 +99,11 @@ def _component_orbits(G: Graph, verts: Sequence[int]) -> list[int]:
     """Orbit representative of every vertex of one component (others map to themselves)."""
     if len(verts) == G.n:
         return vertex_orbits(G)
-    local = {v: i for i, v in enumerate(verts)}
-    edges = [(local[u], local[v]) for u, v in G.edges() if u in local]
+    bit = {v: 1 << i for i, v in enumerate(verts)}
+    # a component's rows stay inside it
+    sub = Graph._from_rows(sum(bit[w] for w in bit_indices(G.adj[v])) for v in verts)
     reps = list(range(G.n))
-    for v, r in zip(verts, vertex_orbits(Graph(len(verts), edges))):
+    for v, r in zip(verts, vertex_orbits(sub)):
         reps[v] = verts[r]
     return reps
 
@@ -112,9 +134,10 @@ class _Search:
             return cached
         self.nodes += 1
         rows = self.rows
+        free = ~S
         moves = []
         for u in self.verts:
-            new = rows[u] & ~S
+            new = rows[u] & free
             if new:
                 if new & (new - 1) == 0:
                     # a one-fresh-vertex move is played first by some longest sequence
@@ -232,6 +255,7 @@ def grundy(G: Graph, mode: str = "closed", *, witness: bool = True) -> SolveResu
         t, reps = search.root_value(verts, outside)
         parts.append((verts, outside, t, reps))
         val += t
+    searched = time.perf_counter()
     seq: list[int] = []
     if witness:
         walks = [search.reconstruct(*part) for part in parts]
@@ -243,7 +267,8 @@ def grundy(G: Graph, mode: str = "closed", *, witness: bool = True) -> SolveResu
     stats = SolveStats(
         nodes=search.nodes,
         memo_entries=len(search.memo),
-        elapsed=time.perf_counter() - start,
+        search_s=searched - start,
+        reconstruct_s=time.perf_counter() - searched,
         components=len(comps),
         orbit_skips=search.orbit_skips,
         forced=search.forced,
@@ -287,7 +312,7 @@ def grundy_bruteforce(G: Graph, mode: str = "closed") -> SolveResult:
                 seq.pop()
 
     rec(0, 0)
-    stats = SolveStats(nodes=nodes, memo_entries=0, elapsed=time.perf_counter() - start)
+    stats = SolveStats(nodes=nodes, memo_entries=0, search_s=time.perf_counter() - start)
     return SolveResult(value=best_len, witness=best_seq, stats=stats)
 
 
@@ -312,18 +337,32 @@ def max_weighted_sequence(G: Graph, w_independent: int, w_dependent: int) -> tup
         raise ParameterError("weights must be nonnegative")
     rows = mode_rows(G, "closed")
     memo: dict[int, int] = {}
+    # which one-fresh-vertex moves settle a position (module docstring):
+    # any of them when the weights are equal, and an undominated one whose
+    # neighbors are all dominated when independent items weigh at least as
+    # much as dependent ones
+    settle_any = w_independent == w_dependent
+    settle_own = w_independent >= w_dependent
 
     def value(dom: int) -> int:
         cached = memo.get(dom)
         if cached is not None:
             return cached
-        best = 0
+        free = ~dom
+        moves = []
         for u in range(n):
-            new = rows[u] & ~dom
+            new = rows[u] & free
             if new:
-                got = (w_dependent if dom >> u & 1 else w_independent) + value(dom | new)
-                if got > best:
-                    best = got
+                w = w_dependent if dom >> u & 1 else w_independent
+                if new & (new - 1) == 0 and (settle_any or settle_own and new >> u & 1):
+                    best = memo[dom] = w + value(dom | new)
+                    return best
+                moves.append((w, new))
+        best = 0
+        for w, new in moves:
+            got = w + value(dom | new)
+            if got > best:
+                best = got
         memo[dom] = best
         return best
 

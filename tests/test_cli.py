@@ -226,7 +226,7 @@ def test_grundy_verb(tmp_path, capsys):
     code, out, _ = run(capsys, "grundy", f)
     assert code == 0
     assert stable(out) == ["value=3"]
-    assert "# stats nodes=" in out and "elapsed=" in out
+    assert "# stats nodes=" in out and " search_s=" in out and " reconstruct_s=" in out
     assert "components=1 orbit_skips=0" in out
     code, out, _ = run(capsys, "grundy", f, "--witness")
     want = "witness=" + " ".join(map(str, grundy(path(4)).witness))

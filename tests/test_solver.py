@@ -8,6 +8,7 @@ import pytest
 from grundydom.errors import CapacityError, ParameterError
 from grundydom.graphs import (
     Graph,
+    bit_indices,
     complete,
     connected_components,
     cycle,
@@ -17,12 +18,14 @@ from grundydom.graphs import (
     mode_rows,
     path,
     star,
+    vertex_orbits,
 )
 from grundydom.products import product
 from grundydom.sequences import a_value, check_sequence
 from grundydom.solver import (
     BRUTE_MAX_ORDER,
     MAX_SOLVER_ORDER,
+    _component_orbits,
     grundy,
     grundy_bruteforce,
     lex_grundy,
@@ -129,8 +132,10 @@ def test_witness_is_valid_sequence():
 def test_witness_flag_and_stats():
     res = grundy(cycle(6), witness=False)
     assert res.value == 4 and res.witness == []
+    assert res.stats.search_s > 0.0 and res.stats.reconstruct_s >= 0.0
     res = grundy(cycle(6))
-    assert res.stats.nodes > 0 and res.stats.elapsed >= 0.0
+    assert res.stats.nodes > 0 and res.stats.search_s > 0.0 and res.stats.reconstruct_s > 0.0
+    assert grundy_bruteforce(cycle(6)).stats.search_s > 0.0
     assert res.stats.memo_entries > 0
 
 
@@ -282,6 +287,27 @@ def test_reductions_match_unreduced_search():
     assert res.stats.components == 2 and res.stats.orbit_skips > 0
 
 
+def test_component_orbits_on_interleaved_components():
+    # the k^2 trigger fires on a component whose vertex ids interleave with
+    # another component's; its orbits are those of a copy of the component
+    # built from its edge list
+    rng = random.Random(5)
+    torus = product("cartesian", cycle(5), cycle(5)).graph
+    union = relabel(disjoint_union(path(3), torus), rng)
+    res = grundy(union, "open")
+    assert res.value == grundy(path(3), "open").value + grundy(torus, "open").value
+    rep = check_sequence(union, res.witness, "open")
+    assert rep.legal and rep.dominating and rep.length == res.value
+    assert res.stats.components == 2 and res.stats.orbit_skips > 0
+    comp = max(map(bit_indices, connected_components(union)), key=len)
+    assert comp != list(range(3, 28))
+    local = {v: i for i, v in enumerate(comp)}
+    copy = Graph(len(comp), [(local[u], local[v]) for u, v in union.edges() if u in local])
+    reps = _component_orbits(union, comp)
+    assert [reps[v] for v in comp] == [comp[r] for r in vertex_orbits(copy)]
+    assert all(reps[v] == v for v in range(union.n) if v not in local)
+
+
 def test_capacity_and_parameter_errors():
     with pytest.raises(CapacityError):
         grundy(path(MAX_SOLVER_ORDER + 1))
@@ -361,7 +387,7 @@ def brute_max_weight(g: Graph, wi: int, wd: int) -> tuple[int, list[int]]:
     return best, best_seq
 
 
-GATE_WEIGHTS = [(1, 1), (3, 1), (1, 0), (0, 1), (2, 3)]
+GATE_WEIGHTS = [(1, 1), (3, 1), (1, 0), (0, 1), (2, 3), (2, 2), (3, 2), (0, 0)]
 
 
 def assert_weighted_matches_brute(g: Graph, wi: int, wd: int) -> None:
@@ -383,13 +409,64 @@ def test_max_weighted_sequence_against_brute():
 def test_max_weighted_sequence_oracle_gate():
     # value and lexicographically least witness on every connected graph of
     # order <= 6 and on seeded random graphs of order 8; (2, 3) makes
-    # dependent items weigh more than independent ones
+    # dependent items weigh more than independent ones, and (2, 2) and
+    # (3, 2) reach both one-fresh-vertex rules with weights above 1
     graphs = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
     rng = random.Random(2016)
     graphs += [random_connected_graph(rng, 8) for _ in range(10)]
     for g in graphs:
         for wi, wd in GATE_WEIGHTS:
             assert_weighted_matches_brute(g, wi, wd)
+
+
+def unpruned_weighted(g: Graph, wi: int, wd: int) -> tuple[int, list[int]]:
+    """The weighted search that expands every move of every position, and its
+    smallest-vertex walk, extended until the sequence is maximal."""
+    rows = mode_rows(g, "closed")
+    memo: dict[int, int] = {}
+
+    def weight(dom: int, u: int) -> int:
+        return wd if dom >> u & 1 else wi
+
+    def value(dom: int) -> int:
+        if dom not in memo:
+            memo[dom] = max((weight(dom, u) + value(dom | rows[u])
+                             for u in range(g.n) if rows[u] & ~dom), default=0)
+        return memo[dom]
+
+    seq: list[int] = []
+    dom, t = 0, value(0)
+    while dom != g.full_mask:
+        u = next(u for u in range(g.n)
+                 if rows[u] & ~dom and weight(dom, u) + value(dom | rows[u]) == t)
+        seq.append(u)
+        t -= weight(dom, u)
+        dom |= rows[u]
+    return value(0), seq
+
+
+def test_max_weighted_sequence_matches_unpruned_search():
+    # value and witness against the search without the one-fresh-vertex
+    # rules, on every connected graph of order 7 and on seeded random graphs
+    # of order 9-18, some with isolated vertices; independent items weigh
+    # more than, as much as and less than dependent ones, or nothing
+    graphs = list(enumerate_connected_graphs(7))
+    rng = random.Random(2017)
+    for _ in range(16):
+        graphs.append(random_graph(rng, rng.randrange(9, 19), rng.choice((0.1, 0.2, 0.3))))
+    for k in (1, 2):
+        graphs.append(relabel(disjoint_union(random_connected_graph(rng, 10), Graph(k)), rng))
+    assert sum(has_isolated_vertex(g) for g in graphs) >= 3
+    for g in graphs:
+        for wi, wd in ((3, 1), (3, 2), (2, 2), (1, 1), (2, 3), (0, 1), (0, 0)):
+            got = max_weighted_sequence(g, wi, wd)
+            assert got == unpruned_weighted(g, wi, wd), (g.edges(), wi, wd)
+
+
+def test_max_weighted_sequence_dominated_move_does_not_settle():
+    # from {0, 1} on the path 0-1-2, the dominated vertex 1 has the one fresh
+    # vertex 2 but scores 1, while playing 2 itself scores 3
+    assert max_weighted_sequence(path(3), 3, 1) == (6, [0, 2])
 
 
 def test_max_weighted_sequence_unit_weights_match_grundy():
