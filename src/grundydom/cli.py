@@ -57,8 +57,8 @@ def parse_graph(text: str, name: str | None = None) -> Graph:
     if text.lstrip().startswith("{"):
         return _parse_graph_json(text, name)
     header: tuple[int, int] | None = None
-    edges: list[tuple[int, int]] = []
     adj = []
+    m = 0
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -78,18 +78,18 @@ def parse_graph(text: str, name: str | None = None) -> Graph:
             header = (a, b)
             adj = [0] * a
             continue
-        if len(edges) == header[1]:
+        if m == header[1]:
             raise ParseError(
                 f"more than the {header[1]} edges announced in the header",
                 line=lineno,
             )
         _append_edge(adj, header[0], a, b, lineno)
-        edges.append((a, b))
+        m += 1
     if header is None:
         raise ParseError("empty input, expected a header 'n m'")
-    if len(edges) != header[1]:
-        raise ParseError(f"header announced {header[1]} edges, found {len(edges)}")
-    return Graph(header[0], edges, name=name)
+    if m != header[1]:
+        raise ParseError(f"header announced {header[1]} edges, found {m}")
+    return Graph._from_rows(adj, name)
 
 
 def _check_file_order(n: int) -> None:
@@ -123,16 +123,14 @@ def _parse_graph_json(text: str, name: str | None) -> Graph:
     if not isinstance(edges, list):
         raise ParseError("JSON 'edges' must be a list of pairs")
     adj = [0] * n
-    pairs = []
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(_is_json_int(x) for x in e)):
             raise ParseError(f"JSON edge {e!r} is not a pair of integers")
         _append_edge(adj, n, e[0], e[1], None)
-        pairs.append((e[0], e[1]))
     json_name = data.get("name")
     if json_name is not None and not isinstance(json_name, str):
         raise ParseError("JSON 'name' must be a string")
-    return Graph(n, pairs, name=name or json_name)
+    return Graph._from_rows(adj, name or json_name)
 
 
 def _is_json_int(x) -> bool:

@@ -19,20 +19,19 @@ so it holds in closed and open mode alike. This is the one-white-neighbour
 case of the zero-forcing colour-change rule (Brešar et al., "Grundy
 dominating sequences and zero forcing sets", Discrete Optim. 26, 2017).
 
-Elsewhere two exact-safe prunings cut the branching: a move that cannot
-beat the best sibling so far even by covering every vertex left is skipped,
-and the value of a position is capped by both the number of uncovered
-vertices and the number of playable vertices, so sibling exploration stops
-once the cap is reached.
+Elsewhere a move that cannot beat the best sibling so far even by covering
+every vertex left is skipped. No other cutoff is needed: at a position the
+rule did not settle, every move covers at least two fresh vertices, so the
+value there stays below the number of uncovered vertices.
 
-Two exact reductions come first. The value adds up over connected
-components, so each component is searched on its own, from the position
-where every other component is already covered. At a component's root, a
-move that an automorphism maps onto an earlier root move has the same value
-and is skipped. The orbits are merged from the automorphisms that the
-canonical labelling search records (graphs.vertex_orbits), and are only
-computed once the first root move's subtree has expanded at least n^2 nodes
-(n the component's order), so small solves never pay for that search.
+Both exact searches see only connected graphs. The value adds up over
+connected components, so each component is solved as a graph of its own,
+vertex verts[i] relabelled i, and its memo is freed before the next one.
+At the root, a move that an automorphism maps onto an earlier root move
+has the same value and is skipped. The orbits are merged from the
+automorphisms that the canonical labelling search records
+(graphs.vertex_orbits), and are only computed once the first root move's
+subtree has expanded at least n^2 nodes, so small solves never pay for it.
 
 grundy_bruteforce is an independent oracle: plain enumeration of all legal
 sequences straight from the definition, no memo, no pruning.
@@ -66,8 +65,8 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import astuple, dataclass, field
+from typing import Iterable, Iterator
 
 from .errors import CapacityError, ParameterError
 from .graphs import Graph, bit_indices, connected_components, mode_rows, vertex_orbits
@@ -95,34 +94,42 @@ class SolveResult:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-def _component_orbits(G: Graph, verts: Sequence[int]) -> list[int]:
-    """Orbit representative of every vertex of one component (others map to themselves)."""
-    if len(verts) == G.n:
-        return vertex_orbits(G)
-    bit = {v: 1 << i for i, v in enumerate(verts)}
-    # a component's rows stay inside it
-    sub = Graph._from_rows(sum(bit[w] for w in bit_indices(G.adj[v])) for v in verts)
-    reps = list(range(G.n))
-    for v, r in zip(verts, vertex_orbits(sub)):
-        reps[v] = verts[r]
-    return reps
+def _components(G: Graph, cap: int, search: str) -> list[int]:
+    """Vertex masks of G's connected components; CapacityError if one exceeds cap."""
+    if G.n < 1:
+        raise ParameterError("solver needs at least one vertex")
+    comps = connected_components(G)
+    largest = max(map(int.bit_count, comps))
+    if largest > cap:
+        raise CapacityError(f"component order {largest} exceeds {search} cap {cap}")
+    return comps
+
+
+def _subgraphs(G: Graph, comps: list[int]) -> Iterator[tuple[list[int], Graph]]:
+    """Each component's vertices verts and its graph, in which verts[i] is vertex i."""
+    for comp in comps:
+        verts = bit_indices(comp)
+        bit = {v: 1 << i for i, v in enumerate(verts)}
+        # a component's rows stay inside it
+        yield verts, Graph._from_rows(sum(bit[w] for w in bit_indices(G.adj[v])) for v in verts)
+
+
+def _merged(walks: Iterable[tuple[list[int], list[int]]]) -> list[int]:
+    # Components are independent, so the least witness of G repeatedly takes
+    # the smallest next vertex among the components' least witnesses (mapped
+    # back through verts): exactly what heapq.merge does with its inputs' heads.
+    return list(heapq.merge(*([verts[u] for u in seq] for verts, seq in walks)))
 
 
 class _Search:
-    """Memoized value function over covered-set positions.
-
-    A component is searched from the position where every other component is
-    already covered, so positions are full-width covered sets and one memo
-    serves every component. Nothing is evicted: every expanded position keeps
-    its entry. verts lists the vertices of the component being searched.
-    """
+    """Memoized value function over the covered sets of one connected graph.
+    Nothing is evicted: every expanded position keeps its entry."""
 
     def __init__(self, G: Graph, rows: list[int]):
         self.G = G
         self.rows = rows
         self.n = G.n
         self.memo: dict[int, int] = {}
-        self.verts: Sequence[int] = ()
         self.nodes = 0
         self.orbit_skips = 0
         self.forced = 0
@@ -133,11 +140,10 @@ class _Search:
         if cached is not None:
             return cached
         self.nodes += 1
-        rows = self.rows
         free = ~S
         moves = []
-        for u in self.verts:
-            new = rows[u] & free
+        for row in self.rows:
+            new = row & free
             if new:
                 if new & (new - 1) == 0:
                     # a one-fresh-vertex move is played first by some longest sequence
@@ -145,15 +151,14 @@ class _Search:
                     best = memo[S] = 1 + self.value(S | new)
                     return best
                 moves.append(new)
-        best = self.play(moves, S, min(len(moves), self.n - S.bit_count())) if moves else 0
-        memo[S] = best
+        best = memo[S] = self.play(moves, S)
         return best
 
-    def play(self, moves: list[int], S: int, cap: int, best: int = 0) -> int:
+    def play(self, moves: list[int], S: int, best: int = 0) -> int:
         """Best value over moves from S, given as fresh coverage masks, in order.
 
         A move that cannot beat best even by covering every vertex left is
-        skipped, and the loop stops once best reaches cap.
+        skipped.
         """
         n = self.n
         value = self.value
@@ -164,59 +169,53 @@ class _Search:
             got = 1 + value(child)
             if got > best:
                 best = got
-                if best == cap:
-                    break
         return best
 
-    def root_value(self, verts: Sequence[int], S: int) -> tuple[int, list[int] | None]:
-        """Value of the component on verts from position S (everything else covered),
-        and the orbit representatives used at its root.
+    def root_value(self) -> tuple[int, list[int] | None]:
+        """Value of the graph, and the orbit representatives used at its root.
 
         Root moves run in ascending vertex order within equal coverage size, so
         each orbit is first met at its least vertex. Orbits are computed only
         when the first move did not settle the root and its subtree expanded
-        at least k^2 nodes (k the component's order). Then a move in the orbit
-        of an earlier move has that move's value and is dropped. The
-        representatives are None when the orbits were never computed.
+        at least n^2 nodes. Then a move in the orbit of an earlier move has
+        that move's value and is dropped. The representatives are None when
+        the orbits were never computed.
         """
         rows = self.rows
-        self.verts = verts
-        k = len(verts)
+        n = self.n
         self.nodes += 1
-        moves = [(rows[u].bit_count(), u) for u in verts]
-        moves.sort()
+        moves = sorted((row.bit_count(), u) for u, row in enumerate(rows))
         start = self.nodes
-        best = 1 + self.value(S | rows[moves[0][1]])
-        if best == k:
+        best = 1 + self.value(rows[moves[0][1]])
+        if best == n:
             return best, None
         reps: list[int] | None = None
-        if self.nodes - start >= k * k:
-            reps = _component_orbits(self.G, verts)
+        if self.nodes - start >= n * n:
+            reps = vertex_orbits(self.G)
             # automorphic moves cover equally many vertices, so each orbit
             # comes first at its least vertex, its representative
             moves = [(c, u) for c, u in moves if reps[u] == u]
-            self.orbit_skips += k - len(moves)
+            self.orbit_skips += n - len(moves)
         # the first move is played again, as a memo hit or a bound skip
-        return self.play([rows[u] for _, u in moves], S, k, best), reps
+        return self.play([rows[u] for _, u in moves], 0, best), reps
 
-    def reconstruct(self, verts: Sequence[int], S: int, t: int, reps: list[int] | None) -> list[int]:
+    def reconstruct(self, t: int, reps: list[int] | None) -> list[int]:
         # Greedy walk: at each position take the smallest-id vertex that still
         # achieves the memoized value. This is deterministic regardless of
-        # search order and yields the lexicographically least optimal witness
-        # of the component.
+        # search order and yields the lexicographically least optimal witness.
         rows = self.rows
-        self.verts = verts
+        S = 0
         seq: list[int] = []
         if reps:
             # at the root, read each child's value at its orbit representative,
             # the move the search expanded
-            u = next(u for u in verts if self.value(S | rows[reps[u]]) == t - 1)
+            u = next(u for u in range(self.n) if self.value(rows[reps[u]]) == t - 1)
             seq.append(u)
-            S |= rows[u]
+            S = rows[u]
             t -= 1
         while t:
-            for u in verts:
-                new = rows[u] & ~S
+            for u, row in enumerate(rows):
+                new = row & ~S
                 if new and self.value(S | new) == t - 1:
                     seq.append(u)
                     S |= new
@@ -227,53 +226,41 @@ class _Search:
         return seq
 
 
-def grundy(G: Graph, mode: str = "closed", *, witness: bool = True) -> SolveResult:
-    """Length of a longest legal (total) dominating sequence, with witness.
-
-    Each connected component is searched on its own, so MAX_SOLVER_ORDER
-    caps the order of each component, not of G. The memo keeps every
-    position the search expands.
-    """
-    n = G.n
-    if n < 1:
-        raise ParameterError("solver needs at least one vertex")
-    comps = connected_components(G)
-    largest = max(map(int.bit_count, comps))
-    if largest > MAX_SOLVER_ORDER:
-        raise CapacityError(
-            f"component order {largest} exceeds solver cap {MAX_SOLVER_ORDER}"
-        )
-    rows = mode_rows(G, mode)
+def _grundy_connected(G: Graph, rows: list[int], witness: bool) -> SolveResult:
     start = time.perf_counter()
     search = _Search(G, rows)
-    full = (1 << n) - 1
-    parts = []
-    val = 0
-    for comp in comps:
-        verts = range(n) if comp == full else bit_indices(comp)
-        outside = full & ~comp
-        t, reps = search.root_value(verts, outside)
-        parts.append((verts, outside, t, reps))
-        val += t
+    val, reps = search.root_value()
     searched = time.perf_counter()
-    seq: list[int] = []
-    if witness:
-        walks = [search.reconstruct(*part) for part in parts]
-        # Components are independent, so the least witness of G repeatedly
-        # takes the smallest next vertex among the components' least
-        # witnesses: exactly what heapq.merge does with its inputs' heads.
-        seq = walks[0] if len(walks) == 1 else list(heapq.merge(*walks))
-        assert len(seq) == val
+    seq = search.reconstruct(val, reps) if witness else []
     stats = SolveStats(
         nodes=search.nodes,
         memo_entries=len(search.memo),
         search_s=searched - start,
         reconstruct_s=time.perf_counter() - searched,
-        components=len(comps),
+        components=1,
         orbit_skips=search.orbit_skips,
         forced=search.forced,
     )
     return SolveResult(value=val, witness=seq, stats=stats)
+
+
+def grundy(G: Graph, mode: str = "closed", *, witness: bool = True) -> SolveResult:
+    """Length of a longest legal (total) dominating sequence, with witness.
+
+    Each connected component is solved as a graph of its own, so
+    MAX_SOLVER_ORDER caps the order of each component, not of G, and every
+    SolveStats field is the sum over the components. A component's memo
+    keeps every position it expands until the component is done.
+    """
+    comps = _components(G, MAX_SOLVER_ORDER, "solver")
+    if len(comps) == 1:
+        return _grundy_connected(G, mode_rows(G, mode), witness)
+    # every component's rows first, so that a bad mode fails before any search
+    subs = [(verts, sub, mode_rows(sub, mode)) for verts, sub in _subgraphs(G, comps)]
+    parts = [(verts, _grundy_connected(sub, rows, witness)) for verts, sub, rows in subs]
+    stats = SolveStats(*map(sum, zip(*(astuple(res.stats) for _, res in parts))))
+    seq = _merged((verts, res.witness) for verts, res in parts)
+    return SolveResult(sum(res.value for _, res in parts), seq, stats)
 
 
 def grundy_bruteforce(G: Graph, mode: str = "closed") -> SolveResult:
@@ -327,14 +314,21 @@ def max_weighted_sequence(G: Graph, w_independent: int, w_dependent: int) -> tup
     nonnegative so that extending a sequence never hurts; the maximum is then
     attained by a maximal legal sequence, which is automatically dominating.
     The witness is the lexicographically least optimal maximal sequence.
+    Each connected component is solved on its own, as in grundy, so
+    WEIGHTED_MAX_ORDER caps the order of each component, not of G.
     """
-    n = G.n
-    if n < 1:
-        raise ParameterError("solver needs at least one vertex")
-    if n > WEIGHTED_MAX_ORDER:
-        raise CapacityError(f"weighted search capped at {WEIGHTED_MAX_ORDER} vertices")
+    comps = _components(G, WEIGHTED_MAX_ORDER, "weighted search")
     if w_independent < 0 or w_dependent < 0:
         raise ParameterError("weights must be nonnegative")
+    if len(comps) == 1:
+        return _weighted_connected(G, w_independent, w_dependent)
+    parts = [(verts, _weighted_connected(sub, w_independent, w_dependent))
+             for verts, sub in _subgraphs(G, comps)]
+    return sum(total for _, (total, _) in parts), _merged((verts, seq) for verts, (_, seq) in parts)
+
+
+def _weighted_connected(G: Graph, w_independent: int, w_dependent: int) -> tuple[int, list[int]]:
+    n = G.n
     rows = mode_rows(G, "closed")
     memo: dict[int, int] = {}
     # which one-fresh-vertex moves settle a position (module docstring):
@@ -383,6 +377,9 @@ def max_weighted_sequence(G: Graph, w_independent: int, w_dependent: int) -> tup
                     break
         else:
             raise AssertionError("weighted reconstruction lost the optimum")
+    # value refers to itself through its closure; break that cycle so that
+    # the memo is freed now, not at the next cyclic garbage collection
+    del value
     return total, seq
 
 
