@@ -523,6 +523,9 @@ def _canonical_search(G: Graph) -> tuple[int, list[list[int]], list[int]]:
             branched.append(v)
 
     rec(_refine(n, adj, [0] * n), [])
+    # rec refers to itself through its closure; break that cycle so that its
+    # state is freed now, not at the next cyclic garbage collection
+    del rec
     assert best is not None
     return best, autos, best_at
 

@@ -20,9 +20,11 @@ case of the zero-forcing colour-change rule (Brešar et al., "Grundy
 dominating sequences and zero forcing sets", Discrete Optim. 26, 2017).
 
 Elsewhere a move that cannot beat the best sibling so far even by covering
-every vertex left is skipped. No other cutoff is needed: at a position the
-rule did not settle, every move covers at least two fresh vertices, so the
-value there stays below the number of uncovered vertices.
+every vertex left is skipped. A position's value is always below its
+number of uncovered vertices once the rule has not settled it, since every
+move there covers at least two fresh vertices; a cutoff at the number of
+playable moves could still bind, but measured +3 nodes in 16,220 over the
+census classes and 0 on the solve workload, so it is left out.
 
 Both exact searches see only connected graphs. The value adds up over
 connected components, so each component is solved as a graph of its own,
@@ -320,8 +322,6 @@ def max_weighted_sequence(G: Graph, w_independent: int, w_dependent: int) -> tup
     comps = _components(G, WEIGHTED_MAX_ORDER, "weighted search")
     if w_independent < 0 or w_dependent < 0:
         raise ParameterError("weights must be nonnegative")
-    if len(comps) == 1:
-        return _weighted_connected(G, w_independent, w_dependent)
     parts = [(verts, _weighted_connected(sub, w_independent, w_dependent))
              for verts, sub in _subgraphs(G, comps)]
     return sum(total for _, (total, _) in parts), _merged((verts, seq) for verts, (_, seq) in parts)
