@@ -149,6 +149,33 @@ def test_forced_positions_are_counted():
     assert grundy(complete(4)).stats.forced == 0
 
 
+# (mode, kind, G, H, value, nodes, memo_entries, forced, orbit_skips) for the
+# fixed products of the solve benchmark, witness on
+PINNED_COUNTS = (
+    ("closed", "cartesian", "C5", "C5", 16, 4205, 4204, 3572, 0),
+    ("closed", "cartesian", "P6", "P6", 30, 5441, 5440, 5049, 0),
+    ("closed", "strong", "C5", "C6", 12, 5136, 5135, 4706, 0),
+    ("closed", "direct", "C5", "C6", 18, 4129, 4128, 3922, 29),
+    ("closed", "direct", "P5", "P6", 24, 182, 180, 156, 0),
+    ("closed", "cartesian", "C6", "C6", 24, 8374, 8373, 7881, 35),
+    ("open", "cartesian", "C5", "C5", 16, 1688, 1687, 1613, 24),
+    ("open", "direct", "C5", "C5", 16, 1500, 1499, 1425, 24),
+    ("open", "cartesian", "P5", "C6", 24, 2834, 2833, 2734, 27),
+    ("open", "cartesian", "P5", "P6", 26, 3511, 3510, 3431, 0),
+    ("open", "strong", "C6", "C6", 18, 6391, 6390, 5875, 35),
+)
+
+
+def test_counters_are_pinned():
+    family = {"P": path, "C": cycle}
+    for mode, kind, g, h, *want in PINNED_COUNTS:
+        G, H = (family[name[0]](int(name[1:])) for name in (g, h))
+        res = grundy(product(kind, G, H).graph, mode)
+        s = res.stats
+        got = [res.value, s.nodes, s.memo_entries, s.forced, s.orbit_skips]
+        assert got == want, (mode, kind, g, h)
+
+
 def test_additive_over_components():
     pairs = [(path(3), cycle(4)), (complete(3), path(4)), (star(4), star(4))]
     for g, h in pairs:
