@@ -26,6 +26,15 @@ move there covers at least two fresh vertices; a cutoff at the number of
 playable moves could still bind, but measured +3 nodes in 16,220 over the
 census classes and 0 on the solve workload, so it is left out.
 
+The free vertices of S are full ^ S, not ~S: CPython's & is faster on two
+nonnegative ints than with a negative one. Each position scans its rows
+once for a forced move and builds no move list; only a branching position
+scans them again. Every position but a component's root writes exactly one
+memo entry, so only branching positions are counted: nodes = entries + 1
+and forced = entries - branching. MAX_SEARCH_NODES caps one component's
+memo; it is checked at branching positions only, and a forced chain or a
+branching position's children add at most about n^2 entries past it.
+
 Both exact searches see only connected graphs. The value adds up over
 connected components, so each component is solved as a graph of its own,
 vertex verts[i] relabelled i, and its memo is freed before the next one.
@@ -76,6 +85,8 @@ from .graphs import Graph, bit_indices, connected_components, mode_rows, vertex_
 MAX_SOLVER_ORDER = 64
 BRUTE_MAX_ORDER = 10
 WEIGHTED_MAX_ORDER = 25
+# memo entries of one component's exact search; about 113 B each
+MAX_SEARCH_NODES = 10_000_000
 
 
 @dataclass
@@ -131,46 +142,39 @@ class _Search:
         self.G = G
         self.rows = rows
         self.n = G.n
+        self.full = G.full_mask
         self.memo: dict[int, int] = {}
-        self.nodes = 0
+        self.branching = 0
         self.orbit_skips = 0
-        self.forced = 0
 
     def value(self, S: int) -> int:
         memo = self.memo
         cached = memo.get(S)
         if cached is not None:
             return cached
-        self.nodes += 1
-        free = ~S
-        moves = []
-        for row in self.rows:
-            new = row & free
-            if new:
-                if new & (new - 1) == 0:
-                    # a one-fresh-vertex move is played first by some longest sequence
-                    self.forced += 1
-                    best = memo[S] = 1 + self.value(S | new)
-                    return best
-                moves.append(new)
-        best = memo[S] = self.play(moves, S)
-        return best
-
-    def play(self, moves: list[int], S: int, best: int = 0) -> int:
-        """Best value over moves from S, given as fresh coverage masks, in order.
-
-        A move that cannot beat best even by covering every vertex left is
-        skipped.
-        """
+        rows = self.rows
+        free = self.full ^ S
+        for row in rows:
+            if (row & free).bit_count() == 1:
+                # a one-fresh-vertex move is played first by some longest sequence
+                best = memo[S] = 1 + self.value(S | row)
+                return best
+        if len(memo) >= MAX_SEARCH_NODES:
+            raise CapacityError(
+                f"exact search reached {len(memo)} memo entries, search cap {MAX_SEARCH_NODES}")
+        self.branching += 1
+        # a move that cannot beat best even by covering every vertex left is skipped
         n = self.n
-        value = self.value
-        for new in moves:
-            child = S | new
-            if n - child.bit_count() < best:
-                continue
-            got = 1 + value(child)
-            if got > best:
-                best = got
+        best = 0
+        for row in rows:
+            child = S | row
+            if child != S and n - child.bit_count() >= best:
+                got = memo.get(child)
+                if got is None:
+                    got = self.value(child)
+                if got >= best:
+                    best = got + 1
+        memo[S] = best
         return best
 
     def root_value(self) -> tuple[int, list[int] | None]:
@@ -185,21 +189,23 @@ class _Search:
         """
         rows = self.rows
         n = self.n
-        self.nodes += 1
         moves = sorted((row.bit_count(), u) for u, row in enumerate(rows))
-        start = self.nodes
         best = 1 + self.value(rows[moves[0][1]])
         if best == n:
             return best, None
         reps: list[int] | None = None
-        if self.nodes - start >= n * n:
+        # the memo was empty before the first move, so it holds that subtree
+        if len(self.memo) >= n * n:
             reps = vertex_orbits(self.G)
             # automorphic moves cover equally many vertices, so each orbit
             # comes first at its least vertex, its representative
             moves = [(c, u) for c, u in moves if reps[u] == u]
             self.orbit_skips += n - len(moves)
         # the first move is played again, as a memo hit or a bound skip
-        return self.play([rows[u] for _, u in moves], 0, best), reps
+        for c, u in moves:
+            if n - c >= best:
+                best = max(best, 1 + self.value(rows[u]))
+        return best, reps
 
     def reconstruct(self, t: int, reps: list[int] | None) -> list[int]:
         # Greedy walk: at each position take the smallest-id vertex that still
@@ -216,8 +222,9 @@ class _Search:
             S = rows[u]
             t -= 1
         while t:
+            free = self.full ^ S
             for u, row in enumerate(rows):
-                new = row & ~S
+                new = row & free
                 if new and self.value(S | new) == t - 1:
                     seq.append(u)
                     S |= new
@@ -234,14 +241,17 @@ def _grundy_connected(G: Graph, rows: list[int], witness: bool) -> SolveResult:
     val, reps = search.root_value()
     searched = time.perf_counter()
     seq = search.reconstruct(val, reps) if witness else []
+    # every position but the root writes one memo entry, and every position
+    # that did not branch was settled by a forced move
+    entries = len(search.memo)
     stats = SolveStats(
-        nodes=search.nodes,
-        memo_entries=len(search.memo),
+        nodes=entries + 1,
+        memo_entries=entries,
         search_s=searched - start,
         reconstruct_s=time.perf_counter() - searched,
         components=1,
         orbit_skips=search.orbit_skips,
-        forced=search.forced,
+        forced=entries - search.branching,
     )
     return SolveResult(value=val, witness=seq, stats=stats)
 
@@ -328,8 +338,8 @@ def max_weighted_sequence(G: Graph, w_independent: int, w_dependent: int) -> tup
 
 
 def _weighted_connected(G: Graph, w_independent: int, w_dependent: int) -> tuple[int, list[int]]:
-    n = G.n
-    rows = mode_rows(G, "closed")
+    full = G.full_mask
+    moves_of = list(zip(mode_rows(G, "closed"), (1 << u for u in range(G.n))))
     memo: dict[int, int] = {}
     # which one-fresh-vertex moves settle a position (module docstring):
     # any of them when the weights are equal, and an undominated one whose
@@ -342,13 +352,13 @@ def _weighted_connected(G: Graph, w_independent: int, w_dependent: int) -> tuple
         cached = memo.get(dom)
         if cached is not None:
             return cached
-        free = ~dom
+        free = full ^ dom
         moves = []
-        for u in range(n):
-            new = rows[u] & free
+        for row, bit in moves_of:
+            new = row & free
             if new:
-                w = w_dependent if dom >> u & 1 else w_independent
-                if new & (new - 1) == 0 and (settle_any or settle_own and new >> u & 1):
+                w = w_dependent if dom & bit else w_independent
+                if new.bit_count() == 1 and (settle_any or settle_own and new == bit):
                     best = memo[dom] = w + value(dom | new)
                     return best
                 moves.append((w, new))
@@ -365,11 +375,12 @@ def _weighted_connected(G: Graph, w_independent: int, w_dependent: int) -> tuple
     dom = 0
     t = total
     # extend until maximal so the witness is dominating even with zero weights
-    while dom != G.full_mask:
-        for u in range(n):
-            new = rows[u] & ~dom
+    while dom != full:
+        free = full ^ dom
+        for u, (row, bit) in enumerate(moves_of):
+            new = row & free
             if new:
-                w = w_dependent if dom >> u & 1 else w_independent
+                w = w_dependent if dom & bit else w_independent
                 if w + value(dom | new) == t:
                     seq.append(u)
                     dom |= new

@@ -864,8 +864,9 @@ def conjecture_scan(
     """Test grundy(strong(G, H)) == grundy(G) * grundy(H) over factor pairs.
 
     Each pair is solved exactly and classified as equality or counterexample;
-    pairs whose product has more than MAX_SOLVER_ORDER vertices, or that come
-    past the time budget, are recorded as skipped.
+    pairs whose product has more than MAX_SOLVER_ORDER vertices, that come
+    past the time budget, or one of whose solves goes over the search budget
+    (solver.MAX_SEARCH_NODES) are recorded as skipped, with the reason.
     A counterexample is reported with full witnesses, never asserted away.
     The product lower bound and the blow-up and simplicial upper bounds are
     checked on every solved pair; a violation would mean a solver bug and
@@ -887,44 +888,53 @@ def conjecture_scan(
             return ScanRecord(
                 **names, reason=f"product order {G.n * H.n} exceeds {MAX_SOLVER_ORDER}"
             )
-        start = time.perf_counter()
-        solves = [grundy(G, witness=False), grundy(H, witness=False)]
-        prod_graph = product("strong", G, H).graph
-        solves.append(grundy(prod_graph, witness=False))
-        g_g, g_h, g_p = (sol.value for sol in solves)
-        lower = g_g * g_h
-        upper = min(_strong_uppers(G, H, g_g, g_h, g_p=g_p))
-        if not lower <= g_p <= upper:
-            raise InvariantError(
-                f"bound violation on {G.display_name} x {H.display_name}:"
-                f" expected {lower} <= {g_p} <= {upper}"
-            )
-        common = dict(
-            **names,
-            gamma_g=g_g,
-            gamma_h=g_h,
-            gamma_product=g_p,
-            lower=lower,
-            upper=upper,
-        )
-        if g_p == lower:
-            common["status"] = "equality"
-        else:
-            witnessed = [grundy(G), grundy(H), grundy(prod_graph)]
-            solves.extend(witnessed)
-            common.update(
-                status="counterexample",
-                witness_g=tuple(witnessed[0].witness),
-                witness_h=tuple(witnessed[1].witness),
-                witness_product=tuple(witnessed[2].witness),
-            )
-        return ScanRecord(
-            **common,
-            elapsed=time.perf_counter() - start,
-            nodes=sum(sol.stats.nodes for sol in solves),
-        )
+        try:
+            return _scan_pair(G, H, names)
+        except CapacityError as exc:
+            # a solve over the search budget leaves the pair undecided
+            return ScanRecord(**names, reason=str(exc))
 
     return ScanReport(tuple(run_pair(G, H) for G, H in pairs))
+
+
+def _scan_pair(G: Graph, H: Graph, names: dict[str, str]) -> ScanRecord:
+    """The solved record of one pair of conjecture_scan."""
+    start = time.perf_counter()
+    solves = [grundy(G, witness=False), grundy(H, witness=False)]
+    prod_graph = product("strong", G, H).graph
+    solves.append(grundy(prod_graph, witness=False))
+    g_g, g_h, g_p = (sol.value for sol in solves)
+    lower = g_g * g_h
+    upper = min(_strong_uppers(G, H, g_g, g_h, g_p=g_p))
+    if not lower <= g_p <= upper:
+        raise InvariantError(
+            f"bound violation on {G.display_name} x {H.display_name}:"
+            f" expected {lower} <= {g_p} <= {upper}"
+        )
+    common = dict(
+        **names,
+        gamma_g=g_g,
+        gamma_h=g_h,
+        gamma_product=g_p,
+        lower=lower,
+        upper=upper,
+    )
+    if g_p == lower:
+        common["status"] = "equality"
+    else:
+        witnessed = [grundy(G), grundy(H), grundy(prod_graph)]
+        solves.extend(witnessed)
+        common.update(
+            status="counterexample",
+            witness_g=tuple(witnessed[0].witness),
+            witness_h=tuple(witnessed[1].witness),
+            witness_product=tuple(witnessed[2].witness),
+        )
+    return ScanRecord(
+        **common,
+        elapsed=time.perf_counter() - start,
+        nodes=sum(sol.stats.nodes for sol in solves),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from grundydom import cli, theory
+from grundydom import cli, solver, theory
 from grundydom.cli import (
     MAX_FILE_ORDER,
     graph_to_json,
@@ -382,6 +382,21 @@ def test_scan_errors(capsys, monkeypatch):
     code, out, err = run(capsys, "scan", "--max-n", too_big, "--families", "P2")
     assert code == 1 and out == ""
     assert f"enumeration capped at {ENUM_MAX_VERTICES} vertices" in err
+
+
+def test_search_budget_exits_2_and_skips_scan_pairs(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver, "MAX_SEARCH_NODES", 100)
+    f = write(tmp_path, "c5c5.txt", serialize_graph(product("cartesian", cycle(5), cycle(5)).graph))
+    code, out, err = run(capsys, "grundy", f)
+    assert code == 2 and out == "" and "search cap 100" in err and "Traceback" not in err
+    # C5 stores 3 entries, P2xC5 11
+    monkeypatch.setattr(solver, "MAX_SEARCH_NODES", 5)
+    code, out, _ = run(capsys, "scan", "--max-n", "2", "--families", "C5")
+    assert code == 0
+    assert stable(out)[:2] == ["pair=g1_0xC5 gL=1 gR=3 gProd=3 status=equality",
+                               "pair=g2_0xC5 gL=- gR=- gProd=- status=skipped"]
+    assert "# skipped g2_0xC5: exact search reached" in out and "search cap 5" in out
+    assert stable(out)[2] == "counterexamples=0 skipped=1 checked=2"
 
 
 def test_scan_checks_family_order_before_building(capsys, monkeypatch):

@@ -375,6 +375,23 @@ def test_capacity_and_parameter_errors():
         grundy(path(3), "sideways")
 
 
+def test_search_budget(monkeypatch):
+    g = product("cartesian", cycle(5), cycle(5)).graph
+    want = grundy(g)
+    # a budget of exactly the stored entries changes nothing
+    monkeypatch.setattr(solver, "MAX_SEARCH_NODES", want.stats.memo_entries)
+    got = grundy(g)
+    assert (got.value, got.witness, got.stats.nodes) == (want.value, want.witness, want.stats.nodes)
+    monkeypatch.setattr(solver, "MAX_SEARCH_NODES", 100)
+    with pytest.raises(CapacityError, match="memo entries, search cap 100"):
+        grundy(g)
+    # the budget bounds each component's search, not their sum
+    one = grundy(cycle(5))
+    monkeypatch.setattr(solver, "MAX_SEARCH_NODES", one.stats.memo_entries)
+    both = grundy(disjoint_union(cycle(5), cycle(5)))
+    assert both.value == 2 * one.value and both.stats.memo_entries == 2 * one.stats.memo_entries
+
+
 def test_mode_is_checked_before_any_component_is_searched(monkeypatch):
     # C6 comes first, the isolated vertex that open mode rejects second
     monkeypatch.setattr(solver, "_Search", None)

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from grundydom import theory
+from grundydom import solver, theory
 from grundydom.errors import CapacityError, ParameterError
 from grundydom.graphs import (
     Graph,
@@ -601,6 +601,15 @@ def test_conjecture_scan_skips():
     for budget in (-1.0, float("nan")):
         with pytest.raises(ParameterError, match="time budget"):
             conjecture_scan([(path(3), path(3))], time_budget=budget)
+
+
+def test_conjecture_scan_skips_a_pair_over_the_search_budget(monkeypatch):
+    # P3xP3's product stores 13 entries, C5xC5's 1,354
+    monkeypatch.setattr(solver, "MAX_SEARCH_NODES", 100)
+    report = conjecture_scan([(path(3), path(3)), (cycle(5), cycle(5))])
+    assert [r.status for r in report.records] == ["equality", "skipped"]
+    rec = report.records[1]
+    assert "search cap 100" in rec.reason and rec.gamma_product is None
 
 
 # === isoperimetric spot checks ===
