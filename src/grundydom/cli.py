@@ -315,7 +315,7 @@ def _cmd_grundy(args) -> str:
         f"# stats nodes={s.nodes} memo_entries={s.memo_entries}"
         f" search_s={s.search_s:.3f} reconstruct_s={s.reconstruct_s:.3f}"
         f" components={s.components}"
-        f" orbit_skips={s.orbit_skips} forced={s.forced}"
+        f" orbit_skips={s.orbit_skips} forced={s.forced} merged={s.merged}"
     )
     return "\n".join(lines) + "\n"
 

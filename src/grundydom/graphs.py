@@ -410,7 +410,10 @@ def _pair_bit(n: int, i: int, j: int) -> int:
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
+# A round that splits no cell leaves an equitable colouring, and the next
+# round would only return the same dense ranks, so refinement stops there.
 def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
+    cells = len(set(colors))
     while True:
         sigs = []
         for v in range(n):
@@ -423,10 +426,10 @@ def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
             nb.sort()
             sigs.append((colors[v], tuple(nb)))
         rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [rank[s] for s in sigs]
-        if new == colors:
-            return new
-        colors = new
+        colors = [rank[s] for s in sigs]
+        if len(rank) == cells:
+            return colors
+        cells = len(rank)
 
 
 def _individualize(n: int, adj: tuple[int, ...], colors: list[int], v: int) -> list[int]:

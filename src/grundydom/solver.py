@@ -35,6 +35,16 @@ and forced = entries - branching. MAX_SEARCH_NODES caps one component's
 memo; it is checked at branching positions only, and a forced chain or a
 branching position's children add at most about n^2 entries past it.
 
+Vertices with equal rows share one column. The rows are symmetric: bit x
+of row u is set exactly when bit u of row x is. So if rows[x] == rows[y],
+every move that covers x covers y too, and every covered set S is a union
+of classes of equal rows. Keeping only each class's least vertex in every
+row (and in full) maps the reachable positions one to one, with the same
+moves legal at each, so values and witnesses are unchanged, while a move
+whose fresh coverage is a single class now counts as forced. In closed
+mode the classes are true twins, in open mode false twins. The bound skip
+and the root's early stop count columns, not vertices.
+
 Both exact searches see only connected graphs. The value adds up over
 connected components, so each component is solved as a graph of its own,
 vertex verts[i] relabelled i, and its memo is freed before the next one.
@@ -98,6 +108,8 @@ class SolveStats:
     components: int = 0
     orbit_skips: int = 0
     forced: int = 0
+    # columns merged away: vertices whose row equals a lesser vertex's
+    merged: int = 0
 
 
 @dataclass
@@ -140,9 +152,16 @@ class _Search:
 
     def __init__(self, G: Graph, rows: list[int]):
         self.G = G
-        self.rows = rows
         self.n = G.n
-        self.full = G.full_mask
+        full = G.full_mask
+        distinct = set(rows)
+        if len(distinct) < len(rows):
+            # one column per class of equal rows, kept at its least vertex
+            full = sum(1 << rows.index(row) for row in distinct)
+            rows = [row & full for row in rows]
+        self.rows = rows
+        self.full = full
+        self.width = full.bit_count()
         self.memo: dict[int, int] = {}
         self.branching = 0
         self.orbit_skips = 0
@@ -163,12 +182,12 @@ class _Search:
             raise CapacityError(
                 f"exact search reached {len(memo)} memo entries, search cap {MAX_SEARCH_NODES}")
         self.branching += 1
-        # a move that cannot beat best even by covering every vertex left is skipped
-        n = self.n
+        # a move that cannot beat best even by covering every column left is skipped
+        width = self.width
         best = 0
         for row in rows:
             child = S | row
-            if child != S and n - child.bit_count() >= best:
+            if child != S and width - child.bit_count() >= best:
                 got = memo.get(child)
                 if got is None:
                     got = self.value(child)
@@ -189,9 +208,10 @@ class _Search:
         """
         rows = self.rows
         n = self.n
+        width = self.width
         moves = sorted((row.bit_count(), u) for u, row in enumerate(rows))
         best = 1 + self.value(rows[moves[0][1]])
-        if best == n:
+        if best == width:
             return best, None
         reps: list[int] | None = None
         # the memo was empty before the first move, so it holds that subtree
@@ -203,7 +223,7 @@ class _Search:
             self.orbit_skips += n - len(moves)
         # the first move is played again, as a memo hit or a bound skip
         for c, u in moves:
-            if n - c >= best:
+            if width - c >= best:
                 best = max(best, 1 + self.value(rows[u]))
         return best, reps
 
@@ -252,6 +272,7 @@ def _grundy_connected(G: Graph, rows: list[int], witness: bool) -> SolveResult:
         components=1,
         orbit_skips=search.orbit_skips,
         forced=entries - search.branching,
+        merged=search.n - search.width,
     )
     return SolveResult(value=val, witness=seq, stats=stats)
 

@@ -18,7 +18,7 @@ from grundydom.cli import (
     serialize_sequence,
 )
 from grundydom.errors import CapacityError, ParseError
-from grundydom.graphs import ENUM_MAX_VERTICES, Graph, cycle, path, star
+from grundydom.graphs import ENUM_MAX_VERTICES, Graph, complete, cycle, path, star
 from grundydom.products import product
 from grundydom.solver import grundy
 
@@ -227,7 +227,11 @@ def test_grundy_verb(tmp_path, capsys):
     assert code == 0
     assert stable(out) == ["value=3"]
     assert "# stats nodes=" in out and " search_s=" in out and " reconstruct_s=" in out
-    assert "components=1 orbit_skips=0" in out
+    assert "components=1 orbit_skips=0" in out and out.rstrip().endswith(" merged=0")
+    # the four vertices of K4 have equal closed rows
+    k4 = write(tmp_path, "k4.txt", serialize_graph(complete(4)))
+    code, out, _ = run(capsys, "grundy", k4)
+    assert code == 0 and stable(out) == ["value=1"] and " merged=3\n" in out
     code, out, _ = run(capsys, "grundy", f, "--witness")
     want = "witness=" + " ".join(map(str, grundy(path(4)).witness))
     assert stable(out) == ["value=3", want]
@@ -389,14 +393,17 @@ def test_search_budget_exits_2_and_skips_scan_pairs(tmp_path, capsys, monkeypatc
     f = write(tmp_path, "c5c5.txt", serialize_graph(product("cartesian", cycle(5), cycle(5)).graph))
     code, out, err = run(capsys, "grundy", f)
     assert code == 2 and out == "" and "search cap 100" in err and "Traceback" not in err
-    # C5 stores 3 entries, P2xC5 11
+    # P3 stores 2 entries, and so do K2xP3 and K3xP3, whose twin columns
+    # merge; P3xP3 has no equal rows and stores 13
     monkeypatch.setattr(solver, "MAX_SEARCH_NODES", 5)
-    code, out, _ = run(capsys, "scan", "--max-n", "2", "--families", "C5")
+    code, out, _ = run(capsys, "scan", "--max-n", "3", "--families", "P3")
     assert code == 0
-    assert stable(out)[:2] == ["pair=g1_0xC5 gL=1 gR=3 gProd=3 status=equality",
-                               "pair=g2_0xC5 gL=- gR=- gProd=- status=skipped"]
-    assert "# skipped g2_0xC5: exact search reached" in out and "search cap 5" in out
-    assert stable(out)[2] == "counterexamples=0 skipped=1 checked=2"
+    assert stable(out)[:4] == ["pair=g1_0xP3 gL=1 gR=2 gProd=2 status=equality",
+                               "pair=g2_0xP3 gL=1 gR=2 gProd=2 status=equality",
+                               "pair=g3_0xP3 gL=- gR=- gProd=- status=skipped",
+                               "pair=g3_1xP3 gL=1 gR=2 gProd=2 status=equality"]
+    assert "# skipped g3_0xP3: exact search reached" in out and "search cap 5" in out
+    assert stable(out)[4] == "counterexamples=0 skipped=1 checked=4"
 
 
 def test_scan_checks_family_order_before_building(capsys, monkeypatch):

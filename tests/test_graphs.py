@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 
 import pytest
 
+from grundydom import graphs
 from grundydom.errors import CapacityError, ParameterError
 from grundydom.graphs import (
     _ENUM_AUTOS,
@@ -318,6 +319,43 @@ def test_pruned_canonical_search_matches_unpruned():
     for g in symmetric:
         # every group here is transitive, so the search must meet automorphisms
         assert _canonical_search(g)[1], g.edges()
+
+
+def refine_to_fixpoint(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
+    """Refinement that runs until a round leaves the colours as they were."""
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in bit_indices(adj[v])))) for v in range(n)]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [rank[s] for s in sigs]
+        if new == colors:
+            return new
+        colors = new
+
+
+def test_refine_stops_at_its_first_stable_round(monkeypatch):
+    # _refine returns once a round splits no cell; every call of a cold
+    # enumeration up to order 7 and of the labelling searches of two
+    # vertex-transitive graphs, whose individualised colourings refine the
+    # most, gives the colours of refinement run to its fixpoint
+    calls = []
+
+    def recording(n, adj, colors):
+        out = _refine(n, adj, list(colors))
+        calls.append((n, adj, list(colors), out))
+        return out
+
+    monkeypatch.setattr(graphs, "_refine", recording)
+    monkeypatch.setattr(graphs, "_ENUM_CACHE", {1: [0]})
+    monkeypatch.setattr(graphs, "_ENUM_AUTOS", {1: {0: []}})
+    for n in range(2, 8):
+        _connected_codes(n)
+    enumerated = len(calls)
+    for g in (product("cartesian", cycle(6), cycle(6)).graph,
+              product("cartesian", complete(4), complete(4)).graph):
+        canonical_code(g)
+    assert enumerated > 1000 and len(calls) > enumerated
+    for n, adj, colors, out in calls:
+        assert out == refine_to_fixpoint(n, adj, colors), (n, adj, colors)
 
 
 def test_connected_codes_are_pinned():

@@ -314,6 +314,44 @@ def test_reductions_match_unreduced_search():
     assert res.stats.components == 2 and res.stats.orbit_skips > 0
 
 
+def test_twin_columns_match_unmerged_searches():
+    # vertices with equal rows share one search column; value and least
+    # witness against the unreduced search, which keeps every column, and
+    # against the oracle where it reaches
+    rng = random.Random(14)
+    cases = []
+    for n in range(1, 6):
+        for g in enumerate_connected_graphs(n):
+            for mode in ("closed", "open"):
+                cases.append((mode, product("strong", g, path(2)).graph))
+                cases.append((mode, product("lexicographic", g, complete(3)).graph))
+    # false twins: equal open rows
+    def bipartite(a: int, b: int) -> Graph:
+        return relabel(Graph(a + b, [(u, v) for u in range(a) for v in range(a, a + b)]), rng)
+
+    for a, b in ((1, 4), (2, 3), (3, 3), (2, 5)):
+        cases += [("open", star(a + b)), ("open", bipartite(a, b))]
+    # twins in both components, ids interleaved: 4 + 2 merged columns in
+    # closed mode, 2 + (1 + 2) in open mode
+    unions = {
+        "closed": relabel(disjoint_union(product("strong", cycle(4), path(2)).graph, complete(3)), rng),
+        "open": relabel(disjoint_union(star(4), bipartite(2, 3)), rng),
+    }
+    cases += unions.items()
+    merged = 0
+    for mode, g in cases:
+        res = grundy(g, mode)
+        assert (res.value, res.witness) == unreduced_grundy(g, mode), (mode, g.edges())
+        if g.n <= BRUTE_MAX_ORDER:
+            slow = grundy_bruteforce(g, mode)
+            assert (res.value, res.witness) == (slow.value, slow.witness), (mode, g.edges())
+        merged += res.stats.merged
+    assert merged > 0
+    for mode, want in (("closed", 6), ("open", 5)):
+        stats = grundy(unions[mode], mode).stats
+        assert stats.components == 2 and stats.merged == want, mode
+
+
 def test_component_orbits_on_interleaved_components():
     # the k^2 trigger fires on a component whose vertex ids interleave with
     # another component's; the value adds up over the components, and in
@@ -340,8 +378,8 @@ def test_stats_add_up_over_components():
     # the union's edge list in the union's vertex order
     rng = random.Random(12)
     parts = [product("cartesian", cycle(5), cycle(5)).graph, path(5), cycle(7), star(4)]
-    counts = ("nodes", "memo_entries", "forced", "orbit_skips", "components")
-    skips = 0
+    counts = ("nodes", "memo_entries", "forced", "orbit_skips", "components", "merged")
+    skips = merged = 0
     for mode in ("closed", "open"):
         for k in (2, 3, 4):
             union = Graph(0)
@@ -359,7 +397,9 @@ def test_stats_add_up_over_components():
             for name in counts:
                 assert getattr(got, name) == sum(getattr(s, name) for s in want), (mode, k, name)
             skips += got.orbit_skips
-    assert skips > 0
+            merged += got.merged
+    # the leaves of star(4) have equal open rows
+    assert skips > 0 and merged > 0
 
 
 def test_capacity_and_parameter_errors():
