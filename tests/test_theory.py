@@ -294,6 +294,47 @@ def test_formula_unknown_and_arity():
         formula_value("thm_cart_grid", (3.0, 4))
 
 
+# the signature each fixed-arity entry states, as its arity error quotes it
+FIXED_ARITY = {
+    "conj_strong_torus": "k l",
+    "cor_direct_CC": "k l",
+    "cor_direct_PC": "k l",
+    "cor_direct_PP": "k l",
+    "cor_direct_PP_even": "k l",
+    "cor_lex_cycle_H": "k gamma_h",
+    "cor_lex_cycle_cycle": "k l",
+    "cor_lex_path_H": "k gamma_h",
+    "cor_lex_path_cycle": "k l",
+    "cor_lex_path_path": "k l",
+    "cor_strong_cylinder": "k l",
+    "cor_strong_grid": "k l",
+    "cor_strong_torus_upper": "k l",
+    "gamma_t_cycle": "l",
+    "gamma_t_path": "k",
+    "prop_direct_PP_upper": "k l",
+    "thm_cart_cylinder": "k l",
+    "thm_cart_grid": "k l",
+    "thm_cart_torus": "k l",
+    "thm_cart_torus_odd": "k",
+}
+
+
+def test_formula_arity_error_texts_are_pinned():
+    assert set(FIXED_ARITY) == {fid for fid, e in FORMULAS.items() if "..." not in e.signature}
+    for fid, sig in FIXED_ARITY.items():
+        count = len(sig.split())
+        for got in (0, count - 1, count + 1):
+            with pytest.raises(ParameterError) as err:
+                formula_value(fid, (3,) * got)
+            assert str(err.value) == (
+                f"{fid}: expects {count} parameter(s) ({sig}), got {got}"
+            )
+    # the integer check comes before the count
+    with pytest.raises(ParameterError) as err:
+        formula_value("thm_cart_grid", (3.0,))
+    assert str(err.value) == "parameters must be integers"
+
+
 def test_formula_rejects_bool_params():
     for params in ((True, 4), (3, False), (4, 4, True)):
         with pytest.raises(ParameterError) as err:
@@ -459,6 +500,47 @@ def test_constructed_lengths_track_a_value():
     assert len(lex_seq) == a * 2 + rest
     direct_seq = construct_direct_witness(g, seq_g, path(4), [0, 3, 1, 2])
     assert len(direct_seq) == a * 4 + rest * 4
+
+
+# factor pairs for the pinned builder outputs: U is disconnected, and the
+# least witnesses of X (closed) and Y (closed and open) are not in vertex order
+PIN_U = Graph(5, [(0, 1), (2, 3), (3, 4)], name="P2+P3")
+PIN_X = Graph(4, [(0, 2), (1, 3), (2, 3)], name="X")
+PIN_Y = Graph(5, [(0, 2), (0, 3), (0, 4), (1, 3), (2, 4), (3, 4)], name="Y")
+
+
+def test_builder_sequences_are_pinned():
+    assert grundy(PIN_X).witness == [0, 2, 1]
+    assert grundy(PIN_Y).witness == [1, 3, 0]
+    assert grundy(PIN_Y, mode="open").witness == [1, 0, 2, 3]
+    U, X, Y = PIN_U, PIN_X, PIN_Y
+    cases = [
+        (construct_cartesian_witness(U, X, [0, 2, 3]),
+         [0, 1, 2, 3, 8, 9, 10, 11, 12, 13, 14, 15]),
+        (construct_cartesian_witness(X, U, [3, 2]), [15, 16, 17, 18, 19, 10, 11, 12, 13, 14]),
+        (construct_cartesian_witness(Y, path(2), [1, 3, 0]), [2, 3, 6, 7, 0, 1]),
+        (construct_lex_witness(U, [0, 2, 3], X, [0, 2, 1]), [0, 2, 1, 8, 10, 9, 12]),
+        (construct_lex_witness(Y, [1, 3, 0], U, [0, 2, 3]), [5, 7, 8, 15, 0]),
+        (construct_lex_witness(X, [0, 2, 1], Y, [1, 3, 0]), [1, 3, 0, 11, 6, 8, 5]),
+        (construct_direct_witness(U, [0, 2, 3], Y, [1, 0, 2, 3]),
+         [0, 1, 2, 3, 4, 10, 11, 12, 13, 14, 16, 15, 17, 18]),
+        (construct_direct_witness(X, [0, 2, 1], U, [0, 1, 2, 3]),
+         [0, 1, 2, 3, 4, 10, 11, 12, 13, 5, 6, 7, 8, 9]),
+        (construct_direct_witness(Y, [1, 3, 0], X, [0, 1, 2, 3]),
+         [4, 5, 6, 7, 12, 13, 14, 15, 0, 1, 2, 3]),
+        (construct_strong_witness(U, [0, 2, 3], X, [0, 2, 1]), [0, 2, 1, 8, 10, 9, 12, 14, 13]),
+        (construct_strong_witness(Y, [1, 3, 0], U, [0, 2, 3]), [5, 7, 8, 15, 17, 18, 0, 2, 3]),
+    ]
+    for got, want in cases:
+        assert got == want
+    # item 1 of (0, 2, 1) on X footprints only itself, so its copies collapse
+    with pytest.raises(ParameterError) as err:
+        construct_cartesian_witness(X, U, [0, 2, 1])
+    assert str(err.value) == (
+        "replicating seq_g over P2+P3 is illegal at position 11 (factor item 1,"
+        " layer 1); choose a sequence whose items each footprint a vertex"
+        " besides themselves"
+    )
 
 
 # === named bounds per product kind ===
