@@ -80,11 +80,4 @@ def check_sequence(G: Graph, items, mode: str = "closed") -> SequenceReport:
 
 def a_value(G: Graph, items) -> int:
     """Number of items whose earlier items include none of their neighbors."""
-    items = _validated_items(G, items)
-    chosen = 0
-    a = 0
-    for it in items:
-        if G.adj[it] & chosen == 0:
-            a += 1
-        chosen |= 1 << it
-    return a
+    return check_sequence(G, items).a_value

@@ -10,7 +10,9 @@ graph products:
 * a catalog of closed forms for grids, cylinders, tori, lexicographic and
   direct products of paths and cycles, and strong products of caterpillars,
   each entry guarded by its stated preconditions,
-* constructive witness builders, one per product lower bound,
+* constructive witness builders, one per product lower bound; the four
+  product builders share one layered walk, which replicates a factor
+  sequence layer by layer and splits its items by the a-value rule,
 * per-product-kind named lower/upper bounds,
 * a scan harness for the conjecture that the strong product is
   multiplicative for the Grundy domination number, and
@@ -41,8 +43,8 @@ from .graphs import (
     mask_of,
     path,
 )
-from .products import normalize_kind, product
-from .sequences import check_sequence
+from .products import ProductDescriptor, normalize_kind, product
+from .sequences import SequenceReport, check_sequence
 from .solver import (
     MAX_SOLVER_ORDER,
     grundy,
@@ -237,67 +239,57 @@ def boundary_prefix_profile(G: Graph, items: Sequence[int]) -> list[int]:
 
 @dataclass(frozen=True)
 class FormulaEntry:
-    formula_id: str
+    """A catalog entry; fn takes one parameter per word of the signature, or
+    *params when the signature contains '...'."""
+
     signature: str
     exactness: str  # exact | lower-bound | upper-bound | conjectured
-    fn: Callable[[tuple[int, ...]], int]
+    fn: Callable[..., int]
 
 
 FORMULAS: dict[str, FormulaEntry] = {}
 
 
 def _formula(formula_id: str, signature: str, exactness: str):
-    def register(fn: Callable[[tuple[int, ...]], int]):
-        FORMULAS[formula_id] = FormulaEntry(formula_id, signature, exactness, fn)
+    def register(fn: Callable[..., int]):
+        FORMULAS[formula_id] = FormulaEntry(signature, exactness, fn)
         return fn
 
     return register
 
 
-def _arity(params: tuple[int, ...], count: int, signature: str) -> tuple[int, ...]:
-    _chk(
-        len(params) == count,
-        f"expects {count} parameter(s) ({signature}), got {len(params)}",
-    )
-    return params
-
-
 @_formula("thm_cart_grid", "k l", "exact")
-def _cart_grid(params):
+def _cart_grid(k, l):
     """cart(P_k, P_l) = k(l-1) for 2 <= k <= l."""
-    k, l = _arity(params, 2, "k l")
     _chk(2 <= k <= l, "requires 2 <= k <= l")
     return k * (l - 1)
 
 
 @_formula("thm_cart_cylinder", "k l", "exact")
-def _cart_cylinder(params):
+def _cart_cylinder(k, l):
     """cart(P_k, C_l) = max{l(k-1), k(l-2)} for k >= 2, l >= 3."""
-    k, l = _arity(params, 2, "k l")
     _chk(k >= 2, "requires k >= 2")
     _chk(l >= 3, "requires l >= 3")
     return max(l * (k - 1), k * (l - 2))
 
 
 @_formula("thm_cart_torus", "k l", "exact")
-def _cart_torus(params):
+def _cart_torus(k, l):
     """cart(C_k, C_l) = k(l-2) for 3 <= k <= l, except k = l odd."""
-    k, l = _arity(params, 2, "k l")
     _chk(3 <= k <= l, "requires 3 <= k <= l")
     _chk(not (k == l and k % 2 == 1), "equal odd lengths are a separate case")
     return k * (l - 2)
 
 
 @_formula("thm_cart_torus_odd", "k", "exact")
-def _cart_torus_odd(params):
+def _cart_torus_odd(k):
     """cart(C_k, C_k) = k(k-2)+1 for odd k >= 3."""
-    (k,) = _arity(params, 1, "k")
     _chk(k >= 3 and k % 2 == 1, "requires odd k >= 3")
     return k * (k - 2) + 1
 
 
 @_formula("prop_cart_multi_cycles", "k1 ... kn", "exact")
-def _cart_multi_cycles(params):
+def _cart_multi_cycles(*params):
     """cart(C_2k1, ..., C_2kn) = 2^n k1...k(n-1) (kn - 1); params are half-lengths."""
     _chk(len(params) >= 1, "expects at least one half-length")
     _chk(all(k >= 2 for k in params), "requires every ki >= 2")
@@ -310,7 +302,7 @@ def _cart_multi_cycles(params):
 
 
 @_formula("prop_cart_multi_paths", "k1 ... kn", "exact")
-def _cart_multi_paths(params):
+def _cart_multi_paths(*params):
     """cart(P_k1, ..., P_kn) = k1...k(n-1) (kn - 1)."""
     _chk(len(params) >= 1, "expects at least one order")
     _chk(all(k >= 2 for k in params), "requires every ki >= 2")
@@ -340,55 +332,49 @@ def _lex_cycle_value(k: int, gamma_h: int) -> int:
 
 
 @_formula("cor_lex_path_H", "k gamma_h", "exact")
-def _lex_path_h(params):
+def _lex_path_h(k, gamma_h):
     """lex(P_k, H) from gamma_h = grundy(H); k >= 1, k != 2, H not complete."""
-    k, gamma_h = _arity(params, 2, "k gamma_h")
     return _lex_path_value(k, gamma_h)
 
 
 @_formula("cor_lex_path_path", "k l", "exact")
-def _lex_path_path(params):
+def _lex_path_path(k, l):
     """lex(P_k, P_l) for k, l >= 3."""
-    k, l = _arity(params, 2, "k l")
     _chk(k >= 3, "requires k >= 3")
     _chk(l >= 3, "requires l >= 3")
     return _lex_path_value(k, l - 1)
 
 
 @_formula("cor_lex_path_cycle", "k l", "exact")
-def _lex_path_cycle(params):
+def _lex_path_cycle(k, l):
     """lex(P_k, C_l) for k >= 3, l >= 4 (C_3 is complete, so l = 3 is out)."""
-    k, l = _arity(params, 2, "k l")
     _chk(k >= 3, "requires k >= 3")
     _chk(l >= 4, "requires l >= 4")
     return _lex_path_value(k, l - 2)
 
 
 @_formula("cor_lex_cycle_H", "k gamma_h", "exact")
-def _lex_cycle_h(params):
+def _lex_cycle_h(k, gamma_h):
     """lex(C_k, H) from gamma_h = grundy(H); k >= 4, H not complete."""
-    k, gamma_h = _arity(params, 2, "k gamma_h")
     return _lex_cycle_value(k, gamma_h)
 
 
 @_formula("cor_lex_cycle_cycle", "k l", "exact")
-def _lex_cycle_cycle(params):
+def _lex_cycle_cycle(k, l):
     """lex(C_k, C_l) for k >= 4, l >= 4."""
-    k, l = _arity(params, 2, "k l")
     _chk(k >= 4, "requires k >= 4")
     _chk(l >= 4, "requires l >= 4")
     return _lex_cycle_value(k, l - 2)
 
 
 @_formula("cor_direct_PC", "k l", "lower-bound")
-def _direct_pc(params):
+def _direct_pc(k, l):
     """direct(P_k, C_l) lower bound for k >= 2, l >= 4, by parity.
 
     For k = 2 with l even the product is two disjoint copies of C_l, so the
     kl - 2k - l + 6 term (which needs k >= 4) is dropped; kl - 2k is exact
     there.
     """
-    k, l = _arity(params, 2, "k l")
     _chk(k >= 2, "requires k >= 2")
     _chk(l >= 4, "requires l >= 4")
     if k % 2 == 0 and l % 2 == 0:
@@ -403,9 +389,8 @@ def _direct_pc(params):
 
 
 @_formula("cor_direct_CC", "k l", "lower-bound")
-def _direct_cc(params):
+def _direct_cc(k, l):
     """direct(C_k, C_l) lower bound for 4 <= k <= l, by parity."""
-    k, l = _arity(params, 2, "k l")
     _chk(4 <= k <= l, "requires 4 <= k <= l")
     if k % 2 == 1:
         return k * l - 2 * k - l + 3
@@ -415,9 +400,8 @@ def _direct_cc(params):
 
 
 @_formula("cor_direct_PP", "k l", "lower-bound")
-def _direct_pp(params):
+def _direct_pp(k, l):
     """direct(P_k, P_l) lower bound for 2 <= k <= l, by parity."""
-    k, l = _arity(params, 2, "k l")
     _chk(2 <= k <= l, "requires 2 <= k <= l")
     if k % 2 == 0:
         return k * l - k
@@ -427,58 +411,52 @@ def _direct_pp(params):
 
 
 @_formula("prop_direct_PP_upper", "k l", "upper-bound")
-def _direct_pp_upper(params):
+def _direct_pp_upper(k, l):
     """direct(P_k, P_l) <= kl - k for 2 <= k <= l."""
-    k, l = _arity(params, 2, "k l")
     _chk(2 <= k <= l, "requires 2 <= k <= l")
     return k * l - k
 
 
 @_formula("cor_direct_PP_even", "k l", "exact")
-def _direct_pp_even(params):
+def _direct_pp_even(k, l):
     """direct(P_k, P_l) = kl - k for even 2 <= k <= l."""
-    k, l = _arity(params, 2, "k l")
     _chk(2 <= k <= l, "requires 2 <= k <= l")
     _chk(k % 2 == 0, "requires even k")
     return k * l - k
 
 
 @_formula("cor_strong_grid", "k l", "exact")
-def _strong_grid(params):
+def _strong_grid(k, l):
     """strong(P_k, P_l) = (k-1)(l-1) for k, l >= 2."""
-    k, l = _arity(params, 2, "k l")
     _chk(k >= 2, "requires k >= 2")
     _chk(l >= 2, "requires l >= 2")
     return (k - 1) * (l - 1)
 
 
 @_formula("cor_strong_cylinder", "k l", "exact")
-def _strong_cylinder(params):
+def _strong_cylinder(k, l):
     """strong(P_k, C_l) = (k-1)(l-2) for k >= 2, l >= 3."""
-    k, l = _arity(params, 2, "k l")
     _chk(k >= 2, "requires k >= 2")
     _chk(l >= 3, "requires l >= 3")
     return (k - 1) * (l - 2)
 
 
 @_formula("cor_strong_torus_upper", "k l", "upper-bound")
-def _strong_torus_upper(params):
+def _strong_torus_upper(k, l):
     """strong(C_k, C_l) <= (k-2)(l-1) for 3 <= k <= l."""
-    k, l = _arity(params, 2, "k l")
     _chk(3 <= k <= l, "requires 3 <= k <= l")
     return (k - 2) * (l - 1)
 
 
 @_formula("conj_strong_torus", "k l", "conjectured")
-def _strong_torus_conj(params):
+def _strong_torus_conj(k, l):
     """strong(C_k, C_l) = (k-2)(l-2) for 3 <= k <= l, if the product conjecture holds."""
-    k, l = _arity(params, 2, "k l")
     _chk(3 <= k <= l, "requires 3 <= k <= l")
     return (k - 2) * (l - 2)
 
 
 @_formula("cor_strong_multi_paths", "k1 ... kn", "exact")
-def _strong_multi_paths(params):
+def _strong_multi_paths(*params):
     """strong(P_k1, ..., P_kn) = (k1-1)...(kn-1)."""
     _chk(len(params) >= 1, "expects at least one order")
     _chk(all(k >= 2 for k in params), "requires every ki >= 2")
@@ -486,7 +464,7 @@ def _strong_multi_paths(params):
 
 
 @_formula("cor_strong_multi_paths_cycle", "k1 ... kn l", "exact")
-def _strong_multi_paths_cycle(params):
+def _strong_multi_paths_cycle(*params):
     """strong(P_k1, ..., P_kn, C_l) = (k1-1)...(kn-1)(l-2); last parameter is l."""
     _chk(len(params) >= 2, "expects path orders followed by a cycle length")
     *ks, l = params
@@ -496,17 +474,15 @@ def _strong_multi_paths_cycle(params):
 
 
 @_formula("gamma_t_path", "k", "exact")
-def _gamma_t_path(params):
+def _gamma_t_path(k):
     """Grundy total domination number of P_k for k >= 2."""
-    (k,) = _arity(params, 1, "k")
     _chk(k >= 2, "requires k >= 2")
     return k if k % 2 == 0 else k - 1
 
 
 @_formula("gamma_t_cycle", "l", "exact")
-def _gamma_t_cycle(params):
+def _gamma_t_cycle(l):
     """Grundy total domination number of C_l for l >= 3."""
-    (l,) = _arity(params, 1, "l")
     _chk(l >= 3, "requires l >= 3")
     return l - 2 if l % 2 == 0 else l - 1
 
@@ -527,7 +503,12 @@ def formula_value(formula_id: str, params: Iterable[int]) -> tuple[int, str]:
         "parameters must be integers",
     )
     try:
-        value = entry.fn(params)
+        count = len(entry.signature.split())
+        _chk(
+            "..." in entry.signature or len(params) == count,
+            f"expects {count} parameter(s) ({entry.signature}), got {len(params)}",
+        )
+        value = entry.fn(*params)
     except ParameterError as exc:
         raise ParameterError(f"{formula_id}: {exc}") from None
     return value, entry.exactness
@@ -556,6 +537,29 @@ def _require_sequence(G: Graph, items, mode: str, label: str) -> None:
         )
 
 
+def _layered_witness(
+    kind: str,
+    G: Graph,
+    seq_g: Sequence[int],
+    H: Graph,
+    fresh: Sequence[int],
+    dependent: Sequence[int],
+) -> tuple[ProductDescriptor, list[int], SequenceReport]:
+    """Replicate seq_g layer by layer on the kind product of G and H.
+
+    An item of seq_g with no earlier neighbor (the a-value split) walks the
+    H-vertices fresh inside its layer, every other item walks dependent.
+    Returns the product, the sequence and its check_sequence report.
+    """
+    desc = product(kind, G, H)
+    out: list[int] = []
+    chosen = 0
+    for d in seq_g:
+        out.extend(desc.index(d, h) for h in (dependent if G.adj[d] & chosen else fresh))
+        chosen |= 1 << d
+    return desc, out, check_sequence(desc.graph, out)
+
+
 def construct_cartesian_witness(G: Graph, H: Graph, seq_g: Sequence[int]) -> list[int]:
     """Replicate a dominating sequence of G across every H-layer.
 
@@ -568,9 +572,7 @@ def construct_cartesian_witness(G: Graph, H: Graph, seq_g: Sequence[int]) -> lis
     footprinter, and grundy(cart(star(4), path(3))) is 8, short of 3 * 3.
     """
     _require_sequence(G, seq_g, "closed", "seq_g")
-    desc = product("cartesian", G, H)
-    out = [desc.index(d, h) for d in seq_g for h in range(H.n)]
-    rep = check_sequence(desc.graph, out)
+    desc, out, rep = _layered_witness("cartesian", G, seq_g, H, range(H.n), range(H.n))
     if not rep.legal:
         d, h = desc.coords(out[rep.illegal_at])
         raise ParameterError(
@@ -627,16 +629,7 @@ def construct_lex_witness(
     """
     _require_sequence(G, seq_g, "closed", "seq_g")
     _require_sequence(H, seq_h, "closed", "seq_h")
-    desc = product("lexicographic", G, H)
-    out: list[int] = []
-    chosen = 0
-    for d in seq_g:
-        if G.adj[d] & chosen:
-            out.append(desc.index(d, seq_h[0]))
-        else:
-            out.extend(desc.index(d, h) for h in seq_h)
-        chosen |= 1 << d
-    rep = check_sequence(desc.graph, out)
+    _, out, rep = _layered_witness("lexicographic", G, seq_g, H, seq_h, seq_h[:1])
     assert rep.legal and rep.dominating
     return out
 
@@ -654,16 +647,7 @@ def construct_direct_witness(
     """
     _require_sequence(G, seq_g, "closed", "seq_g")
     _require_sequence(H, total_seq_h, "open", "total_seq_h")
-    desc = product("direct", G, H)
-    out: list[int] = []
-    chosen = 0
-    for d in seq_g:
-        if G.adj[d] & chosen:
-            out.extend(desc.index(d, t) for t in total_seq_h)
-        else:
-            out.extend(desc.index(d, h) for h in range(H.n))
-        chosen |= 1 << d
-    rep = check_sequence(desc.graph, out)
+    _, out, rep = _layered_witness("direct", G, seq_g, H, range(H.n), total_seq_h)
     assert rep.legal and rep.dominating
     return out
 
@@ -678,9 +662,7 @@ def construct_strong_witness(
     """
     _require_sequence(G, seq_g, "closed", "seq_g")
     _require_sequence(H, seq_h, "closed", "seq_h")
-    desc = product("strong", G, H)
-    out = [desc.index(dg, dh) for dg in seq_g for dh in seq_h]
-    rep = check_sequence(desc.graph, out)
+    _, out, rep = _layered_witness("strong", G, seq_g, H, seq_h, seq_h)
     assert rep.legal and rep.dominating
     return out
 
@@ -772,17 +754,22 @@ def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
         raise ParameterError("product factors must be nonempty")
     lower: list[tuple[str, int]] = []
     upper: list[tuple[str, int]] = []
-    if kind == "cartesian":
-        best = None
-        # cart(H, G) is isomorphic to cart(G, H), so either orientation counts
+    if kind in ("cartesian", "direct"):
+        # both products of H and G are isomorphic to those of G and H
+        found = []
         for A, B in ((G, H), (H, G)):
-            try:
-                seq = construct_cartesian_witness(A, B, grundy(A).witness)
-            except ParameterError:
-                continue
-            best = len(seq) if best is None else max(best, len(seq))
-        if best is not None:
-            lower.append(("cartesian_layer_replication", best))
+            if kind == "cartesian":
+                try:
+                    found.append(len(construct_cartesian_witness(A, B, grundy(A).witness)))
+                except ParameterError:
+                    pass
+            elif not has_isolated_vertex(B):
+                gt_b = grundy(B, mode="open", witness=False).value
+                found.append(max_weighted_sequence(A, B.n, gt_b)[0])
+        if found:
+            name = ("cartesian_layer_replication" if kind == "cartesian"
+                    else "direct_layered_replication")
+            lower.append((name, max(found)))
     elif kind == "lexicographic":
         g_g = grundy(G, witness=False).value
         g_h = grundy(H, witness=False).value
@@ -793,18 +780,6 @@ def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
         lower.append(("lex_sequence_formula", exact))
         upper.append(("lex_sequence_formula", exact))
         upper.append(("lex_grundy_product", g_g * g_h))
-    elif kind == "direct":
-        best = None
-        if not has_isolated_vertex(H):
-            gt_h = grundy(H, mode="open", witness=False).value
-            val, _ = max_weighted_sequence(G, H.n, gt_h)
-            best = val if best is None else max(best, val)
-        if not has_isolated_vertex(G):
-            gt_g = grundy(G, mode="open", witness=False).value
-            val, _ = max_weighted_sequence(H, G.n, gt_g)
-            best = val if best is None else max(best, val)
-        if best is not None:
-            lower.append(("direct_layered_replication", best))
     else:
         g_g = grundy(G, witness=False).value
         g_h = grundy(H, witness=False).value
