@@ -273,7 +273,8 @@ def mode_rows(G: Graph, mode: str) -> list[int]:
 
 
 def independence_number(G: Graph) -> int:
-    """Exact maximum independent set size, by branching on a densest vertex."""
+    """Exact maximum independent set size: the sum over connected components
+    of a branching on a densest vertex."""
     adj = G.adj
     best = 0
 
@@ -300,8 +301,12 @@ def independence_number(G: Graph) -> int:
         rec(cand & ~(adj[pick] | bit), size + 1)
         rec(cand & ~bit, size)
 
-    rec(G.full_mask, 0)
-    return best
+    total = 0
+    for comp in connected_components(G):
+        best = 0
+        rec(comp, 0)
+        total += best
+    return total
 
 
 def is_simplicial(G: Graph, v: int) -> bool:

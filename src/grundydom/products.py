@@ -18,10 +18,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import CapacityError, ParameterError
 from .graphs import Graph, bit_indices, mask_of, mode_rows
 
 KINDS = ("cartesian", "strong", "direct", "lexicographic")
+# Largest product order built: its rows take about order**2 / 8 bytes, 2 MB here
+MAX_PRODUCT_ORDER = 4096
 
 _ALIASES = {"lex": "lexicographic", "box": "cartesian", "cart": "cartesian"}
 
@@ -88,12 +90,19 @@ class ProductDescriptor:
         return out
 
 
+def check_product_order(order: int) -> None:
+    """CapacityError when a product of this order would exceed MAX_PRODUCT_ORDER."""
+    if order > MAX_PRODUCT_ORDER:
+        raise CapacityError(f"product order {order} exceeds product cap {MAX_PRODUCT_ORDER}")
+
+
 def product(kind: str, G: Graph, H: Graph) -> ProductDescriptor:
-    """Build the requested product of G and H."""
+    """Build the requested product of G and H (at most MAX_PRODUCT_ORDER vertices)."""
     kind = normalize_kind(kind)
     nG, nH = G.n, H.n
     if nG < 1 or nH < 1:
         raise ParameterError("product factors must be nonempty")
+    check_product_order(nG * nH)
     Z = H.adj
     if kind == "cartesian":
         Y = [1 << h for h in range(nH)]

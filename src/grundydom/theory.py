@@ -43,7 +43,13 @@ from .graphs import (
     mask_of,
     path,
 )
-from .products import ProductDescriptor, normalize_kind, product
+from .products import (
+    MAX_PRODUCT_ORDER,
+    ProductDescriptor,
+    check_product_order,
+    normalize_kind,
+    product,
+)
 from .sequences import SequenceReport, check_sequence
 from .solver import (
     MAX_SOLVER_ORDER,
@@ -54,7 +60,7 @@ from .solver import (
 
 THETA_MAX_ORDER = 16
 SUBSET_ENUM_LIMIT = 10_000_000
-ISO_MAX_ORDER = 4096
+ISO_MAX_ORDER = MAX_PRODUCT_ORDER
 
 
 def _chk(cond: bool, msg: str) -> None:
@@ -589,9 +595,11 @@ def construct_complete_grid_witness(n: int, m: int) -> list[int]:
 
     Walks (a_0,b_0),...,(a_{n-2},b_0), then (a_0,b_1),...,(a_0,b_{m-1}).
     Each column item opens a fresh row; each row item reaches row n-1 in a
-    fresh column. Exceeds the layer-replication lower bound max{n, m}.
+    fresh column. Exceeds the layer-replication lower bound max{n, m}. A
+    product above MAX_PRODUCT_ORDER vertices raises CapacityError.
     """
     _chk(n >= 3 and m >= 3, "requires n >= 3 and m >= 3")
+    check_product_order(n * m)
     return [i * m for i in range(n - 1)] + [j for j in range(1, m)]
 
 
@@ -602,9 +610,11 @@ def construct_odd_torus_witness(k: int) -> list[int]:
     (x+t)*k + (y+t). The first block is the lens |x-1/2| + |y| <= t-1/2
     ordered by (|y|, positive y first, x ascending); the second block is its
     complement within |x| <= t-1 ordered by (|x|, positive x first, y
-    ascending).
+    ascending). A product above MAX_PRODUCT_ORDER vertices raises
+    CapacityError.
     """
     _chk(k >= 3 and k % 2 == 1, "requires odd k >= 3")
+    check_product_order(k * k)
     t = (k - 1) // 2
     span = range(-t, t + 1)
 

@@ -345,6 +345,37 @@ def test_construct_errors(tmp_path, capsys):
     assert code == 1 and "factor item 2" in err
 
 
+def test_construct_and_bounds_refuse_products_over_the_cap(tmp_path, capsys):
+    over = "error: product order {} exceeds product cap 4096\n"
+    code, out, _ = run(capsys, "construct", "odd_torus", "63")
+    assert code == 0 and out.splitlines()[0] == "length=3844"
+    code, out, err = run(capsys, "construct", "odd_torus", "65")
+    assert (code, out, err) == (2, "", over.format(4225))
+    code, out, _ = run(capsys, "construct", "complete_grid", "64", "64")
+    assert code == 0 and out.splitlines()[0] == "length=126"
+    code, out, err = run(capsys, "construct", "complete_grid", "3000000", "3")
+    assert (code, out, err) == (2, "", over.format(9_000_000))
+    s64 = write(tmp_path, "s64.txt", serialize_graph(star(64)))
+    s65 = write(tmp_path, "s65.txt", serialize_graph(star(65)))
+    code, out, _ = run(capsys, "construct", "strong", s64, s64, "0", "0")
+    assert (code, out) == (0, "length=1\nsequence=0\n")
+    for what, seq_h in (("strong", "0"), ("lex", "0"), ("direct", "0 1")):
+        code, out, err = run(capsys, "construct", what, s65, s65, "0", seq_h)
+        assert (code, out, err) == (2, "", over.format(4225)), what
+    code, out, err = run(capsys, "construct", "cartesian", s65, s65, "0")
+    assert (code, out, err) == (2, "", over.format(4225))
+    def matching(n):
+        # components within the solver cap, so that only the product is refused
+        edges = "".join(f"{i} {i + 1}\n" for i in range(0, n, 2))
+        return write(tmp_path, f"m{n}.txt", f"{n} {n // 2}\n{edges}")
+
+    m64, m66 = matching(64), matching(66)
+    code, out, _ = run(capsys, "bounds", "--kind", "cartesian", m64, m64)
+    assert (code, out) == (0, "kind=cartesian\nlower.cartesian_layer_replication=2048\n")
+    code, out, err = run(capsys, "bounds", "--kind", "cartesian", m66, m66)
+    assert (code, out, err) == (2, "", over.format(4356))
+
+
 def test_scan_verb(capsys):
     code, out, _ = run(capsys, "scan", "--max-n", "2", "--families", "P3")
     assert code == 0

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import sys
 from itertools import combinations, permutations
 
 import pytest
@@ -164,6 +165,38 @@ def test_independence_number_brute():
             if best:
                 break
         assert independence_number(g) == best
+
+
+def _alpha_branches(G: Graph, cap: int) -> int:
+    """Calls of independence_number's branching on G; RuntimeError past cap."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call" and frame.f_code.co_name == "rec" \
+                and frame.f_globals["__name__"] == "grundydom.graphs":
+            calls += 1
+            if calls > cap:
+                raise RuntimeError(f"independence_number branched more than {cap} times")
+
+    sys.setprofile(count)
+    try:
+        independence_number(G)
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_independence_number_adds_up_over_components():
+    # alpha is a sum over components, so disjoint copies must cost the sum of
+    # their searches; branching over the whole union grew ~15x per copy of C9
+    one = _alpha_branches(cycle(9), cap=10_000)
+    union = cycle(9)
+    for _ in range(7):
+        union = disjoint_union(union, cycle(9))
+    assert _alpha_branches(union, cap=8 * one) == 8 * one
+    assert independence_number(union) == 8 * independence_number(cycle(9)) == 32
+    assert independence_number(disjoint_union(Graph(2), complete(3))) == 3
 
 
 def test_simplicial():

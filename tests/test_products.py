@@ -4,7 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from grundydom.errors import ParameterError
+from grundydom import products
+from grundydom.errors import CapacityError, ParameterError
 from grundydom.graphs import (
     Graph,
     bit_indices,
@@ -14,7 +15,7 @@ from grundydom.graphs import (
     path,
     star,
 )
-from grundydom.products import KINDS, normalize_kind, product
+from grundydom.products import KINDS, MAX_PRODUCT_ORDER, normalize_kind, product
 
 FACTOR_PAIRS = [
     (path(2), path(2)),
@@ -172,6 +173,21 @@ def test_product_guards():
         product("cartesian", Graph(0), path(2))
     with pytest.raises(ParameterError):
         product("nope", path(2), path(2))
+
+
+def test_product_order_cap(monkeypatch):
+    assert MAX_PRODUCT_ORDER == 4096
+    assert product("strong", path(64), path(64)).graph.n == MAX_PRODUCT_ORDER
+
+    def refuse(vertices):
+        raise AssertionError("a product row was built")
+
+    # one vertex over the cap is refused before any row is built
+    monkeypatch.setattr(products, "mask_of", refuse)
+    for kind in KINDS:
+        with pytest.raises(CapacityError) as err:
+            product(kind, path(17), path(241))
+        assert str(err.value) == "product order 4097 exceeds product cap 4096"
 
 
 def test_product_naming():

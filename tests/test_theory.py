@@ -543,6 +543,31 @@ def test_builder_sequences_are_pinned():
     )
 
 
+def test_witness_builders_refuse_products_over_the_cap():
+    cap = "exceeds product cap 4096"
+    assert len(construct_odd_torus_witness(63)) == 63 * 61 + 1  # 3969 vertices
+    with pytest.raises(CapacityError, match="product order 4225 " + cap):
+        construct_odd_torus_witness(65)
+    assert len(construct_complete_grid_witness(64, 64)) == 126
+    with pytest.raises(CapacityError, match="product order 4160 " + cap):
+        construct_complete_grid_witness(64, 65)
+    with pytest.raises(CapacityError, match="product order 9000000 " + cap):
+        construct_complete_grid_witness(3_000_000, 3)
+    s64, s65 = star(64), star(65)
+    assert construct_strong_witness(s64, [0], s64, [0]) == [0]
+    for build in (construct_strong_witness, construct_lex_witness):
+        with pytest.raises(CapacityError, match="product order 4225 " + cap):
+            build(s65, [0], s65, [0])
+    with pytest.raises(CapacityError, match=cap):
+        construct_direct_witness(s65, [0], s65, [0, 1])
+    with pytest.raises(CapacityError, match=cap):
+        construct_cartesian_witness(s65, s65, [0])
+    # the factors are within the solver cap, so only the product is refused
+    matching = Graph(66, [(2 * i, 2 * i + 1) for i in range(33)])
+    with pytest.raises(CapacityError, match="product order 4356 " + cap):
+        product_bounds("cartesian", matching, matching)
+
+
 # === named bounds per product kind ===
 
 
