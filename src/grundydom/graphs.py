@@ -276,7 +276,6 @@ def independence_number(G: Graph) -> int:
     """Exact maximum independent set size: the sum over connected components
     of a branching on a densest vertex."""
     adj = G.adj
-    best = 0
 
     def rec(cand: int, size: int):
         nonlocal best

@@ -45,7 +45,6 @@ from .graphs import (
 )
 from .products import (
     MAX_PRODUCT_ORDER,
-    ProductDescriptor,
     check_product_order,
     normalize_kind,
     product,
@@ -550,12 +549,12 @@ def _layered_witness(
     H: Graph,
     fresh: Sequence[int],
     dependent: Sequence[int],
-) -> tuple[ProductDescriptor, list[int], SequenceReport]:
+) -> tuple[list[int], SequenceReport]:
     """Replicate seq_g layer by layer on the kind product of G and H.
 
     An item of seq_g with no earlier neighbor (the a-value split) walks the
     H-vertices fresh inside its layer, every other item walks dependent.
-    Returns the product, the sequence and its check_sequence report.
+    Returns the sequence and its check_sequence report on the product.
     """
     desc = product(kind, G, H)
     out: list[int] = []
@@ -563,7 +562,7 @@ def _layered_witness(
     for d in seq_g:
         out.extend(desc.index(d, h) for h in (dependent if G.adj[d] & chosen else fresh))
         chosen |= 1 << d
-    return desc, out, check_sequence(desc.graph, out)
+    return out, check_sequence(desc.graph, out)
 
 
 def construct_cartesian_witness(G: Graph, H: Graph, seq_g: Sequence[int]) -> list[int]:
@@ -578,9 +577,9 @@ def construct_cartesian_witness(G: Graph, H: Graph, seq_g: Sequence[int]) -> lis
     footprinter, and grundy(cart(star(4), path(3))) is 8, short of 3 * 3.
     """
     _require_sequence(G, seq_g, "closed", "seq_g")
-    desc, out, rep = _layered_witness("cartesian", G, seq_g, H, range(H.n), range(H.n))
+    out, rep = _layered_witness("cartesian", G, seq_g, H, range(H.n), range(H.n))
     if not rep.legal:
-        d, h = desc.coords(out[rep.illegal_at])
+        d, h = divmod(out[rep.illegal_at], H.n)
         raise ParameterError(
             f"replicating seq_g over {H.display_name} is illegal at position"
             f" {rep.illegal_at} (factor item {d}, layer {h}); choose a"
@@ -639,7 +638,7 @@ def construct_lex_witness(
     """
     _require_sequence(G, seq_g, "closed", "seq_g")
     _require_sequence(H, seq_h, "closed", "seq_h")
-    _, out, rep = _layered_witness("lexicographic", G, seq_g, H, seq_h, seq_h[:1])
+    out, rep = _layered_witness("lexicographic", G, seq_g, H, seq_h, seq_h[:1])
     assert rep.legal and rep.dominating
     return out
 
@@ -657,7 +656,7 @@ def construct_direct_witness(
     """
     _require_sequence(G, seq_g, "closed", "seq_g")
     _require_sequence(H, total_seq_h, "open", "total_seq_h")
-    _, out, rep = _layered_witness("direct", G, seq_g, H, range(H.n), total_seq_h)
+    out, rep = _layered_witness("direct", G, seq_g, H, range(H.n), total_seq_h)
     assert rep.legal and rep.dominating
     return out
 
@@ -672,7 +671,7 @@ def construct_strong_witness(
     """
     _require_sequence(G, seq_g, "closed", "seq_g")
     _require_sequence(H, seq_h, "closed", "seq_h")
-    _, out, rep = _layered_witness("strong", G, seq_g, H, seq_h, seq_h)
+    out, rep = _layered_witness("strong", G, seq_g, H, seq_h, seq_h)
     assert rep.legal and rep.dominating
     return out
 
