@@ -113,6 +113,9 @@ def _parse_graph_json(text: str, name: str | None) -> Graph:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", line=exc.lineno)
+    except (ValueError, RecursionError) as exc:
+        # an integer over Python's digit limit, or arrays nested too deep
+        raise ParseError(f"invalid JSON: {exc}")
     if not isinstance(data, dict):
         raise ParseError("JSON graph must be an object")
     if not _is_json_int(data.get("n")) or data["n"] < 0:
@@ -169,6 +172,8 @@ def _read(path: str) -> str:
             return fh.read()
     except OSError as exc:
         raise ParameterError(f"cannot read {path}: {exc.strerror}")
+    except UnicodeDecodeError as exc:
+        raise ParameterError(f"cannot read {path}: not UTF-8 ({exc.reason} at byte {exc.start})")
 
 
 def _write(path: str, text: str) -> None:
@@ -298,10 +303,8 @@ def _cmd_gen(args) -> str:
 def _cmd_product(args) -> str:
     kind = normalize_kind(args.kind)
     G, H = _load_graph(args.file_g), _load_graph(args.file_h)
-    _check_file_order(G.n * H.n)
-    desc = product(kind, G, H)
-    prefix = f"# product kind={kind} nG={desc.nG} nH={desc.nH}\n"
-    return _emit_graph(desc.graph, args, prefix=prefix)
+    prefix = f"# product kind={kind} nG={G.n} nH={H.n}\n"
+    return _emit_graph(product(kind, G, H).graph, args, prefix=prefix)
 
 
 def _cmd_grundy(args) -> str:

@@ -323,14 +323,6 @@ def is_simplicial(G: Graph, v: int) -> bool:
     return True
 
 
-def is_caterpillar(G: Graph) -> bool:
-    """Trees in which no vertex has more than two non-leaf neighbors."""
-    if G.n < 1 or not is_connected(G) or G.m != G.n - 1:
-        return False
-    nonleaf = mask_of(v for v in range(G.n) if G.degree(v) > 1)
-    return all((G.adj[v] & nonleaf).bit_count() <= 2 for v in range(G.n))
-
-
 def substitute_clique(G: Graph, v: int, size: int) -> Graph:
     """Replace v by a clique of `size` mutually adjacent true twins of v.
 

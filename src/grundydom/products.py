@@ -44,50 +44,15 @@ class ProductDescriptor:
     H: Graph
     graph: Graph
 
-    @property
-    def nG(self) -> int:
-        return self.G.n
-
-    @property
-    def nH(self) -> int:
-        return self.H.n
-
     def index(self, g: int, h: int) -> int:
-        if not (0 <= g < self.nG and 0 <= h < self.nH):
+        if not (0 <= g < self.G.n and 0 <= h < self.H.n):
             raise ParameterError(f"factor coordinates ({g},{h}) out of range")
-        return g * self.nH + h
+        return g * self.H.n + h
 
     def coords(self, idx: int) -> tuple[int, int]:
         if not 0 <= idx < self.graph.n:
             raise ParameterError(f"product vertex {idx} out of range")
-        return divmod(idx, self.nH)
-
-    def layer(self, axis: str, index: int) -> int:
-        """Mask of a G-layer (fixed h = index) or an H-layer (fixed g = index)."""
-        if axis == "G":
-            if not 0 <= index < self.nH:
-                raise ParameterError(f"H-coordinate {index} out of range")
-            return sum(1 << (g * self.nH + index) for g in range(self.nG))
-        if axis == "H":
-            if not 0 <= index < self.nG:
-                raise ParameterError(f"G-coordinate {index} out of range")
-            return ((1 << self.nH) - 1) << (index * self.nH)
-        raise ParameterError(f"unknown layer axis '{axis}'")
-
-    def project(self, S: int, onto: str) -> int:
-        """Project a product vertex set onto one factor's vertex set."""
-        if onto not in ("G", "H"):
-            raise ParameterError(f"unknown projection target '{onto}'")
-        if S & ~self.graph.full_mask:
-            raise ParameterError("vertex set out of range")
-        out = 0
-        m = S
-        while m:
-            low = m & -m
-            g, h = divmod(low.bit_length() - 1, self.nH)
-            out |= 1 << (g if onto == "G" else h)
-            m ^= low
-        return out
+        return divmod(idx, self.H.n)
 
 
 def check_product_order(order: int) -> None:

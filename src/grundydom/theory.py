@@ -7,9 +7,10 @@ graph products:
   Grundy domination number),
 * a boundary certificate: if every m-subset A of V(G) has |boundary(A)| >= c,
   then no legal closed sequence can choose more than n - c vertices,
-* a catalog of closed forms for grids, cylinders, tori, lexicographic and
-  direct products of paths and cycles, and strong products of caterpillars,
-  each entry guarded by its stated preconditions,
+* a catalog of closed forms (cartesian grids, cylinders, tori and multi-factor
+  products; lexicographic and direct products of paths and cycles; strong
+  grids, cylinders, the torus bounds and the multi-path products; total
+  Grundy domination of paths and cycles), each guarded by its preconditions,
 * constructive witness builders, one per product lower bound; the four
   product builders share one layered walk, which replicates a factor
   sequence layer by layer and splits its items by the a-value rule,
@@ -43,12 +44,7 @@ from .graphs import (
     mask_of,
     path,
 )
-from .products import (
-    MAX_PRODUCT_ORDER,
-    check_product_order,
-    normalize_kind,
-    product,
-)
+from .products import check_product_order, normalize_kind, product
 from .sequences import SequenceReport, check_sequence
 from .solver import (
     MAX_SOLVER_ORDER,
@@ -59,7 +55,6 @@ from .solver import (
 
 THETA_MAX_ORDER = 16
 SUBSET_ENUM_LIMIT = 10_000_000
-ISO_MAX_ORDER = MAX_PRODUCT_ORDER
 
 
 def _chk(cond: bool, msg: str) -> None:
@@ -178,9 +173,6 @@ class BoundaryBound:
     def grundy_upper(self) -> int:
         return self.n - self.min_boundary
 
-    def __int__(self) -> int:
-        return self.min_boundary
-
 
 def boundary_sufficient_bound(
     G: Graph,
@@ -222,20 +214,6 @@ def _subsets(
     _chk(trials >= 1, "trials must be positive")
     rng = random.Random(seed)
     return (mask_of(rng.sample(range(n), m)) for _ in range(trials)), trials, False
-
-
-def boundary_prefix_profile(G: Graph, items: Sequence[int]) -> list[int]:
-    """|boundary(prefix)| for each prefix of the chosen set of a sequence.
-
-    Probes the growth of the boundary along a witness; the certificate
-    argument expects no decrease once m vertices are chosen.
-    """
-    out = []
-    s = 0
-    for v in items:
-        s |= 1 << v
-        out.append(boundary(G, s).bit_count())
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -517,10 +495,6 @@ def formula_value(formula_id: str, params: Iterable[int]) -> tuple[int, str]:
     except ParameterError as exc:
         raise ParameterError(f"{formula_id}: {exc}") from None
     return value, entry.exactness
-
-
-def formula_ids() -> list[str]:
-    return sorted(FORMULAS)
 
 
 # ---------------------------------------------------------------------------
@@ -951,8 +925,8 @@ def isoperimetric_check(
     kind 'even-torus' builds cart(C_2k1, ..., C_2kn) from half-lengths;
     'grid' builds cart(P_k1, ..., P_kn) and measures the ball around the
     corner vertex (minimum degree), where the inequality is stated. A
-    product above ISO_MAX_ORDER vertices raises CapacityError before it is
-    built. With trials=None all subsets of the ball's size are enumerated
+    product above MAX_PRODUCT_ORDER vertices raises CapacityError before it
+    is built. With trials=None all subsets of the ball's size are enumerated
     (at most SUBSET_ENUM_LIMIT); otherwise that many seeded random subsets
     are tested. Violations are reported, not asserted: zero is the expected
     outcome for these proved inequalities, so any hit points at the
@@ -965,10 +939,7 @@ def isoperimetric_check(
     _chk(r >= 0, "r must be non-negative")
     torus = kind == "even-torus"
     order = math.prod(2 * f if torus else f for f in factors)
-    if order > ISO_MAX_ORDER:
-        raise CapacityError(
-            f"product order {order} exceeds the check cap {ISO_MAX_ORDER}"
-        )
+    check_product_order(order)
     graphs = [cycle(2 * f) if torus else path(f) for f in factors]
     prod_graph = graphs[0]
     for g in graphs[1:]:

@@ -124,6 +124,24 @@ def test_parse_rejects_order_above_cap(tmp_path, capsys):
     assert parse_graph(f"{MAX_FILE_ORDER} 0\n").n == MAX_FILE_ORDER
 
 
+def test_undecodable_inputs_are_error_lines(tmp_path, capsys):
+    # bytes that are not UTF-8, an integer over Python's digit limit, and
+    # arrays nested past its recursion limit end in an error line, not a traceback
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe3 0\n")
+    p3 = write(tmp_path, "p3.txt", serialize_graph(path(3)))
+    long_int = write(tmp_path, "int.json", '{"n": ' + "9" * 5000 + "}")
+    deep = write(tmp_path, "deep.json", '{"n": 2, "edges": ' + "[" * 100_000 + "]" * 100_000 + "}")
+    for argv, start in (
+        (["grundy", str(bad)], f"error: cannot read {bad}: not UTF-8"),
+        (["check-seq", p3, str(bad)], f"error: cannot read {bad}: not UTF-8"),
+        (["grundy", long_int], "error: invalid JSON:"),
+        (["grundy", deep], "error: invalid JSON:"),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "") and err.startswith(start), argv
+
+
 def test_json_booleans_are_not_integers(tmp_path, capsys):
     f = write(tmp_path, "bool.json", '{"n": 2, "edges": [[true, false]]}')
     code, out, err = run(capsys, "grundy", f)
@@ -135,7 +153,17 @@ def test_written_graphs_stay_within_file_cap(tmp_path, capsys):
     assert code == 2 and "file cap" in err
     big = write(tmp_path, "k65.txt", serialize_graph(Graph(65)))
     code, _, err = run(capsys, "product", "--kind", "direct", big, big)
-    assert code == 2 and "file cap" in err
+    assert code == 2 and "exceeds product cap 4096" in err
+
+
+def test_product_and_iso_check_refuse_products_over_the_cap(tmp_path, capsys):
+    over = "error: product order 4225 exceeds product cap 4096\n"
+    k65 = write(tmp_path, "k65.txt", serialize_graph(complete(65)))
+    target = tmp_path / "out.txt"
+    code, out, err = run(capsys, "product", "--kind", "direct", k65, k65, "-o", str(target))
+    assert (code, out, err) == (2, "", over) and not target.exists()
+    code, out, err = run(capsys, "iso-check", "grid", "65", "65", "--r", "1")
+    assert (code, out, err) == (2, "", over)
 
 
 # === verbs ===

@@ -34,7 +34,6 @@ from grundydom.graphs import (
     graph_from_code,
     has_isolated_vertex,
     independence_number,
-    is_caterpillar,
     is_connected,
     is_simplicial,
     make_graph,
@@ -204,18 +203,6 @@ def test_simplicial():
     assert all(is_simplicial(complete(4), v) for v in range(4))
     assert not any(is_simplicial(cycle(5), v) for v in range(5))
     assert is_simplicial(Graph(1), 0)  # empty neighborhood is a clique
-
-
-def test_caterpillar_recognition():
-    assert is_caterpillar(path(6))
-    assert is_caterpillar(star(5))
-    assert is_caterpillar(caterpillar(3, [2, 1, 2]))
-    assert is_caterpillar(complete(1)) and is_caterpillar(path(2))
-    assert not is_caterpillar(cycle(4))
-    assert not is_caterpillar(disjoint_union(path(2), path(2)))
-    # the spider with three legs of length 2 is the smallest non-caterpillar tree
-    spider = Graph(7, [(0, 1), (1, 2), (0, 3), (3, 4), (0, 5), (5, 6)])
-    assert not is_caterpillar(spider)
 
 
 def test_substitute_clique():

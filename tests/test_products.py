@@ -8,7 +8,6 @@ from grundydom import products
 from grundydom.errors import CapacityError, ParameterError
 from grundydom.graphs import (
     Graph,
-    bit_indices,
     complete,
     cycle,
     enumerate_connected_graphs,
@@ -120,30 +119,10 @@ def test_index_coords_roundtrip():
     for g in range(3):
         for h in range(4):
             assert P.coords(P.index(g, h)) == (g, h)
-    assert P.nG == 3 and P.nH == 4
     with pytest.raises(ParameterError):
         P.index(3, 0)
     with pytest.raises(ParameterError):
         P.coords(12)
-
-
-def test_layers_and_projection():
-    P = product("cartesian", path(3), path(4))
-    h_layer = P.layer("H", 1)  # all (1, h)
-    assert bit_indices(h_layer) == [P.index(1, h) for h in range(4)]
-    g_layer = P.layer("G", 2)  # all (g, 2)
-    assert bit_indices(g_layer) == [P.index(g, 2) for g in range(3)]
-    assert P.project(h_layer, "G") == 0b010
-    assert P.project(h_layer, "H") == 0b1111
-    assert P.project(g_layer, "H") == 0b0100
-    with pytest.raises(ParameterError):
-        P.layer("X", 0)
-    with pytest.raises(ParameterError):
-        P.layer("G", 4)
-    with pytest.raises(ParameterError):
-        P.project(1 << 12, "G")
-    with pytest.raises(ParameterError):
-        P.project(1, "Z")
 
 
 def test_cartesian_layers_induce_factors():
