@@ -216,12 +216,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("gen", help="generate a named graph family")
+    p.set_defaults(handler=_cmd_gen)
     p.add_argument("family", choices=["path", "cycle", "complete", "star", "caterpillar", "custom"])
     p.add_argument("params", nargs="*", type=int)
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("-o", "--output", help="write to file instead of stdout")
 
     p = sub.add_parser("product", help="build a product of two graph files")
+    p.set_defaults(handler=_cmd_product)
     p.add_argument("--kind", required=True)
     p.add_argument("file_g")
     p.add_argument("file_h")
@@ -229,25 +231,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output")
 
     p = sub.add_parser("grundy", help="exact Grundy (total) domination number")
+    p.set_defaults(handler=_cmd_grundy)
     p.add_argument("file")
     p.add_argument("--mode", choices=["closed", "open"], default="closed")
     p.add_argument("--witness", action="store_true", help="also print one optimal sequence")
 
     p = sub.add_parser("check-seq", help="check a sequence against a graph")
+    p.set_defaults(handler=_cmd_check_seq)
     p.add_argument("graph_file")
     p.add_argument("seq_file")
     p.add_argument("--mode", choices=["closed", "open"], default="closed")
 
     p = sub.add_parser("bounds", help="named product bounds for two factors")
+    p.set_defaults(handler=_cmd_bounds)
     p.add_argument("--kind", required=True)
     p.add_argument("file_g")
     p.add_argument("file_h")
 
     p = sub.add_parser("formula", help="evaluate a catalog formula")
+    p.set_defaults(handler=_cmd_formula)
     p.add_argument("formula_id")
     p.add_argument("params", nargs="*", type=int)
 
     p = sub.add_parser("construct", help="build a witness sequence")
+    p.set_defaults(handler=_cmd_construct)
     p.add_argument(
         "what",
         choices=["odd_torus", "complete_grid", "cartesian", "lex", "direct", "strong"],
@@ -256,6 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-seq", help="also write the sequence to a file")
 
     p = sub.add_parser("scan", help="strong-product conjecture scan")
+    p.set_defaults(handler=_cmd_scan)
     p.add_argument("--max-n", type=int, default=4)
     p.add_argument("--families", nargs="*", default=None,
                    help="family tokens (P3 C4 ...) to pair against; default: self-pairs")
@@ -264,6 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=float, default=None, help="time budget in seconds")
 
     p = sub.add_parser("iso-check", help="ball-versus-subset boundary check")
+    p.set_defaults(handler=_cmd_iso_check)
     p.add_argument("kind", choices=["even-torus", "grid"])
     p.add_argument("factors", nargs="+", type=int)
     p.add_argument("--r", type=int, required=True)
@@ -308,7 +317,7 @@ def _cmd_product(args) -> str:
 
 
 def _cmd_grundy(args) -> str:
-    G = parse_graph(_read(args.file))
+    G = _load_graph(args.file)
     result = grundy(G, mode=args.mode, witness=args.witness)
     lines = [f"value={result.value}"]
     if args.witness:
@@ -324,7 +333,7 @@ def _cmd_grundy(args) -> str:
 
 
 def _cmd_check_seq(args) -> str:
-    G = parse_graph(_read(args.graph_file))
+    G = _load_graph(args.graph_file)
     items = parse_sequence(_read(args.seq_file))
     rep = check_sequence(G, items, mode=args.mode)
     legal = "true" if rep.legal else "false"
@@ -446,24 +455,11 @@ def _cmd_iso_check(args) -> str:
     )
 
 
-_HANDLERS = {
-    "gen": _cmd_gen,
-    "product": _cmd_product,
-    "grundy": _cmd_grundy,
-    "check-seq": _cmd_check_seq,
-    "bounds": _cmd_bounds,
-    "formula": _cmd_formula,
-    "construct": _cmd_construct,
-    "scan": _cmd_scan,
-    "iso-check": _cmd_iso_check,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        text = _HANDLERS[args.verb](args)
+        text = args.handler(args)
     except CapacityError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

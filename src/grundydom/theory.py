@@ -737,6 +737,9 @@ def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
         raise ParameterError("product factors must be nonempty")
     lower: list[tuple[str, int]] = []
     upper: list[tuple[str, int]] = []
+    if kind == "cartesian":
+        # construct_cartesian_witness builds the product: refuse its order before any solve
+        check_product_order(G.n * H.n)
     if kind in ("cartesian", "direct"):
         # both products of H and G are isomorphic to those of G and H
         found = []
@@ -754,12 +757,13 @@ def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
                     else "direct_layered_replication")
             lower.append((name, max(found)))
     elif kind == "lexicographic":
-        g_g = grundy(G, witness=False).value
         g_h = grundy(H, witness=False).value
+        # the weighted search refuses an oversized component of G before G is solved
+        exact, _ = lex_grundy(G, g_h)
+        g_g = grundy(G, witness=False).value
         lower.append(
             ("lex_alpha_replication", max(independence_number(G) * g_h, g_g))
         )
-        exact, _ = lex_grundy(G, g_h)
         lower.append(("lex_sequence_formula", exact))
         upper.append(("lex_sequence_formula", exact))
         upper.append(("lex_grundy_product", g_g * g_h))
@@ -837,59 +841,43 @@ def conjecture_scan(
     if time_budget is not None and not time_budget >= 0:
         raise ParameterError(f"time budget must be nonnegative, got {time_budget}")
     deadline = None if time_budget is None else time.monotonic() + time_budget
-
-    def run_pair(G: Graph, H: Graph) -> ScanRecord:
-        names = {"name_g": G.display_name, "name_h": H.display_name}
-        if deadline is not None and time.monotonic() > deadline:
-            return ScanRecord(**names, reason="time budget exhausted")
-        if G.n * H.n > MAX_SOLVER_ORDER:
-            return ScanRecord(
-                **names, reason=f"product order {G.n * H.n} exceeds {MAX_SOLVER_ORDER}"
-            )
-        try:
-            return _scan_pair(G, H, names)
-        except CapacityError as exc:
-            # a solve over the search budget leaves the pair undecided
-            return ScanRecord(**names, reason=str(exc))
-
-    return ScanReport(tuple(run_pair(G, H) for G, H in pairs))
+    return ScanReport(tuple(_scan_pair(G, H, deadline) for G, H in pairs))
 
 
-def _scan_pair(G: Graph, H: Graph, names: dict[str, str]) -> ScanRecord:
-    """The solved record of one pair of conjecture_scan."""
+def _scan_pair(G: Graph, H: Graph, deadline: float | None) -> ScanRecord:
+    """The record of one pair of conjecture_scan."""
+    name_g, name_h = G.display_name, H.display_name
+    if deadline is not None and time.monotonic() > deadline:
+        return ScanRecord(name_g, name_h, reason="time budget exhausted")
+    if G.n * H.n > MAX_SOLVER_ORDER:
+        return ScanRecord(
+            name_g, name_h, reason=f"product order {G.n * H.n} exceeds {MAX_SOLVER_ORDER}"
+        )
     start = time.perf_counter()
-    solves = [grundy(G, witness=False), grundy(H, witness=False)]
-    prod_graph = product("strong", G, H).graph
-    solves.append(grundy(prod_graph, witness=False))
-    g_g, g_h, g_p = (sol.value for sol in solves)
-    lower = g_g * g_h
-    upper = min(_strong_uppers(G, H, g_g, g_h, g_p=g_p))
-    if not lower <= g_p <= upper:
-        raise InvariantError(
-            f"bound violation on {G.display_name} x {H.display_name}:"
-            f" expected {lower} <= {g_p} <= {upper}"
-        )
-    common = dict(
-        **names,
-        gamma_g=g_g,
-        gamma_h=g_h,
-        gamma_product=g_p,
-        lower=lower,
-        upper=upper,
-    )
-    if g_p == lower:
-        common["status"] = "equality"
-    else:
-        witnessed = [grundy(G), grundy(H), grundy(prod_graph)]
-        solves.extend(witnessed)
-        common.update(
-            status="counterexample",
-            witness_g=tuple(witnessed[0].witness),
-            witness_h=tuple(witnessed[1].witness),
-            witness_product=tuple(witnessed[2].witness),
-        )
+    try:
+        solves = [grundy(G, witness=False), grundy(H, witness=False)]
+        prod_graph = product("strong", G, H).graph
+        solves.append(grundy(prod_graph, witness=False))
+        g_g, g_h, g_p = (sol.value for sol in solves)
+        lower = g_g * g_h
+        upper = min(_strong_uppers(G, H, g_g, g_h, g_p=g_p))
+        if not lower <= g_p <= upper:
+            raise InvariantError(
+                f"bound violation on {name_g} x {name_h}:"
+                f" expected {lower} <= {g_p} <= {upper}"
+            )
+        witnesses = (None, None, None)
+        if g_p != lower:
+            witnessed = [grundy(G), grundy(H), grundy(prod_graph)]
+            solves.extend(witnessed)
+            witnesses = tuple(tuple(sol.witness) for sol in witnessed)
+    except CapacityError as exc:
+        # a solve over the search budget leaves the pair undecided
+        return ScanRecord(name_g, name_h, reason=str(exc))
     return ScanRecord(
-        **common,
+        name_g, name_h, gamma_g=g_g, gamma_h=g_h, gamma_product=g_p, lower=lower, upper=upper,
+        status="equality" if g_p == lower else "counterexample",
+        witness_g=witnesses[0], witness_h=witnesses[1], witness_product=witnesses[2],
         elapsed=time.perf_counter() - start,
         nodes=sum(sol.stats.nodes for sol in solves),
     )

@@ -234,6 +234,13 @@ def test_gen_errors(capsys):
     assert code == 1 and "cycle order" in err
 
 
+def test_gen_one_parameter_family_arity(capsys):
+    for fam in ("path", "cycle", "complete", "star"):
+        code, out, err = run(capsys, "gen", fam, "3", "4")
+        assert (code, out) == (1, "")
+        assert err == f"error: family '{fam}' expects 1 parameter(s), got 2\n"
+
+
 def test_product_verb(tmp_path, capsys):
     pg = write(tmp_path, "p3.txt", serialize_graph(path(3)))
     ph = write(tmp_path, "p2.txt", serialize_graph(path(2)))

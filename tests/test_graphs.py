@@ -10,7 +10,6 @@ import pytest
 from grundydom import graphs
 from grundydom.errors import CapacityError, ParameterError
 from grundydom.graphs import (
-    _ENUM_AUTOS,
     _canonical_search,
     _connected_codes,
     _individualize,
@@ -110,6 +109,14 @@ def test_make_graph_families():
         make_graph(FamilySpec("nope", (3,)))
     with pytest.raises(ParameterError):
         make_graph(FamilySpec("custom", (3, 0)))  # dangling endpoint
+
+
+def test_one_parameter_families_refuse_other_arities():
+    for fam in ("path", "cycle", "complete", "star"):
+        for params in ((3, 4), ()):
+            with pytest.raises(ParameterError) as exc:
+                make_graph(FamilySpec(fam, params))
+            assert str(exc.value) == f"family '{fam}' expects 1 parameter(s), got {len(params)}"
 
 
 def test_neighborhoods_boundary_ball():
@@ -365,8 +372,7 @@ def test_refine_stops_at_its_first_stable_round(monkeypatch):
         return out
 
     monkeypatch.setattr(graphs, "_refine", recording)
-    monkeypatch.setattr(graphs, "_ENUM_CACHE", {1: [0]})
-    monkeypatch.setattr(graphs, "_ENUM_AUTOS", {1: {0: []}})
+    monkeypatch.setattr(graphs, "_ENUM_CACHE", {1: {0: []}})
     for n in range(2, 8):
         _connected_codes(n)
     enumerated = len(calls)
@@ -424,7 +430,7 @@ def test_carried_automorphisms_give_vertex_orbits():
     for n in range(1, 8):
         for code in _connected_codes(n):
             g = graph_from_code(n, code)
-            perms = _ENUM_AUTOS[n][code]
+            perms = graphs._ENUM_CACHE[n][code]
             for perm in perms:
                 assert sorted(perm) == list(range(n))
                 for x in range(n):

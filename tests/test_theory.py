@@ -13,6 +13,7 @@ from grundydom.graphs import (
     caterpillar,
     complete,
     cycle,
+    disjoint_union,
     enumerate_connected_graphs,
     independence_number,
     path,
@@ -603,19 +604,43 @@ def test_product_bounds_strong():
 
 
 def test_product_bounds_check_caps_without_building_the_product(monkeypatch):
-    # only the factors are solved, so oversize factors fail at the solver cap
+    # only the factors are solved, so oversize factors fail at the solver cap;
+    # the cartesian witness needs the product, whose order is refused first
     def refuse(kind, G, H):
         raise AssertionError(f"product {kind} built")
 
     monkeypatch.setattr(theory, "product", refuse)
     big = path(200)
-    for kind in ("cartesian", "strong", "direct", "lexicographic"):
+    for kind in ("strong", "direct", "lexicographic"):
         with pytest.raises(CapacityError, match="solver cap"):
             product_bounds(kind, big, big)
+    with pytest.raises(CapacityError, match="product order 40000 exceeds product cap 4096"):
+        product_bounds("cartesian", big, big)
     with pytest.raises(ParameterError, match="unknown product kind"):
         product_bounds("moebius", path(3), path(3))
     with pytest.raises(ParameterError, match="nonempty"):
         product_bounds("strong", Graph(0), path(3))
+
+
+def test_product_bounds_refuse_before_solving_the_first_factor(monkeypatch):
+    # G has two 36-vertex components, within the solver cap but not the
+    # weighted cap; the cartesian product of G and H is over the product cap
+    torus = product("cartesian", cycle(6), cycle(6)).graph
+    G = disjoint_union(disjoint_union(torus, torus), path(2))
+    H = path(56)
+    solved = []
+
+    def counting(A, *args, **kwargs):
+        solved.append(A)
+        return grundy(A, *args, **kwargs)
+
+    monkeypatch.setattr(theory, "grundy", counting)
+    with pytest.raises(CapacityError, match="product order 4144 exceeds product cap 4096"):
+        product_bounds("cartesian", G, H)
+    assert solved == []
+    with pytest.raises(CapacityError, match="component order 36 exceeds weighted search cap 25"):
+        product_bounds("lexicographic", G, H)
+    assert solved == [H]
 
 
 def test_product_bounds_sandwich_exact_value():
