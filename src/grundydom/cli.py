@@ -432,6 +432,7 @@ def _cmd_scan(args) -> str:
         f"counterexamples={len(report.counterexamples)}"
         f" skipped={len(report.skipped)} checked={len(report.records)}"
     )
+    lines.append(f"# settled={sum(r.settled for r in report.records)}")
     lines.append(
         f"# stats pairs={len(report.records)}"
         f" solved={len(report.records) - len(report.skipped)}"

@@ -36,6 +36,7 @@ from .graphs import (
     ball,
     bit_indices,
     boundary,
+    connected_components,
     cycle,
     delete_vertex,
     has_isolated_vertex,
@@ -48,6 +49,7 @@ from .products import check_product_order, normalize_kind, product
 from .sequences import SequenceReport, check_sequence
 from .solver import (
     MAX_SOLVER_ORDER,
+    WEIGHTED_MAX_ORDER,
     grundy,
     lex_grundy,
     max_weighted_sequence,
@@ -55,6 +57,10 @@ from .solver import (
 
 THETA_MAX_ORDER = 16
 SUBSET_ENUM_LIMIT = 10_000_000
+# the peeling bound solves what is left once the product has at most this
+# many vertices, and the scan solves such a product whole without bounds;
+# on the census scan pairs 16 measured faster than 8, 12, 20 or 24
+PEEL_EXACT_CAP = 16
 
 
 def _chk(cond: bool, msg: str) -> None:
@@ -673,10 +679,9 @@ def strong_simplicial_upper(
     G: Graph,
     H: Graph,
     *,
-    exact_cap: int = 16,
+    exact_cap: int = PEEL_EXACT_CAP,
     g_g: int | None = None,
     g_h: int | None = None,
-    g_p: int | None = None,
 ) -> int:
     """Upper bound for grundy(strong(G, H)) by peeling simplicial vertices.
 
@@ -684,10 +689,8 @@ def strong_simplicial_upper(
     so it is deleted and grundy(H) is added. When the remaining product is
     small enough it is solved exactly; if no simplicial vertex remains the
     blow-up bound min{|V| * grundy(H), grundy * |V(H)|} finishes instead.
-    g_g, g_h and g_p are grundy(G), grundy(H) and grundy(strong(G, H)) when
-    the caller knows them. When no vertex was peeled the product left to
-    solve is strong(G, H) itself, so g_p is returned instead of solving it;
-    this is always the case when G.n * H.n <= exact_cap.
+    g_g and g_h are grundy(G) and grundy(H) when the caller knows them. When
+    G.n * H.n <= exact_cap nothing is peeled and strong(G, H) is solved.
     """
     if g_h is None:
         g_h = grundy(H, witness=False).value
@@ -701,24 +704,33 @@ def strong_simplicial_upper(
             return total + min(cur.n * g_h, g_g * H.n)
         total += g_h
         cur = delete_vertex(cur, v)
-    if cur is G and g_p is not None:
-        return g_p
     return total + grundy(product("strong", cur, H).graph, witness=False).value
 
 
-def _strong_uppers(
-    G: Graph, H: Graph, g_g: int, g_h: int, g_p: int | None = None
-) -> tuple[int, int]:
+def _strong_uppers(G: Graph, H: Graph, g_g: int, g_h: int) -> tuple[int, int]:
     """Blow-up and simplicial peeling upper bounds for grundy(strong(G, H)),
-    from g_g = grundy(G), g_h = grundy(H) and, when known, g_p =
-    grundy(strong(G, H)); strong(H, G) is isomorphic to it, so g_p serves
-    both peeling orientations."""
+    from g_g = grundy(G) and g_h = grundy(H); the peeling bound is the
+    better of its two orientations."""
     blowup = min(G.n * g_h, g_g * H.n)
     peel = min(
-        strong_simplicial_upper(G, H, g_g=g_g, g_h=g_h, g_p=g_p),
-        strong_simplicial_upper(H, G, g_g=g_h, g_h=g_g, g_p=g_p),
+        strong_simplicial_upper(G, H, g_g=g_g, g_h=g_h),
+        strong_simplicial_upper(H, G, g_g=g_h, g_h=g_g),
     )
     return blowup, peel
+
+
+def _refuse_oversized(*checks: tuple[Graph, int, str]) -> None:
+    """Raise, before any search starts, the CapacityError that the first
+    failing check would raise inside its search: (A, MAX_SOLVER_ORDER,
+    "solver") for grundy(A), (A, WEIGHTED_MAX_ORDER, "weighted search") for
+    the weighted search of A. A graph named twice has its components found
+    once."""
+    largest: dict[int, int] = {}
+    for A, cap, search in checks:
+        if id(A) not in largest:
+            largest[id(A)] = max(map(int.bit_count, connected_components(A)))
+        if largest[id(A)] > cap:
+            raise CapacityError(f"component order {largest[id(A)]} exceeds {search} cap {cap}")
 
 
 def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
@@ -740,6 +752,11 @@ def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
     if kind == "cartesian":
         # construct_cartesian_witness builds the product: refuse its order before any solve
         check_product_order(G.n * H.n)
+    elif kind == "direct":
+        # refuse what the loop below would refuse after solving B, before any solve
+        checks = [((B, MAX_SOLVER_ORDER, "solver"), (A, WEIGHTED_MAX_ORDER, "weighted search"))
+                  for A, B in ((G, H), (H, G)) if not has_isolated_vertex(B)]
+        _refuse_oversized(*(check for pair in checks for check in pair))
     if kind in ("cartesian", "direct"):
         # both products of H and G are isomorphic to those of G and H
         found = []
@@ -757,8 +774,9 @@ def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
                     else "direct_layered_replication")
             lower.append((name, max(found)))
     elif kind == "lexicographic":
+        # refuse an oversized component of G before H is solved
+        _refuse_oversized((H, MAX_SOLVER_ORDER, "solver"), (G, WEIGHTED_MAX_ORDER, "weighted search"))
         g_h = grundy(H, witness=False).value
-        # the weighted search refuses an oversized component of G before G is solved
         exact, _ = lex_grundy(G, g_h)
         g_g = grundy(G, witness=False).value
         lower.append(
@@ -795,11 +813,13 @@ class ScanRecord:
     witness_g: tuple[int, ...] | None = None
     witness_h: tuple[int, ...] | None = None
     witness_product: tuple[int, ...] | None = None
-    # seconds spent on the pair, and the search nodes of its solves of G, H
-    # and the product (with witnesses too for a counterexample; the peeling
-    # bound's own solves are not counted); records compare without them
+    # seconds spent on the pair; the search nodes of its solves of G, H and,
+    # unless the bounds settled the pair, the product (with witnesses too for
+    # a counterexample; the peeling bound's own solves are not counted); and
+    # whether the bounds settled it. Records compare without these
     elapsed: float = field(default=0.0, compare=False)
     nodes: int = field(default=0, compare=False)
+    settled: bool = field(default=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -825,18 +845,20 @@ def conjecture_scan(
 ) -> ScanReport:
     """Test grundy(strong(G, H)) == grundy(G) * grundy(H) over factor pairs.
 
-    Each pair is solved exactly and classified as equality or counterexample;
-    pairs whose product has more than MAX_SOLVER_ORDER vertices, that come
-    past the time budget, or one of whose solves goes over the search budget
+    Each pair is classified as equality or counterexample; pairs whose
+    product has more than MAX_SOLVER_ORDER vertices, that come past the time
+    budget, or one of whose solves goes over the search budget
     (solver.MAX_SEARCH_NODES) are recorded as skipped, with the reason.
+    The factors are solved first, which gives the product lower bound
+    grundy(G) * grundy(H). A product of more than PEEL_EXACT_CAP vertices
+    then gets the blow-up and simplicial peeling upper bounds; when they
+    meet the lower bound the pair is settled as an equality without solving
+    the product, and an upper bound below it raises InvariantError. Every
+    other product is solved and checked against both bounds (its peeling
+    bound would be its own value, so the blow-up bound checks the solver
+    there); a violation would mean a solver bug and raises InvariantError.
     A counterexample is reported with full witnesses, never asserted away.
-    The product lower bound and the blow-up and simplicial upper bounds are
-    checked on every solved pair; a violation would mean a solver bug and
-    raises InvariantError. The peeling bound is given the product's value,
-    so an orientation that peels no vertex (every product of at most
-    exact_cap = 16 vertices) reuses it rather than solving the product or
-    its swap again, and only the bounds left after peeling check the
-    solver. A time budget must be a nonnegative number of seconds.
+    A time budget must be a nonnegative number of seconds.
     """
     if time_budget is not None and not time_budget >= 0:
         raise ParameterError(f"time budget must be nonnegative, got {time_budget}")
@@ -856,16 +878,31 @@ def _scan_pair(G: Graph, H: Graph, deadline: float | None) -> ScanRecord:
     start = time.perf_counter()
     try:
         solves = [grundy(G, witness=False), grundy(H, witness=False)]
-        prod_graph = product("strong", G, H).graph
-        solves.append(grundy(prod_graph, witness=False))
-        g_g, g_h, g_p = (sol.value for sol in solves)
+        g_g, g_h = (sol.value for sol in solves)
         lower = g_g * g_h
-        upper = min(_strong_uppers(G, H, g_g, g_h, g_p=g_p))
-        if not lower <= g_p <= upper:
+        peeled = G.n * H.n > PEEL_EXACT_CAP
+        # on a smaller product the peeling bound deletes no vertex and would
+        # be the product's own value, so only the blow-up bound comes first
+        upper = min(_strong_uppers(G, H, g_g, g_h)) if peeled else min(G.n * g_h, g_g * H.n)
+        if upper < lower:
             raise InvariantError(
                 f"bound violation on {name_g} x {name_h}:"
-                f" expected {lower} <= {g_p} <= {upper}"
+                f" upper bound {upper} is below lower bound {lower}"
             )
+        settled = peeled and upper == lower
+        if settled:
+            g_p = lower
+        else:
+            prod_graph = product("strong", G, H).graph
+            solves.append(grundy(prod_graph, witness=False))
+            g_p = solves[-1].value
+            if not peeled:
+                upper = min(upper, g_p)
+            if not lower <= g_p <= upper:
+                raise InvariantError(
+                    f"bound violation on {name_g} x {name_h}:"
+                    f" expected {lower} <= {g_p} <= {upper}"
+                )
         witnesses = (None, None, None)
         if g_p != lower:
             witnessed = [grundy(G), grundy(H), grundy(prod_graph)]
@@ -880,6 +917,7 @@ def _scan_pair(G: Graph, H: Graph, deadline: float | None) -> ScanRecord:
         witness_g=witnesses[0], witness_h=witnesses[1], witness_product=witnesses[2],
         elapsed=time.perf_counter() - start,
         nodes=sum(sol.stats.nodes for sol in solves),
+        settled=settled,
     )
 
 

@@ -489,7 +489,15 @@ def test_scan_checks_family_order_before_building(capsys, monkeypatch):
 
 
 def test_scan_bound_violation_is_an_error_line(capsys, monkeypatch):
-    monkeypatch.setattr(theory, "_strong_uppers", lambda *args, **kwargs: (0, 0))
+    # g1_0xP18 has 18 vertices, so its upper bound is the peeled one; the
+    # squares of --max-n 2 have at most 16 and check their product solve,
+    # here of an edgeless graph whose value 4 exceeds K2xK2's blow-up bound 2
+    with monkeypatch.context() as patch:
+        patch.setattr(theory, "_strong_uppers", lambda *args, **kwargs: (0, 0))
+        code, out, err = run(capsys, "scan", "--max-n", "1", "--families", "P18")
+        assert code == 1 and out == ""
+        assert err.startswith("error: bound violation") and "Traceback" not in err
+    monkeypatch.setattr(theory, "product", lambda kind, G, H: product(kind, Graph(G.n), Graph(H.n)))
     code, out, err = run(capsys, "scan", "--max-n", "2")
     assert code == 1 and out == ""
     assert err.startswith("error: bound violation") and "Traceback" not in err

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from grundydom import solver, theory
-from grundydom.errors import CapacityError, ParameterError
+from grundydom.errors import CapacityError, InvariantError, ParameterError
 from grundydom.graphs import (
     Graph,
     bit_indices,
@@ -637,10 +637,12 @@ def test_product_bounds_refuse_before_solving_the_first_factor(monkeypatch):
     monkeypatch.setattr(theory, "grundy", counting)
     with pytest.raises(CapacityError, match="product order 4144 exceeds product cap 4096"):
         product_bounds("cartesian", G, H)
+    # the direct kind would solve H in open mode, the lexicographic kind H,
+    # before the weighted search of G refuses it
+    for kind in ("direct", "lexicographic"):
+        with pytest.raises(CapacityError, match="component order 36 exceeds weighted search cap 25"):
+            product_bounds(kind, G, H)
     assert solved == []
-    with pytest.raises(CapacityError, match="component order 36 exceeds weighted search cap 25"):
-        product_bounds("lexicographic", G, H)
-    assert solved == [H]
 
 
 def test_product_bounds_sandwich_exact_value():
@@ -669,9 +671,10 @@ def test_strong_simplicial_upper():
 
 
 def test_peeling_without_product_value_solves_both_orientations():
-    # without g_p, the peeling bound of a product of at most exact_cap = 16
-    # vertices solves strong(G, H) or, swapped, strong(H, G); both must give
-    # the product's value. The scan passes g_p and skips these solves.
+    # the peeling bound of a product of at most PEEL_EXACT_CAP = 16 vertices
+    # solves strong(G, H) or, swapped, strong(H, G); both must give the
+    # product's value. The scan solves such a product once and skips the
+    # peeling bound.
     graphs = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
     pairs = [(G, H) for G in graphs for H in graphs if G.n * H.n <= 16]
     peel = {(G.name, H.name): strong_simplicial_upper(G, H) for G, H in pairs}
@@ -700,16 +703,65 @@ def test_conjecture_scan_equalities():
     assert [r.nodes for r in again.records] == [r.nodes for r in report.records]
 
 
+def solve_first_record(G: Graph, H: Graph) -> theory.ScanRecord:
+    """A scan record computed the old way: every product solved first, then
+    checked against the blow-up and both peeling orientations."""
+    g_g, g_h = grundy(G, witness=False).value, grundy(H, witness=False).value
+    prod = product("strong", G, H).graph
+    g_p = grundy(prod, witness=False).value
+    lower = g_g * g_h
+    blowup = min(G.n * g_h, g_g * H.n)
+    upper = min(blowup, strong_simplicial_upper(G, H), strong_simplicial_upper(H, G))
+    assert lower <= g_p <= upper
+    if g_p == lower:
+        return theory.ScanRecord(G.display_name, H.display_name, g_g, g_h, g_p, lower, upper,
+                                 status="equality")
+    return theory.ScanRecord(
+        G.display_name, H.display_name, g_g, g_h, g_p, lower, upper, status="counterexample",
+        witness_g=tuple(grundy(G).witness), witness_h=tuple(grundy(H).witness),
+        witness_product=tuple(grundy(prod).witness),
+    )
+
+
 def test_conjecture_scan_upper_is_the_bound_without_product_value():
-    # the scan's upper bound is the blow-up and both peeling orientations,
-    # whether or not the peeling bound is handed the product's value; the
-    # C4 pairs have 20 vertices, so their peeling bound deletes vertices
+    # the scan's records, its upper bound among them, equal a solve-first
+    # reference whose upper bound is the blow-up and both peeling
+    # orientations computed without the product's value; the C4 pairs of
+    # order 5 and the order-6 P3 pairs have over 16 vertices, so their
+    # peeling bound deletes vertices and can settle the pair
     graphs = [g for n in range(1, 6) for g in enumerate_connected_graphs(n)]
     pairs = [(G, H) for H in (path(2), path(3), cycle(4)) for G in graphs]
-    for (G, H), rec in zip(pairs, conjecture_scan(pairs).records):
-        blowup = min(G.n * rec.gamma_h, rec.gamma_g * H.n)
-        peel = min(strong_simplicial_upper(G, H), strong_simplicial_upper(H, G))
-        assert rec.upper == min(blowup, peel), (G.name, H.name)
+    pairs += [(G, path(3)) for G in enumerate_connected_graphs(6)]
+    records = conjecture_scan(pairs).records
+    for (G, H), rec in zip(pairs, records):
+        assert rec == solve_first_record(G, H), (G.name, H.name)
+        assert rec.settled == (G.n * H.n > theory.PEEL_EXACT_CAP and rec.upper == rec.lower)
+    # 123 of the 133 pairs over 16 vertices
+    assert sum(rec.settled for rec in records) == 123
+
+
+def test_conjecture_scan_settles_by_bounds_without_solving_the_product(monkeypatch):
+    # P6xP3 has 18 vertices: peeling a leaf of P6 leaves P5xP3, whose value
+    # 8 plus grundy(P3) = 2 meets the lower bound 5 * 2
+    solved = []
+
+    def counting(A, *args, **kwargs):
+        solved.append(A.n)
+        return grundy(A, *args, **kwargs)
+
+    monkeypatch.setattr(theory, "grundy", counting)
+    (rec,) = conjecture_scan([(path(6), path(3))]).records
+    assert rec.settled and rec.status == "equality"
+    assert rec.gamma_product == rec.lower == rec.upper == 10
+    assert 18 not in solved
+    assert rec.nodes == grundy(path(6)).stats.nodes + grundy(path(3)).stats.nodes
+    # a peeled upper bound below the lower bound is a bound violation, raised
+    # before the product is solved
+    monkeypatch.setattr(theory, "strong_simplicial_upper", lambda *args, **kwargs: 9)
+    solved.clear()
+    with pytest.raises(InvariantError, match="upper bound 9 is below lower bound 10"):
+        conjecture_scan([(path(6), path(3))])
+    assert solved == [6, 3]
 
 
 def test_conjecture_scan_skips():
