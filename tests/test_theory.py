@@ -1,5 +1,6 @@
 """Catalog formulas, witness constructions, bounds, scans, and spot checks."""
 
+import hashlib
 import random
 from itertools import combinations
 
@@ -655,6 +656,24 @@ def test_product_bounds_sandwich_exact_value():
                 assert rep.best_lower <= val, (kind, G.name, H.name)
             if rep.best_upper is not None:
                 assert val <= rep.best_upper, (kind, G.name, H.name)
+
+
+def test_product_bounds_reports_are_pinned():
+    # every report, entry names and order included, of the four kinds over
+    # all ordered pairs of 14 small factors: the connected graphs of order at
+    # most 4, two disconnected graphs, a caterpillar and the 20-vertex grid
+    graphs = [G for n in range(1, 5) for G in enumerate_connected_graphs(n)]
+    graphs += [
+        disjoint_union(complete(2), disjoint_union(complete(1), complete(1))),
+        disjoint_union(path(2), path(3)),
+        caterpillar(4, [2, 1, 1, 2]),
+        product("cartesian", path(4), path(5)).graph,
+    ]
+    reports = [product_bounds(kind, G, H)
+               for kind in ("cartesian", "strong", "direct", "lexicographic")
+               for G in graphs for H in graphs]
+    digest = hashlib.sha256("\n".join(map(repr, reports)).encode()).hexdigest()
+    assert digest == "9639f8eab5e04d1c67c589583d8089f40a58ac737b2ad8540550ab45234f80e7"
 
 
 def test_strong_simplicial_upper():
