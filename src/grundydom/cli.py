@@ -195,7 +195,6 @@ def _family_graph(token: str) -> Graph:
             f"unknown family token {token!r}; use P<k>, C<k>, K<k>, or S<k>"
         )
     k = int(m.group(2))
-    _check_file_order(k)
     # scan skips every pair with a factor this large, so it is never built
     if k > MAX_SOLVER_ORDER:
         raise CapacityError(f"graph order {k} exceeds solver cap {MAX_SOLVER_ORDER}")

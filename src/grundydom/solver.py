@@ -120,8 +120,11 @@ class SolveResult:
     stats: SolveStats = field(default_factory=SolveStats)
 
 
-def _components(G: Graph, cap: int, search: str) -> list[int]:
-    """Vertex masks of G's connected components; CapacityError if one exceeds cap."""
+def check_components(G: Graph, cap: int, search: str) -> list[int]:
+    """Vertex masks of G's connected components; CapacityError if one exceeds cap.
+
+    The searches call it first with their own cap and name ("solver" or
+    "weighted search"), and a caller can make the same check before a search."""
     if G.n < 1:
         raise ParameterError("solver needs at least one vertex")
     comps = connected_components(G)
@@ -286,7 +289,7 @@ def grundy(G: Graph, mode: str = "closed", *, witness: bool = True) -> SolveResu
     SolveStats field is the sum over the components. A component's memo
     keeps every position it expands until the component is done.
     """
-    comps = _components(G, MAX_SOLVER_ORDER, "solver")
+    comps = check_components(G, MAX_SOLVER_ORDER, "solver")
     if len(comps) == 1:
         return _grundy_connected(G, mode_rows(G, mode), witness)
     # every component's rows first, so that a bad mode fails before any search
@@ -351,7 +354,7 @@ def max_weighted_sequence(G: Graph, w_independent: int, w_dependent: int) -> tup
     Each connected component is solved on its own, as in grundy, so
     WEIGHTED_MAX_ORDER caps the order of each component, not of G.
     """
-    comps = _components(G, WEIGHTED_MAX_ORDER, "weighted search")
+    comps = check_components(G, WEIGHTED_MAX_ORDER, "weighted search")
     if w_independent < 0 or w_dependent < 0:
         raise ParameterError("weights must be nonnegative")
     parts = [(verts, _weighted_connected(sub, w_independent, w_dependent))

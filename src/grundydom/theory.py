@@ -36,7 +36,6 @@ from .graphs import (
     ball,
     bit_indices,
     boundary,
-    connected_components,
     cycle,
     delete_vertex,
     has_isolated_vertex,
@@ -50,6 +49,7 @@ from .sequences import SequenceReport, check_sequence
 from .solver import (
     MAX_SOLVER_ORDER,
     WEIGHTED_MAX_ORDER,
+    check_components,
     grundy,
     lex_grundy,
     max_weighted_sequence,
@@ -687,10 +687,11 @@ def strong_simplicial_upper(
 
     A simplicial vertex of G accounts for at most grundy(H) sequence items,
     so it is deleted and grundy(H) is added. When the remaining product is
-    small enough it is solved exactly; if no simplicial vertex remains the
+    small enough it is solved exactly (a single vertex left adds grundy(H),
+    as strong(K1, H) is H); if no simplicial vertex remains the
     blow-up bound min{|V| * grundy(H), grundy * |V(H)|} finishes instead.
     g_g and g_h are grundy(G) and grundy(H) when the caller knows them. When
-    G.n * H.n <= exact_cap nothing is peeled and strong(G, H) is solved.
+    G.n * H.n <= exact_cap nothing is peeled.
     """
     if g_h is None:
         g_h = grundy(H, witness=False).value
@@ -704,6 +705,8 @@ def strong_simplicial_upper(
             return total + min(cur.n * g_h, g_g * H.n)
         total += g_h
         cur = delete_vertex(cur, v)
+    if cur.n == 1:  # strong(K1, H) is H
+        return total + g_h
     return total + grundy(product("strong", cur, H).graph, witness=False).value
 
 
@@ -717,20 +720,6 @@ def _strong_uppers(G: Graph, H: Graph, g_g: int, g_h: int) -> tuple[int, int]:
         strong_simplicial_upper(H, G, g_g=g_h, g_h=g_g),
     )
     return blowup, peel
-
-
-def _refuse_oversized(*checks: tuple[Graph, int, str]) -> None:
-    """Raise, before any search starts, the CapacityError that the first
-    failing check would raise inside its search: (A, MAX_SOLVER_ORDER,
-    "solver") for grundy(A), (A, WEIGHTED_MAX_ORDER, "weighted search") for
-    the weighted search of A. A graph named twice has its components found
-    once."""
-    largest: dict[int, int] = {}
-    for A, cap, search in checks:
-        if id(A) not in largest:
-            largest[id(A)] = max(map(int.bit_count, connected_components(A)))
-        if largest[id(A)] > cap:
-            raise CapacityError(f"component order {largest[id(A)]} exceeds {search} cap {cap}")
 
 
 def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
@@ -749,33 +738,34 @@ def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
         raise ParameterError("product factors must be nonempty")
     lower: list[tuple[str, int]] = []
     upper: list[tuple[str, int]] = []
+    # both products of H and G are isomorphic to those of G and H, so the
+    # replication bounds try both orientations
     if kind == "cartesian":
         # construct_cartesian_witness builds the product: refuse its order before any solve
         check_product_order(G.n * H.n)
-    elif kind == "direct":
-        # refuse what the loop below would refuse after solving B, before any solve
-        checks = [((B, MAX_SOLVER_ORDER, "solver"), (A, WEIGHTED_MAX_ORDER, "weighted search"))
-                  for A, B in ((G, H), (H, G)) if not has_isolated_vertex(B)]
-        _refuse_oversized(*(check for pair in checks for check in pair))
-    if kind in ("cartesian", "direct"):
-        # both products of H and G are isomorphic to those of G and H
         found = []
         for A, B in ((G, H), (H, G)):
-            if kind == "cartesian":
-                try:
-                    found.append(len(construct_cartesian_witness(A, B, grundy(A).witness)))
-                except ParameterError:
-                    pass
-            elif not has_isolated_vertex(B):
-                gt_b = grundy(B, mode="open", witness=False).value
-                found.append(max_weighted_sequence(A, B.n, gt_b)[0])
+            try:
+                found.append(len(construct_cartesian_witness(A, B, grundy(A).witness)))
+            except ParameterError:
+                pass
         if found:
-            name = ("cartesian_layer_replication" if kind == "cartesian"
-                    else "direct_layered_replication")
-            lower.append((name, max(found)))
+            lower.append(("cartesian_layer_replication", max(found)))
+    elif kind == "direct":
+        # each orientation solves B in open mode, then the weighted search of
+        # A; refuse what either would refuse before any solve
+        pairs = [(A, B) for A, B in ((G, H), (H, G)) if not has_isolated_vertex(B)]
+        for A, B in pairs:
+            check_components(B, MAX_SOLVER_ORDER, "solver")
+            check_components(A, WEIGHTED_MAX_ORDER, "weighted search")
+        found = [max_weighted_sequence(A, B.n, grundy(B, mode="open", witness=False).value)[0]
+                 for A, B in pairs]
+        if found:
+            lower.append(("direct_layered_replication", max(found)))
     elif kind == "lexicographic":
         # refuse an oversized component of G before H is solved
-        _refuse_oversized((H, MAX_SOLVER_ORDER, "solver"), (G, WEIGHTED_MAX_ORDER, "weighted search"))
+        check_components(H, MAX_SOLVER_ORDER, "solver")
+        check_components(G, WEIGHTED_MAX_ORDER, "weighted search")
         g_h = grundy(H, witness=False).value
         exact, _ = lex_grundy(G, g_h)
         g_g = grundy(G, witness=False).value

@@ -691,9 +691,9 @@ def test_strong_simplicial_upper():
 
 def test_peeling_without_product_value_solves_both_orientations():
     # the peeling bound of a product of at most PEEL_EXACT_CAP = 16 vertices
-    # solves strong(G, H) or, swapped, strong(H, G); both must give the
-    # product's value. The scan solves such a product once and skips the
-    # peeling bound.
+    # solves strong(G, H) or, swapped, strong(H, G), or returns grundy(H)
+    # when G is K1; both must give the product's value. The scan solves such
+    # a product once and skips the peeling bound.
     graphs = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
     pairs = [(G, H) for G in graphs for H in graphs if G.n * H.n <= 16]
     peel = {(G.name, H.name): strong_simplicial_upper(G, H) for G, H in pairs}
@@ -701,6 +701,22 @@ def test_peeling_without_product_value_solves_both_orientations():
     for G, H in pairs:
         want = exact("strong", G, H)
         assert peel[G.name, H.name] == peel[H.name, G.name] == want, (G.name, H.name)
+
+
+def test_peeling_down_to_one_vertex_does_not_solve_again(monkeypatch):
+    # the orientation (P2, P4xP5) peels a leaf of P2 and is left with
+    # strong(K1, P4xP5), which is P4xP5, whose value the bound already has
+    solved = []
+
+    def counting(A, *args, **kwargs):
+        solved.append(A.n)
+        return grundy(A, *args, **kwargs)
+
+    monkeypatch.setattr(theory, "grundy", counting)
+    grid = product("cartesian", path(4), path(5)).graph
+    rep = product_bounds("strong", grid, path(2))
+    assert solved == [20, 2]
+    assert rep.upper == (("strong_min_blowup", 20), ("strong_simplicial_peeling", 20))
 
 
 # === conjecture scan ===
