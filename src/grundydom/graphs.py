@@ -285,6 +285,7 @@ def independence_number(G: Graph) -> int:
         best = 0
         rec(comp, 0)
         total += best
+    del rec  # as in _canonical_search
     return total
 
 
@@ -355,13 +356,29 @@ def disjoint_union(G: Graph, H: Graph) -> Graph:
 # choice are label-equivariant, so such an automorphism maps one subtree onto
 # the other with equal leaf codes, and the minimum is unchanged.
 #
+# A leaf with the best code also backjumps when it lies at the best leaf's
+# depth k. An individualized vertex gets colour -1 and refinement keeps the
+# order of colours, so at a leaf of depth k the vertex individualized at
+# depth i (from 0) ends with colour k-1-i. The recorded automorphism g,
+# which maps each vertex of this leaf to the best leaf's vertex of its
+# colour, therefore maps this leaf's path onto the best leaf's path: it
+# fixes their common prefix p pointwise, and maps the subtree below this
+# leaf's vertex at depth |p| onto the one below the best leaf's, which the
+# search has finished. So the rest of that subtree is left, and the search
+# resumes at depth |p| with the next vertex of the target cell there.
+#
 # The recorded automorphisms generate the whole automorphism group, so
-# vertex_orbits reads the orbits off them. An automorphism g maps the best
-# leaf onto a leaf with the best code. If the search reached that leaf, it
-# recorded g. Otherwise the leaf lies below a skipped vertex, and recorded
-# automorphisms that fix that node's prefix map it into a subtree the
-# search explored, one skip at a time. So g is a product of recorded ones
-# (McKay and Piperno, "Practical graph isomorphism, II", 2014).
+# vertex_orbits reads the orbits off them. An automorphism maps the best
+# leaf onto a leaf with the best code, and only the identity maps a leaf
+# onto itself, so it is enough that every such leaf is the image of the
+# best leaf under a product of recorded automorphisms. If the search
+# reached the leaf, it recorded one automorphism that maps the leaf onto
+# the best leaf. Otherwise the leaf lies below a vertex skipped by the
+# orbit rule or in a subtree left by a backjump, and recorded automorphisms
+# map that subtree onto one the search entered before, so the leaf is the
+# image of a leaf earlier in the tree; induction on that order ends the
+# argument (McKay and Piperno, "Practical graph isomorphism, II", J. Symb.
+# Comput. 60, 2014).
 #
 # Enumeration follows McKay's canonical construction path ("Isomorph-free
 # exhaustive generation", J. Algorithms 26, 1998). Each class of order n-1,
@@ -463,10 +480,13 @@ def _canonical_search(G: Graph) -> tuple[int, list[list[int]], list[int]]:
     edges = G.edges()
     best: int | None = None
     best_at: list[int] = []  # best_at[c] is the vertex colored c at the best leaf
+    best_path: list[int] = []  # the vertices individualized on the way to the best leaf
     autos: list[list[int]] = []
 
-    def rec(colors: list[int], prefix: list[int]):
-        nonlocal best, best_at
+    def rec(colors: list[int], prefix: list[int]) -> int:
+        # the depth to resume at: len(prefix) once the subtree is done, less
+        # to backjump (see the comment on canonical codes above)
+        nonlocal best, best_at, best_path
         target = _target_cell(colors)
         if target is None:
             code = 0
@@ -480,9 +500,15 @@ def _canonical_search(G: Graph) -> tuple[int, list[list[int]], list[int]]:
                 best_at = [0] * n
                 for y, c in enumerate(colors):
                     best_at[c] = y
+                best_path = prefix
             elif code == best:
                 autos.append([best_at[c] for c in colors])
-            return
+                if len(prefix) == len(best_path):
+                    depth = 0
+                    while prefix[depth] == best_path[depth]:
+                        depth += 1
+                    return depth
+            return len(prefix)
         # union-find over the orbits of the automorphisms that fix the prefix
         rep: list[int] | None = None
         used = 0
@@ -498,8 +524,11 @@ def _canonical_search(G: Graph) -> tuple[int, list[list[int]], list[int]]:
             used = len(autos)
             if rep is not None and any(_find(rep, w) == _find(rep, v) for w in branched):
                 continue
-            rec(_individualize(n, adj, colors, v), prefix + [v])
+            resume = rec(_individualize(n, adj, colors, v), prefix + [v])
+            if resume < len(prefix):
+                return resume
             branched.append(v)
+        return len(prefix)
 
     rec(_refine(n, adj, [0] * n), [])
     # rec refers to itself through its closure; break that cycle so that its

@@ -336,6 +336,7 @@ def grundy_bruteforce(G: Graph, mode: str = "closed") -> SolveResult:
                 seq.pop()
 
     rec(0, 0)
+    del rec  # as in graphs._canonical_search
     stats = SolveStats(nodes=nodes, memo_entries=0, search_s=time.perf_counter() - start)
     return SolveResult(value=best_len, witness=best_seq, stats=stats)
 

@@ -78,33 +78,66 @@ def is_triangle_free(G: Graph) -> bool:
 
 def maximal_cliques(G: Graph) -> list[int]:
     """All maximal cliques as vertex masks (Bron-Kerbosch with pivoting)."""
+    adj = G.adj
     out: list[int] = []
 
     def expand(r: int, p: int, x: int) -> None:
-        if p == 0 and x == 0:
-            out.append(r)
+        if not p:
+            if not x:
+                out.append(r)
             return
-        pivot = max(bit_indices(p | x), key=lambda v: (G.adj[v] & p).bit_count())
-        for v in bit_indices(p & ~G.adj[pivot]):
-            vb = 1 << v
-            expand(r | vb, p & G.adj[v], x & G.adj[v])
-            p &= ~vb
-            x |= vb
+        # pivot on the first vertex of p | x with the most neighbours in p
+        most, pivot_row = -1, 0
+        m = p | x
+        while m:
+            low = m & -m
+            m ^= low
+            row = adj[low.bit_length() - 1]
+            d = (row & p).bit_count()
+            if d > most:
+                most, pivot_row = d, row
+        cand = p & ~pivot_row
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            row = adj[low.bit_length() - 1]
+            expand(r | low, p & row, x & row)
+            p ^= low
+            x |= low
 
     if G.n:
         expand(0, G.full_mask, 0)
+    # expand refers to itself through its closure; break that cycle so that
+    # its frame is freed now, not at the next cyclic garbage collection
+    del expand
     return out
 
 
 def _min_set_cover(n_items: int, sets: list[int]) -> int:
-    """Exact minimum number of sets (as item masks) covering all n_items."""
+    """Exact minimum number of sets (as item masks) covering all n_items.
+
+    A set that is the only one holding some item is in every cover, so the
+    search starts from the union of those forced sets.
+    """
     full = (1 << n_items) - 1
-    covered, best = 0, 0
+    by_item: list[list[int]] = [[] for _ in range(n_items)]
+    for s in sets:
+        m = s
+        while m:
+            low = m & -m
+            m ^= low
+            by_item[low.bit_length() - 1].append(s)
+    forced = {holders[0] for holders in by_item if len(holders) == 1}
+    start = 0
+    for s in forced:
+        start |= s
+    if start == full:
+        return len(forced)
+    covered, best = start, len(forced)
     while covered != full:
         covered |= max(sets, key=lambda s: (s & ~covered).bit_count())
         best += 1
     biggest = max(s.bit_count() for s in sets)
-    by_item = [[s for s in sets if s >> i & 1] for i in range(n_items)]
 
     def descend(covered: int, used: int) -> None:
         nonlocal best
@@ -119,41 +152,49 @@ def _min_set_cover(n_items: int, sets: list[int]) -> int:
         for s in sorted(by_item[item], key=lambda s: -(s & ~covered).bit_count()):
             descend(covered | s, used + 1)
 
-    descend(0, 0)
+    descend(start, len(forced))
+    del descend  # as in maximal_cliques
     return best
 
 
 def edge_clique_cover_number(G: Graph) -> int:
     """Minimum number of cliques covering every edge of G (exact).
 
-    Triangle-free graphs need one clique per edge, so that case is answered
-    directly. Otherwise solve set cover over the edges with maximal cliques
-    as the candidate sets; a minimum cover by arbitrary cliques can always
-    be grown to one by maximal cliques, so this is exact. Graphs above
-    THETA_MAX_ORDER vertices raise CapacityError.
+    Solves set cover over the edges with maximal cliques as the candidate
+    sets; a minimum cover by arbitrary cliques can always be grown to one by
+    maximal cliques, so this is exact. An edge that lies in exactly one
+    maximal clique forces that clique into every such cover, so the search
+    starts from the forced cliques and ends at once when they cover every
+    edge. That settles every triangle-free graph, whose edges are its
+    maximal cliques, with one clique per edge. Graphs above THETA_MAX_ORDER
+    vertices raise CapacityError.
     """
     if G.n > THETA_MAX_ORDER:
         raise CapacityError(
             f"edge clique cover is exact only up to {THETA_MAX_ORDER} vertices,"
             f" got {G.n}"
         )
-    edges = G.edges()
-    if not edges:
+    inc = [0] * G.n  # inc[u]: the edges at u, one bit per edge
+    n_edges = 0
+    for u, v in G.edges():
+        inc[u] |= 1 << n_edges
+        inc[v] |= 1 << n_edges
+        n_edges += 1
+    if not n_edges:
         return 0
-    if is_triangle_free(G):
-        return len(edges)
-    edge_idx = {e: i for i, e in enumerate(edges)}
     sets = []
     for clique in maximal_cliques(G):
-        vs = bit_indices(clique)
-        if len(vs) < 2:
-            continue
-        m = 0
-        for i, u in enumerate(vs):
-            for v in vs[i + 1:]:
-                m |= 1 << edge_idx[(u, v)]
-        sets.append(m)
-    return _min_set_cover(len(edges), sets)
+        # two rows share only the bit of the edge between their vertices
+        inside = seen = 0
+        while clique:
+            low = clique & -clique
+            clique ^= low
+            row = inc[low.bit_length() - 1]
+            inside |= row & seen
+            seen |= row
+        if inside:
+            sets.append(inside)
+    return _min_set_cover(n_edges, sets)
 
 
 # ---------------------------------------------------------------------------

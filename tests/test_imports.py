@@ -1,9 +1,12 @@
 """Static guards: every name a package module imports is used by that module,
-every module-level private name is referenced somewhere in the package, and
+every module-level private name is referenced somewhere in the package,
 every formula catalog entry's function takes the parameters its signature
-names."""
+names, and every nested function that calls itself is deleted by the
+function around it; plus the run-time check behind the last: no public
+entry point leaves garbage for the cyclic collector."""
 
 import ast
+import gc
 import inspect
 from collections import Counter
 from pathlib import Path
@@ -11,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import grundydom
+from grundydom import graphs, solver, theory
 from grundydom.theory import FORMULAS
 
 MODULES = sorted(p for p in Path(grundydom.__file__).parent.glob("*.py") if p.name != "__init__.py")
@@ -128,3 +132,112 @@ def test_formula_functions_match_their_signatures():
         assert variadic == ("..." in entry.signature), fid
         if not variadic:
             assert len(positional) == len(entry.signature.split()), fid
+
+
+def unbroken_self_calls(source: str) -> list[str]:
+    """Nested functions that call themselves by name although the function
+    around them never deletes that name.
+
+    Such a function refers to itself through its closure, so each call of
+    the outer function leaves a reference cycle for the cyclic garbage
+    collector; `del` of the name before the outer function returns breaks it.
+    """
+    out = []
+
+    def visit(node: ast.AST, outer: ast.AST | None) -> None:
+        for child in ast.iter_child_nodes(node):
+            if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, outer)
+                continue
+            calls_itself = any(
+                isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == child.name
+                for n in ast.walk(child)
+            )
+            deleted = outer is not None and any(
+                isinstance(n, ast.Delete)
+                and any(isinstance(t, ast.Name) and t.id == child.name for t in n.targets)
+                for n in ast.walk(outer)
+            )
+            if outer is not None and calls_itself and not deleted:
+                out.append(f"{outer.name}.{child.name}")
+            visit(child, child)
+
+    visit(ast.parse(source), None)
+    del visit
+    return out
+
+
+def test_guard_sees_unbroken_self_calls():
+    source = (
+        "def top(n):\n    return top(n - 1)\n"
+        "def leaky(n):\n    def rec(k):\n        return rec(k - 1)\n    return rec(n)\n"
+        "def broken(n):\n    def rec(k):\n        return rec(k - 1)\n"
+        "    out = rec(n)\n    del rec\n    return out\n"
+        "def flat(n):\n    def step(k):\n        return k + 1\n    return step(n)\n"
+        "class C:\n    def method(self):\n        def walk(k):\n            walk(k)\n"
+    )
+    assert unbroken_self_calls(source) == ["leaky.rec", "method.walk"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_nested_self_calls_are_deleted(path):
+    assert unbroken_self_calls(path.read_text()) == []
+
+
+def public_calls() -> dict[str, object]:
+    """One small call of every public function of the package and of the
+    searches the package calls internally."""
+    gd = grundydom
+    c5, p3, p4 = gd.cycle(5), gd.path(3), gd.path(4)
+    c5p3 = gd.product("strong", c5, p3).graph
+    return {
+        "a_value": lambda: gd.a_value(c5, [0, 2]),
+        "boundary_sufficient_bound": lambda: gd.boundary_sufficient_bound(c5p3, 3, trials=20),
+        "caterpillar": lambda: gd.caterpillar(3, [1, 0, 2]),
+        "check_sequence": lambda: gd.check_sequence(c5, [0, 2]),
+        "complete": lambda: gd.complete(4),
+        "conjecture_scan": lambda: gd.conjecture_scan([(p3, p4), (c5, p4)]),
+        "construct_cartesian_witness": lambda: gd.construct_cartesian_witness(p3, p4, [0, 1]),
+        "construct_complete_grid_witness": lambda: gd.construct_complete_grid_witness(3, 4),
+        "construct_direct_witness": lambda: gd.construct_direct_witness(p3, [0, 2], c5, [0, 1, 2]),
+        "construct_lex_witness": lambda: gd.construct_lex_witness(p3, [0, 2], p4, [0, 3]),
+        "construct_odd_torus_witness": lambda: gd.construct_odd_torus_witness(5),
+        "construct_strong_witness": lambda: gd.construct_strong_witness(p3, [0, 2], p4, [0, 3]),
+        "cycle": lambda: gd.cycle(6),
+        "edge_clique_cover_number": lambda: gd.edge_clique_cover_number(c5p3),
+        "enumerate_connected_graphs": lambda: list(gd.enumerate_connected_graphs(5)),
+        "formula_value": lambda: gd.formula_value("thm_cart_grid", [3, 4]),
+        "grundy": lambda: gd.grundy(c5p3),
+        "grundy_bruteforce": lambda: gd.grundy_bruteforce(gd.cycle(6)),
+        "isoperimetric_check": lambda: gd.isoperimetric_check("grid", [3, 3], 1),
+        "lex_grundy": lambda: gd.lex_grundy(gd.cycle(7), 2),
+        "make_graph": lambda: gd.make_graph(gd.FamilySpec("star", (5,))),
+        "path": lambda: gd.path(6),
+        "product": lambda: gd.product("direct", c5, p4),
+        "product_bounds": lambda: [
+            gd.product_bounds(kind, p4, c5)
+            for kind in ("cartesian", "strong", "direct", "lexicographic")
+        ],
+        "star": lambda: gd.star(5),
+        "canonical_code": lambda: graphs.canonical_code(c5p3),
+        "independence_number": lambda: graphs.independence_number(c5p3),
+        "maximal_cliques": lambda: theory.maximal_cliques(c5p3),
+        "max_weighted_sequence": lambda: solver.max_weighted_sequence(gd.cycle(7), 2, 1),
+        "vertex_orbits": lambda: graphs.vertex_orbits(c5p3),
+    }
+
+
+def test_public_calls_leave_no_cyclic_garbage():
+    calls = public_calls()
+    functions = {name for name in grundydom.__all__ if inspect.isfunction(getattr(grundydom, name))}
+    assert functions <= set(calls)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for name, call in calls.items():
+            gc.collect()
+            call()
+            assert gc.collect() == 0, name
+    finally:
+        if enabled:
+            gc.enable()

@@ -95,36 +95,65 @@ def test_edge_clique_cover_examples():
     assert edge_clique_cover_number(diamond) == 2
 
 
+def brute_edge_clique_cover(g: Graph) -> int:
+    """Fewest cliques of any size, maximal or not, covering every edge, by
+    breadth-first search over the sets of covered edges."""
+    edges = g.edges()
+    cliques = []
+    for mask in range(1, 1 << g.n):
+        vs = bit_indices(mask)
+        if len(vs) >= 2 and all(g.has_edge(u, v) for u, v in combinations(vs, 2)):
+            cliques.append(
+                sum(1 << i for i, e in enumerate(edges) if mask >> e[0] & 1 and mask >> e[1] & 1)
+            )
+    full = (1 << len(edges)) - 1
+    level, size = {0}, 0
+    while full not in level:
+        level = {covered | c for covered in level for c in cliques}
+        size += 1
+    return size
+
+
 def test_edge_clique_cover_against_brute():
-    # oracle: smallest subset of all cliques (any, not just maximal) covering E
+    # every labelled graph on at most 5 vertices, every connected class of
+    # order 6 and seeded random graphs, which may be disconnected
+    graphs = [
+        Graph(n, [e for i, e in enumerate(combinations(range(n), 2)) if bits >> i & 1])
+        for n in range(1, 6) for bits in range(1 << n * (n - 1) // 2)
+    ]
+    assert len(graphs) == 1 + 2 + 8 + 64 + 1024
+    graphs += enumerate_connected_graphs(6)
     rng = random.Random(9)
     for trial in range(15):
         n = rng.randrange(2, 7)
-        g = Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5])
-        edges = g.edges()
-        if not edges:
-            assert edge_clique_cover_number(g) == 0
-            continue
-        cliques = []
-        for mask in range(1, 1 << n):
-            vs = bit_indices(mask)
-            if len(vs) >= 2 and all(g.has_edge(u, v) for u, v in combinations(vs, 2)):
-                cliques.append(
-                    sum(1 << i for i, e in enumerate(edges) if mask >> e[0] & 1 and mask >> e[1] & 1)
-                )
-        want = None
-        full = (1 << len(edges)) - 1
-        for size in range(1, len(edges) + 1):
-            for pick in combinations(cliques, size):
-                cover = 0
-                for c in pick:
-                    cover |= c
-                if cover == full:
-                    want = size
-                    break
-            if want is not None:
-                break
-        assert edge_clique_cover_number(g) == want, g.edges()
+        graphs.append(Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5]))
+    for g in graphs:
+        assert edge_clique_cover_number(g) == brute_edge_clique_cover(g), g.edges()
+
+
+def forced_cliques_cover(g: Graph) -> bool:
+    """Whether the maximal cliques that are the only one holding some edge
+    cover every edge."""
+    cliques = maximal_cliques(g)
+    forced = set()
+    for u, v in g.edges():
+        holders = [c for c in cliques if c >> u & 1 and c >> v & 1]
+        if len(holders) == 1:
+            forced.add(holders[0])
+    return all(any(c >> u & 1 and c >> v & 1 for c in forced) for u, v in g.edges())
+
+
+def test_edge_clique_cover_with_and_without_forced_cliques():
+    # the diamond's middle edge lies in both triangles, but each triangle
+    # holds an edge of its own, so both are forced and settle the cover
+    diamond = Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)])
+    assert forced_cliques_cover(diamond)
+    assert edge_clique_cover_number(diamond) == 2
+    # every edge of the octahedron lies in two of its eight triangles, so
+    # nothing is forced and the cover is found by branching
+    octahedron = Graph(6, [(u, v) for u, v in combinations(range(6), 2) if v != u + 3])
+    assert not forced_cliques_cover(octahedron)
+    assert edge_clique_cover_number(octahedron) == brute_edge_clique_cover(octahedron) == 4
 
 
 def test_edge_clique_cover_guard():
