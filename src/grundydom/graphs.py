@@ -229,10 +229,6 @@ def connected_components(G: Graph) -> list[int]:
     return out
 
 
-def is_connected(G: Graph) -> bool:
-    return G.n <= 1 or len(connected_components(G)) == 1
-
-
 def has_isolated_vertex(G: Graph) -> bool:
     return any(row == 0 for row in G.adj)
 
@@ -304,26 +300,6 @@ def is_simplicial(G: Graph, v: int) -> bool:
     return True
 
 
-def substitute_clique(G: Graph, v: int, size: int) -> Graph:
-    """Replace v by a clique of `size` mutually adjacent true twins of v.
-
-    Original ids are preserved, v becomes one clique member, and the other
-    size-1 vertices are appended after the old range. size=1 returns a copy.
-    """
-    if not 0 <= v < G.n:
-        raise ParameterError(f"vertex {v} out of range")
-    if size < 1:
-        raise ParameterError("clique size must be at least 1")
-    edges = G.edges()
-    clones = list(range(G.n, G.n + size - 1))
-    nb = bit_indices(G.adj[v])
-    for c in clones:
-        edges.extend((c, u) for u in nb)
-        edges.append((c, v))
-    edges.extend((a, b) for i, a in enumerate(clones) for b in clones[i + 1:])
-    return Graph(G.n + size - 1, edges, name=G.name)
-
-
 def delete_vertex(G: Graph, v: int) -> Graph:
     """Remove v; vertices above v shift down by one."""
     if not 0 <= v < G.n:
@@ -332,12 +308,6 @@ def delete_vertex(G: Graph, v: int) -> Graph:
     return Graph._from_rows(
         row & below | row >> 1 & ~below for u, row in enumerate(G.adj) if u != v
     )
-
-
-def disjoint_union(G: Graph, H: Graph) -> Graph:
-    """G and H side by side; H's ids are shifted up by G.n."""
-    edges = G.edges() + [(u + G.n, v + G.n) for u, v in H.edges()]
-    return Graph(G.n + H.n, edges, name=f"{G.display_name}+{H.display_name}")
 
 
 # === canonical codes and isomorphism-free enumeration ===
@@ -349,6 +319,25 @@ def disjoint_union(G: Graph, H: Graph) -> Graph:
 # time. Refinement colors are isomorphism-invariant, so the minimum agrees
 # with the minimum over all permutations.
 #
+# A refinement round ranks the vertices by colour and then by the sorted
+# colours of their neighbours; refinement stops at the first round that
+# splits no cell, where the colouring is equitable. _refine gets the same
+# colours with less work. A colouring is a list of cells, a colour its
+# index, and a vertex's new colour is its cell's running offset plus the
+# rank of its key inside the cell, so a singleton cell needs no key. The key
+# counts neighbours only in the parts of the cells that split in the round
+# before, leaving out each such cell's last part; larger counts rank first.
+# This is exact. The first round at the root ranks by degree, so later
+# every cell has one degree, and between sorted neighbour-colour lists of
+# equal length, lexicographic order is the order of the per-colour counts,
+# colour by colour, larger count first. The vertices of a cell had equal
+# neighbour colours in the round that made it, so equal counts into each
+# cell of the colouring before it: into each cell that did not split, and
+# into the whole of each cell that did, which fixes the count into its last
+# part. Individualizing v splits v's cell of an equitable colouring into
+# {v}, which takes the least colour, and the rest, so the first key is
+# adjacency to v.
+#
 # Two leaves with equal codes differ by an automorphism, which the search
 # records. At a node reached by individualizing the prefix p, a vertex of the
 # target cell is skipped when the recorded automorphisms that fix p pointwise
@@ -357,15 +346,16 @@ def disjoint_union(G: Graph, H: Graph) -> Graph:
 # the other with equal leaf codes, and the minimum is unchanged.
 #
 # A leaf with the best code also backjumps when it lies at the best leaf's
-# depth k. An individualized vertex gets colour -1 and refinement keeps the
-# order of colours, so at a leaf of depth k the vertex individualized at
-# depth i (from 0) ends with colour k-1-i. The recorded automorphism g,
-# which maps each vertex of this leaf to the best leaf's vertex of its
-# colour, therefore maps this leaf's path onto the best leaf's path: it
-# fixes their common prefix p pointwise, and maps the subtree below this
-# leaf's vertex at depth |p| onto the one below the best leaf's, which the
-# search has finished. So the rest of that subtree is left, and the search
-# resumes at depth |p| with the next vertex of the target cell there.
+# depth k. An individualized vertex takes the least colour and refinement
+# keeps the order of colours, so at a leaf of depth k the vertex
+# individualized at depth i (from 0) ends with colour k-1-i. The recorded
+# automorphism g, which maps each vertex of this leaf to the best leaf's
+# vertex of its colour, therefore maps this leaf's path onto the best
+# leaf's path: it fixes their common prefix p pointwise, and maps the
+# subtree below this leaf's vertex at depth |p| onto the one below the best
+# leaf's, which the search has finished. So the rest of that subtree is
+# left, and the search resumes at depth |p| with the next vertex of the
+# target cell there.
 #
 # The recorded automorphisms generate the whole automorphism group, so
 # vertex_orbits reads the orbits off them. An automorphism maps the best
@@ -403,42 +393,50 @@ def _pair_bit(n: int, i: int, j: int) -> int:
     return i * n - i * (i + 1) // 2 + (j - i - 1)
 
 
-# A round that splits no cell leaves an equitable colouring, and the next
-# round would only return the same dense ranks, so refinement stops there.
-def _refine(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
-    cells = len(set(colors))
-    while True:
-        sigs = []
-        for v in range(n):
-            nb = []
-            m = adj[v]
-            while m:
-                low = m & -m
-                nb.append(colors[low.bit_length() - 1])
-                m ^= low
-            nb.sort()
-            sigs.append((colors[v], tuple(nb)))
-        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        colors = [rank[s] for s in sigs]
-        if len(rank) == cells:
-            return colors
-        cells = len(rank)
-
-
-def _individualize(n: int, adj: tuple[int, ...], colors: list[int], v: int) -> list[int]:
-    colors = list(colors)
-    colors[v] = -1
-    return _refine(n, adj, colors)
-
-
-def _target_cell(colors: list[int]) -> int | None:
-    """Least color shared by two or more vertices; None once the coloring is discrete."""
-    if len(set(colors)) == len(colors):
-        return None
-    counts: dict[int, int] = {}
-    for c in colors:
-        counts[c] = counts.get(c, 0) + 1
-    return min(c for c, k in counts.items() if k > 1)
+def _refine(adj: tuple[int, ...], cells: list[list[int]], split: list[int] | None
+            ) -> tuple[list[list[int]], int | None]:
+    """Refine the list of cells until a round splits none (see the comment
+    above); return it and its target, the first cell of two or more vertices,
+    or None. split holds the masks of the parts that keys count neighbours
+    in, None at the root. Each cell stays in ascending vertex order."""
+    if split is None:
+        by_degree: dict[int, list[int]] = {}
+        for v in cells[0]:
+            by_degree.setdefault(adj[v].bit_count(), []).append(v)
+        cells = [by_degree[d] for d in sorted(by_degree)]
+        split = [mask_of(cell) for cell in cells[:-1]]
+    width = len(adj).bit_length()
+    while split:
+        out = []
+        parts = []
+        for cell in cells:
+            if len(cell) == 1:
+                out.append(cell)
+                continue
+            groups: dict[int, list[int]] = {}
+            for v in cell:
+                # the counts, width bits apiece: keys compare as count tuples
+                row = adj[v]
+                key = 0
+                for part in split:
+                    key = key << width | (row & part).bit_count()
+                if key in groups:
+                    groups[key].append(v)
+                else:
+                    groups[key] = [v]
+            if len(groups) == 1:
+                out.append(cell)
+                continue
+            keys = sorted(groups, reverse=True)
+            for key in keys[:-1]:
+                out.append(groups[key])
+                parts.append(mask_of(groups[key]))
+            out.append(groups[keys[-1]])
+        cells, split = out, parts
+    for c, cell in enumerate(cells):
+        if len(cell) > 1:
+            return cells, c
+    return cells, None
 
 
 def _find(rep: list[int], x: int) -> int:
@@ -478,28 +476,30 @@ def _canonical_search(G: Graph) -> tuple[int, list[list[int]], list[int]]:
     if n <= 1:
         return 0, [], list(range(n))
     edges = G.edges()
+    # the pair-bit table: _pair_bit(n, a, b) is offset[a] + b
+    offset = [_pair_bit(n, a, 0) for a in range(n)]
     best: int | None = None
     best_at: list[int] = []  # best_at[c] is the vertex colored c at the best leaf
     best_path: list[int] = []  # the vertices individualized on the way to the best leaf
     autos: list[list[int]] = []
 
-    def rec(colors: list[int], prefix: list[int]) -> int:
+    def rec(cells: list[list[int]], target: int | None, prefix: list[int]) -> int:
         # the depth to resume at: len(prefix) once the subtree is done, less
         # to backjump (see the comment on canonical codes above)
         nonlocal best, best_at, best_path
-        target = _target_cell(colors)
         if target is None:
+            colors = [0] * n
+            for c, (y,) in enumerate(cells):
+                colors[y] = c
             code = 0
             for u, v in edges:
                 a, b = colors[u], colors[v]
                 if a > b:
                     a, b = b, a
-                code |= 1 << _pair_bit(n, a, b)
+                code |= 1 << offset[a] + b
             if best is None or code < best:
                 best = code
-                best_at = [0] * n
-                for y, c in enumerate(colors):
-                    best_at[c] = y
+                best_at = [y for y, in cells]
                 best_path = prefix
             elif code == best:
                 autos.append([best_at[c] for c in colors])
@@ -513,9 +513,8 @@ def _canonical_search(G: Graph) -> tuple[int, list[list[int]], list[int]]:
         rep: list[int] | None = None
         used = 0
         branched: list[int] = []
-        for v in range(n):
-            if colors[v] != target:
-                continue
+        cell = cells[target]
+        for v in cell:
             for g in autos[used:]:
                 if all(g[p] == p for p in prefix):
                     if rep is None:
@@ -524,13 +523,14 @@ def _canonical_search(G: Graph) -> tuple[int, list[list[int]], list[int]]:
             used = len(autos)
             if rep is not None and any(_find(rep, w) == _find(rep, v) for w in branched):
                 continue
-            resume = rec(_individualize(n, adj, colors, v), prefix + [v])
+            child = [[v], *cells[:target], [u for u in cell if u != v], *cells[target + 1:]]
+            resume = rec(*_refine(adj, child, [1 << v]), prefix + [v])
             if resume < len(prefix):
                 return resume
             branched.append(v)
         return len(prefix)
 
-    rec(_refine(n, adj, [0] * n), [])
+    rec(*_refine(adj, [list(range(n))], None), [])
     # rec refers to itself through its closure; break that cycle so that its
     # state is freed now, not at the next cyclic garbage collection
     del rec
@@ -609,9 +609,9 @@ def _deletion_ties(adj: list[int]) -> list[int] | None:
 
     The deletion vertex is a non-cut vertex of least degree and, among those,
     of least sorted list of neighbor degrees; the canonical labelling breaks
-    the ties left. Only vertices of degree at most v's are tested for being
-    cut vertices. v itself never is one, since the graph without it is
-    connected.
+    the ties left. Only vertices of degree at most v's, other than leaves,
+    are tested for being cut vertices: a leaf never is one, and neither is
+    v, since the graph without it is connected.
     """
     n = len(adj)
     v = n - 1
@@ -620,7 +620,7 @@ def _deletion_ties(adj: list[int]) -> list[int] | None:
     full = (1 << n) - 1
     ties = [v]
     for u in range(v):
-        if degrees[u] <= k and not _is_cut_vertex(adj, full, u):
+        if degrees[u] <= k and (degrees[u] == 1 or not _is_cut_vertex(adj, full, u)):
             if degrees[u] < k:
                 return None
             ties.append(u)
@@ -635,7 +635,7 @@ def _deletion_ties(adj: list[int]) -> list[int] | None:
 
 def _is_cut_vertex(adj: list[int], full: int, u: int) -> bool:
     """Whether removing u disconnects the graph on `full` with rows adj."""
-    # inline rather than _neighbors: the enumerator's innermost loop, 2.5 M calls at order 9
+    # inline rather than _neighbors: the enumerator's innermost loop, 2.3 M calls through order 9
     rest = full & ~(1 << u)
     seen = frontier = rest & -rest
     while frontier:

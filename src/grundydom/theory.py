@@ -72,10 +72,6 @@ def _chk(cond: bool, msg: str) -> None:
 # Edge clique cover
 
 
-def is_triangle_free(G: Graph) -> bool:
-    return all(not (G.adj[u] & G.adj[v]) for u, v in G.edges())
-
-
 def maximal_cliques(G: Graph) -> list[int]:
     """All maximal cliques as vertex masks (Bron-Kerbosch with pivoting)."""
     adj = G.adj

@@ -1,0 +1,43 @@
+"""Graph builders and predicates that only the tests use.
+
+The package has no caller for them, so they live here rather than in
+`grundydom`; the tests that build unions, substitute cliques or check
+triangle-freeness and connectivity import them from this module.
+"""
+
+from grundydom.errors import ParameterError
+from grundydom.graphs import Graph, bit_indices, connected_components
+
+
+def is_connected(G: Graph) -> bool:
+    return G.n <= 1 or len(connected_components(G)) == 1
+
+
+def is_triangle_free(G: Graph) -> bool:
+    return all(not (G.adj[u] & G.adj[v]) for u, v in G.edges())
+
+
+def substitute_clique(G: Graph, v: int, size: int) -> Graph:
+    """Replace v by a clique of `size` mutually adjacent true twins of v.
+
+    Original ids are preserved, v becomes one clique member, and the other
+    size-1 vertices are appended after the old range. size=1 returns a copy.
+    """
+    if not 0 <= v < G.n:
+        raise ParameterError(f"vertex {v} out of range")
+    if size < 1:
+        raise ParameterError("clique size must be at least 1")
+    edges = G.edges()
+    clones = list(range(G.n, G.n + size - 1))
+    nb = bit_indices(G.adj[v])
+    for c in clones:
+        edges.extend((c, u) for u in nb)
+        edges.append((c, v))
+    edges.extend((a, b) for i, a in enumerate(clones) for b in clones[i + 1:])
+    return Graph(G.n + size - 1, edges, name=G.name)
+
+
+def disjoint_union(G: Graph, H: Graph) -> Graph:
+    """G and H side by side; H's ids are shifted up by G.n."""
+    edges = G.edges() + [(u + G.n, v + G.n) for u, v in H.edges()]
+    return Graph(G.n + H.n, edges, name=f"{G.display_name}+{H.display_name}")

@@ -28,11 +28,11 @@ from grundydom.theory import (
     construct_odd_torus_witness,
     edge_clique_cover_number,
     formula_value,
-    is_triangle_free,
     isoperimetric_check,
     product_bounds,
     strong_simplicial_upper,
 )
+from helpers import is_triangle_free
 
 FROZEN_TORUS_5 = [7, 12, 17, 22, 13, 18, 11, 16, 10, 14, 15, 19, 5, 6, 8, 9]
 
@@ -277,7 +277,7 @@ def test_acceptance_10_bound_sandwich():
 
 
 def test_acceptance_11_clique_substitution():
-    from grundydom.graphs import substitute_clique
+    from helpers import substitute_clique
 
     rng = random.Random(11)
     ok = True

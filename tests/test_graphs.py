@@ -12,11 +12,9 @@ from grundydom.errors import CapacityError, ParameterError
 from grundydom.graphs import (
     _canonical_search,
     _connected_codes,
-    _individualize,
     _orbits,
     _pair_bit,
     _refine,
-    _target_cell,
     FamilySpec,
     Graph,
     ball,
@@ -28,22 +26,20 @@ from grundydom.graphs import (
     connected_components,
     cycle,
     delete_vertex,
-    disjoint_union,
     enumerate_connected_graphs,
     graph_from_code,
     has_isolated_vertex,
     independence_number,
-    is_connected,
     is_simplicial,
     make_graph,
     mask_of,
     mode_rows,
     path,
     star,
-    substitute_clique,
     vertex_orbits,
 )
 from grundydom.products import product
+from helpers import disjoint_union, is_connected, substitute_clique
 
 # the tree with alpha = 5: a path u-v where v carries two cherries
 TREE8_EDGES = [(0, 1), (1, 2), (1, 5), (2, 3), (2, 4), (5, 6), (5, 7)]
@@ -294,6 +290,33 @@ def test_canonical_code_separates_nonisomorphic():
     assert sorted(map(sorted, by_brute.values())) == sorted(map(sorted, by_mine.values()))
 
 
+# Refinement as defined, independent of the package's _refine, which counts
+# neighbours in split cells: every round ranks every vertex by its colour and
+# the sorted colours of its neighbours.
+def refine_colours(n: int, adj: tuple[int, ...], colors: list[int]) -> list[int]:
+    """Refinement that stops at the first round that splits no cell."""
+    cells = len(set(colors))
+    while True:
+        sigs = [(colors[v], tuple(sorted(colors[w] for w in bit_indices(adj[v])))) for v in range(n)]
+        rank = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        colors = [rank[s] for s in sigs]
+        if len(rank) == cells:
+            return colors
+        cells = len(rank)
+
+
+def individualize(n: int, adj: tuple[int, ...], colors: list[int], v: int) -> list[int]:
+    colors = list(colors)
+    colors[v] = -1
+    return refine_colours(n, adj, colors)
+
+
+def target_cell(colors: list[int]) -> int | None:
+    """Least color shared by two or more vertices; None once the coloring is discrete."""
+    shared = [c for c in set(colors) if colors.count(c) > 1]
+    return min(shared) if shared else None
+
+
 def unpruned_canonical_code(g: Graph) -> int:
     """The canonical code without automorphism pruning: every vertex of
     every target cell is branched on."""
@@ -305,7 +328,7 @@ def unpruned_canonical_code(g: Graph) -> int:
 
     def rec(colors):
         nonlocal best
-        target = _target_cell(colors)
+        target = target_cell(colors)
         if target is None:
             code = 0
             for u, v in edges:
@@ -315,9 +338,10 @@ def unpruned_canonical_code(g: Graph) -> int:
             return
         for v in range(n):
             if colors[v] == target:
-                rec(_individualize(n, adj, colors, v))
+                rec(individualize(n, adj, colors, v))
 
-    rec(_refine(n, adj, [0] * n))
+    rec(refine_colours(n, adj, [0] * n))
+    del rec
     return best
 
 
@@ -359,29 +383,49 @@ def refine_to_fixpoint(n: int, adj: tuple[int, ...], colors: list[int]) -> list[
         colors = new
 
 
+def colours_of(n: int, cells: list[list[int]]) -> list[int]:
+    colors = [0] * n
+    for c, cell in enumerate(cells):
+        for v in cell:
+            colors[v] = c
+    return colors
+
+
 def test_refine_stops_at_its_first_stable_round(monkeypatch):
-    # _refine returns once a round splits no cell; every call of a cold
-    # enumeration up to order 7 and of the labelling searches of two
-    # vertex-transitive graphs, whose individualised colourings refine the
-    # most, gives the colours of refinement run to its fixpoint
+    # every call of _refine made by a cold enumeration up to order 7 and by
+    # the labelling searches of two vertex-transitive graphs, whose
+    # individualised colourings refine the most, and of dense graphs, where
+    # counting neighbours in split cells differs most from sorting neighbour
+    # colours, gives the colours of refinement run to its fixpoint, each cell
+    # in ascending order, and the least colour of a cell of two or more
+    # vertices as its target
     calls = []
 
-    def recording(n, adj, colors):
-        out = _refine(n, adj, list(colors))
-        calls.append((n, adj, list(colors), out))
-        return out
+    def recording(adj, cells, split):
+        out, target = _refine(adj, [list(cell) for cell in cells], split)
+        calls.append((adj, colours_of(len(adj), cells), out, target))
+        return out, target
 
     monkeypatch.setattr(graphs, "_refine", recording)
     monkeypatch.setattr(graphs, "_ENUM_CACHE", {1: {0: []}})
     for n in range(2, 8):
         _connected_codes(n)
     enumerated = len(calls)
-    for g in (product("cartesian", cycle(6), cycle(6)).graph,
-              product("cartesian", complete(4), complete(4)).graph):
+    rng = random.Random(21)
+    dense = [
+        Graph(n, [e for e in combinations(range(n), 2) if rng.random() < 0.8])
+        for n in range(9, 13) for _ in range(4)
+    ]
+    for g in [product("cartesian", cycle(6), cycle(6)).graph,
+              product("cartesian", complete(4), complete(4)).graph,
+              product("cartesian", complete(8), complete(8)).graph] + dense:
         canonical_code(g)
     assert enumerated > 1000 and len(calls) > enumerated
-    for n, adj, colors, out in calls:
-        assert out == refine_to_fixpoint(n, adj, colors), (n, adj, colors)
+    for adj, colors, out, target in calls:
+        n = len(adj)
+        assert colours_of(n, out) == refine_to_fixpoint(n, adj, colors), (adj, colors)
+        assert all(cell == sorted(cell) for cell in out)
+        assert target == target_cell(colours_of(n, out))
 
 
 def test_connected_codes_are_pinned():

@@ -1,5 +1,6 @@
 """Static guards: every name a package module imports is used by that module,
 every module-level private name is referenced somewhere in the package,
+every public function is exported or referenced there,
 every formula catalog entry's function takes the parameters its signature
 names, and every nested function that calls itself is deleted by the
 function around it; plus the run-time check behind the last: no public
@@ -120,6 +121,52 @@ def test_every_private_name_is_referenced():
     package = Path(grundydom.__file__).parent
     sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
     assert unreferenced_privates(sources) == []
+
+
+def unreferenced_publics(sources: dict[str, str]) -> list[str]:
+    """Module-level public functions, outside __init__.py, that the __all__
+    of __init__.py does not list and no code in sources names apart from
+    their own definition; names are matched by spelling, as above."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    exported = {
+        name
+        for node in trees["__init__.py"].body
+        if isinstance(node, ast.Assign) and "__all__" in defined_names(node)
+        for name in ast.literal_eval(node.value)
+    }
+    counts = Counter(name for tree in trees.values() for name in names_in(tree))
+    out = []
+    for module, tree in trees.items():
+        if module == "__init__.py":
+            continue
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            name = node.name
+            if name.startswith("_") or name in exported:
+                continue
+            if counts[name] == names_in(node).count(name):
+                out.append(f"{module}:{name}")
+    return out
+
+
+def test_guard_sees_unreferenced_publics():
+    sources = {
+        "__init__.py": "from .a import imported\n__all__ = ['imported', 'listed']\n",
+        "a.py": (
+            "def imported():\n    pass\ndef listed():\n    pass\ndef dead():\n    pass\n"
+            "def recursive(n):\n    return recursive(n - 1)\ndef called():\n    pass\n"
+            "def _private():\n    pass\nclass Public:\n    pass\nCONSTANT = 1\n"
+        ),
+        "b.py": "from . import a\n\ndef caller():\n    return a.called()\n",
+    }
+    assert unreferenced_publics(sources) == ["a.py:dead", "a.py:recursive", "b.py:caller"]
+
+
+def test_every_public_function_is_exported_or_referenced():
+    package = Path(grundydom.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert unreferenced_publics(sources) == []
 
 
 def test_formula_functions_match_their_signatures():

@@ -3,8 +3,9 @@
 import pytest
 
 from grundydom.errors import ParameterError
-from grundydom.graphs import Graph, complete, cycle, disjoint_union, path, star
+from grundydom.graphs import Graph, complete, cycle, path, star
 from grundydom.sequences import a_value, check_sequence
+from helpers import disjoint_union
 
 
 def test_closed_legal_example():

@@ -13,7 +13,6 @@ from grundydom.graphs import (
     complete,
     connected_components,
     cycle,
-    disjoint_union,
     enumerate_connected_graphs,
     has_isolated_vertex,
     mode_rows,
@@ -31,6 +30,7 @@ from grundydom.solver import (
     lex_grundy,
     max_weighted_sequence,
 )
+from helpers import disjoint_union
 
 
 def random_connected_graph(rng: random.Random, n: int) -> Graph:

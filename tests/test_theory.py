@@ -14,7 +14,6 @@ from grundydom.graphs import (
     caterpillar,
     complete,
     cycle,
-    disjoint_union,
     enumerate_connected_graphs,
     independence_number,
     path,
@@ -36,12 +35,12 @@ from grundydom.theory import (
     construct_strong_witness,
     edge_clique_cover_number,
     formula_value,
-    is_triangle_free,
     isoperimetric_check,
     maximal_cliques,
     product_bounds,
     strong_simplicial_upper,
 )
+from helpers import disjoint_union, is_triangle_free
 
 
 def exact(kind: str, G: Graph, H: Graph) -> int:
