@@ -2,7 +2,6 @@
 
 from .errors import CapacityError, InvariantError, ParameterError, ParseError
 from .graphs import (
-    FamilySpec,
     Graph,
     canonical_code,
     caterpillar,
@@ -14,7 +13,7 @@ from .graphs import (
     star,
 )
 from .products import ProductDescriptor, product
-from .sequences import SequenceReport, a_value, check_sequence
+from .sequences import SequenceReport, check_sequence
 from .solver import SolveResult, grundy, grundy_bruteforce, lex_grundy
 from .theory import (
     BoundaryBound,
@@ -42,7 +41,6 @@ __all__ = [
     "BoundaryBound",
     "BoundsReport",
     "CapacityError",
-    "FamilySpec",
     "Graph",
     "InvariantError",
     "IsoReport",
@@ -53,7 +51,6 @@ __all__ = [
     "ScanReport",
     "SequenceReport",
     "SolveResult",
-    "a_value",
     "boundary_sufficient_bound",
     "canonical_code",
     "caterpillar",

@@ -14,11 +14,12 @@ import argparse
 import json
 import re
 import sys
+from dataclasses import asdict
 from typing import Iterator, Sequence
 
 from .errors import CapacityError, InvariantError, ParameterError, ParseError
-from .graphs import ENUM_MAX_VERTICES, FamilySpec, Graph, enumerate_connected_graphs, make_graph
-from .products import normalize_kind, product
+from .graphs import ENUM_MAX_VERTICES, Graph, enumerate_connected_graphs, make_graph
+from .products import MAX_PRODUCT_ORDER, normalize_kind, product
 from .sequences import check_sequence
 from .solver import MAX_SOLVER_ORDER, grundy
 from .theory import (
@@ -34,10 +35,6 @@ from .theory import (
     product_bounds,
 )
 
-# Largest graph order read or written (the order of a product of two
-# solver-size factors). Adjacency is bitset based, so this also bounds a
-# parsed graph at about 2 MB; it is checked before anything is allocated.
-MAX_FILE_ORDER = 4096
 _FAMILY_TOKEN = re.compile(r"^([PCKS])(\d+)$")
 _TOKEN_FAMILIES = {"P": "path", "C": "cycle", "K": "complete", "S": "star"}
 
@@ -52,7 +49,7 @@ def parse_graph(text: str, name: str | None = None) -> Graph:
     Text format: a header line "n m" followed by m edge lines "u v"; blank
     lines and lines starting with '#' are skipped. JSON format: an object
     with "n", "edges" (and optionally "name") fields. An order above
-    MAX_FILE_ORDER raises CapacityError.
+    MAX_PRODUCT_ORDER raises CapacityError.
     """
     if text.lstrip().startswith("{"):
         return _parse_graph_json(text, name)
@@ -93,8 +90,10 @@ def parse_graph(text: str, name: str | None = None) -> Graph:
 
 
 def _check_file_order(n: int) -> None:
-    if n > MAX_FILE_ORDER:
-        raise CapacityError(f"graph order {n} exceeds file cap {MAX_FILE_ORDER}")
+    # the file cap is the product cap, so that every product written reads back;
+    # it is checked before any adjacency is allocated
+    if n > MAX_PRODUCT_ORDER:
+        raise CapacityError(f"graph order {n} exceeds file cap {MAX_PRODUCT_ORDER}")
 
 
 def _append_edge(adj: list[int], n: int, u: int, v: int, lineno: int | None) -> None:
@@ -198,7 +197,7 @@ def _family_graph(token: str) -> Graph:
     # scan skips every pair with a factor this large, so it is never built
     if k > MAX_SOLVER_ORDER:
         raise CapacityError(f"graph order {k} exceeds solver cap {MAX_SOLVER_ORDER}")
-    return make_graph(FamilySpec(_TOKEN_FAMILIES[m.group(1)], (k,)))
+    return make_graph(_TOKEN_FAMILIES[m.group(1)], (k,))
 
 
 # ---------------------------------------------------------------------------
@@ -286,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _emit_graph(G: Graph, args, prefix: str = "") -> str:
-    body = graph_to_json(G) if args.json else serialize_graph(G)
-    text = prefix + body
+    # JSON has no comments, so the '#' prefix goes only on the text format
+    text = graph_to_json(G) if args.json else prefix + serialize_graph(G)
     if args.output:
         _write(args.output, text)
         return ""
@@ -305,7 +304,7 @@ def _family_order(family: str, params: Sequence[int]) -> int:
 
 def _cmd_gen(args) -> str:
     _check_file_order(_family_order(args.family, args.params))
-    return _emit_graph(make_graph(FamilySpec(args.family, tuple(args.params))), args)
+    return _emit_graph(make_graph(args.family, args.params), args)
 
 
 def _cmd_product(args) -> str:
@@ -321,13 +320,10 @@ def _cmd_grundy(args) -> str:
     lines = [f"value={result.value}"]
     if args.witness:
         lines.append("witness=" + " ".join(str(v) for v in result.witness))
-    s = result.stats
-    lines.append(
-        f"# stats nodes={s.nodes} memo_entries={s.memo_entries}"
-        f" search_s={s.search_s:.3f} reconstruct_s={s.reconstruct_s:.3f}"
-        f" components={s.components}"
-        f" orbit_skips={s.orbit_skips} forced={s.forced} merged={s.merged}"
-    )
+    lines.append("# stats " + " ".join(
+        f"{k}={v:.3f}" if isinstance(v, float) else f"{k}={v}"
+        for k, v in asdict(result.stats).items()
+    ))
     return "\n".join(lines) + "\n"
 
 
@@ -354,7 +350,14 @@ def _cmd_bounds(args) -> str:
 
 def _cmd_formula(args) -> str:
     value, exactness = formula_value(args.formula_id, args.params)
-    return f"value={value} exactness={exactness}\n"
+    try:
+        return f"value={value} exactness={exactness}\n"
+    except ValueError:
+        # the value is exact, but Python refuses to print an int this long
+        raise CapacityError(
+            f"{args.formula_id}: value has more than {sys.get_int_max_str_digits()}"
+            " digits, the limit for printing an integer"
+        ) from None
 
 
 def _construct_args(args, count: int, shape: str) -> list[str]:

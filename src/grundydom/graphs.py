@@ -8,8 +8,7 @@ small connected graphs live here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ParameterError
 
@@ -102,14 +101,6 @@ class Graph:
         return f"Graph({self.display_name}: n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parameterized graph family request: family name plus integer params."""
-
-    family: str
-    params: tuple[int, ...]
-
-
 def path(k: int) -> Graph:
     if k < 1:
         raise ParameterError("path order must be at least 1")
@@ -160,24 +151,23 @@ def caterpillar(spine: int, legs: Iterable[int]) -> Graph:
 _ONE_PARAMETER_FAMILIES = {"path": path, "cycle": cycle, "complete": complete, "star": star}
 
 
-def make_graph(spec: FamilySpec) -> Graph:
-    """Build a graph from a family spec; `custom` takes (n, u1, v1, u2, v2, ...)."""
-    fam, params = spec.family, tuple(spec.params)
-    if fam in _ONE_PARAMETER_FAMILIES:
+def make_graph(family: str, params: Sequence[int]) -> Graph:
+    """Build a graph of a named family; `custom` takes (n, u1, v1, u2, v2, ...)."""
+    if family in _ONE_PARAMETER_FAMILIES:
         if len(params) != 1:
-            raise ParameterError(f"family '{fam}' expects 1 parameter(s), got {len(params)}")
-        return _ONE_PARAMETER_FAMILIES[fam](params[0])
-    if fam == "caterpillar":
+            raise ParameterError(f"family '{family}' expects 1 parameter(s), got {len(params)}")
+        return _ONE_PARAMETER_FAMILIES[family](params[0])
+    if family == "caterpillar":
         if len(params) < 1:
             raise ParameterError("caterpillar needs a spine length")
         return caterpillar(params[0], params[1:])
-    if fam == "custom":
+    if family == "custom":
         if len(params) < 1 or len(params) % 2 == 0:
             raise ParameterError("custom needs an order followed by edge pairs")
         n = params[0]
         pairs = list(zip(params[1::2], params[2::2]))
         return Graph(n, pairs, name=f"custom{n}")
-    raise ParameterError(f"unknown family '{fam}'")
+    raise ParameterError(f"unknown family '{family}'")
 
 
 # === neighborhood-style queries ===

@@ -76,8 +76,3 @@ def check_sequence(G: Graph, items, mode: str = "closed") -> SequenceReport:
         length=len(items),
         illegal_at=illegal_at,
     )
-
-
-def a_value(G: Graph, items) -> int:
-    """Number of items whose earlier items include none of their neighbors."""
-    return check_sequence(G, items).a_value

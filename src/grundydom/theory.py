@@ -340,7 +340,9 @@ def _cart_multi_paths(*params):
     return math.prod(params[:-1]) * (params[-1] - 1)
 
 
+@_formula("cor_lex_path_H", "k gamma_h", "exact")
 def _lex_path_value(k: int, gamma_h: int) -> int:
+    """lex(P_k, H) from gamma_h = grundy(H); k >= 1, k != 2, H not complete."""
     _chk(k >= 1, "requires k >= 1")
     _chk(k != 2, "k = 2 has no closed form; solve lex_grundy directly")
     _chk(gamma_h >= 2, "requires gamma_h >= 2 (second factor must not be complete)")
@@ -349,18 +351,14 @@ def _lex_path_value(k: int, gamma_h: int) -> int:
     return ((k + 1) // 2) * gamma_h
 
 
+@_formula("cor_lex_cycle_H", "k gamma_h", "exact")
 def _lex_cycle_value(k: int, gamma_h: int) -> int:
+    """lex(C_k, H) from gamma_h = grundy(H); k >= 4, H not complete."""
     _chk(k >= 4, "requires k >= 4")
     _chk(gamma_h >= 2, "requires gamma_h >= 2 (second factor must not be complete)")
     if k % 2 == 0:
         return (k // 2) * gamma_h
     return (k // 2) * gamma_h + 1
-
-
-@_formula("cor_lex_path_H", "k gamma_h", "exact")
-def _lex_path_h(k, gamma_h):
-    """lex(P_k, H) from gamma_h = grundy(H); k >= 1, k != 2, H not complete."""
-    return _lex_path_value(k, gamma_h)
 
 
 @_formula("cor_lex_path_path", "k l", "exact")
@@ -377,12 +375,6 @@ def _lex_path_cycle(k, l):
     _chk(k >= 3, "requires k >= 3")
     _chk(l >= 4, "requires l >= 4")
     return _lex_path_value(k, l - 2)
-
-
-@_formula("cor_lex_cycle_H", "k gamma_h", "exact")
-def _lex_cycle_h(k, gamma_h):
-    """lex(C_k, H) from gamma_h = grundy(H); k >= 4, H not complete."""
-    return _lex_cycle_value(k, gamma_h)
 
 
 @_formula("cor_lex_cycle_cycle", "k l", "exact")
@@ -853,16 +845,13 @@ class ScanRecord:
 class ScanReport:
     records: tuple[ScanRecord, ...]
 
-    def by_status(self, status: str) -> list[ScanRecord]:
-        return [r for r in self.records if r.status == status]
-
     @property
     def counterexamples(self) -> list[ScanRecord]:
-        return self.by_status("counterexample")
+        return [r for r in self.records if r.status == "counterexample"]
 
     @property
     def skipped(self) -> list[ScanRecord]:
-        return self.by_status("skipped")
+        return [r for r in self.records if r.status == "skipped"]
 
 
 def conjecture_scan(

@@ -3,13 +3,13 @@
 import json
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from grundydom import cli, solver, theory
 from grundydom.cli import (
-    MAX_FILE_ORDER,
     graph_to_json,
     main,
     parse_graph,
@@ -19,8 +19,8 @@ from grundydom.cli import (
 )
 from grundydom.errors import CapacityError, ParseError
 from grundydom.graphs import ENUM_MAX_VERTICES, Graph, complete, cycle, path, star
-from grundydom.products import product
-from grundydom.solver import grundy
+from grundydom.products import MAX_PRODUCT_ORDER, product
+from grundydom.solver import SolveStats, grundy
 
 
 def run(capsys, *argv):
@@ -115,13 +115,13 @@ def test_sequence_round_trip():
 
 def test_parse_rejects_order_above_cap(tmp_path, capsys):
     # a header just above the cap is refused before any adjacency is built
-    over = MAX_FILE_ORDER + 1
+    over = MAX_PRODUCT_ORDER + 1
     for text in (f"{over} 0\n", json.dumps({"n": over, "edges": []})):
         with pytest.raises(CapacityError):
             parse_graph(text)
         code, _, err = run(capsys, "grundy", write(tmp_path, "big.txt", text))
         assert code == 2 and "file cap" in err
-    assert parse_graph(f"{MAX_FILE_ORDER} 0\n").n == MAX_FILE_ORDER
+    assert parse_graph(f"{MAX_PRODUCT_ORDER} 0\n").n == MAX_PRODUCT_ORDER
 
 
 def test_files_that_are_not_utf8_are_an_error_line(tmp_path, capsys):
@@ -151,7 +151,7 @@ def test_json_booleans_are_not_integers(tmp_path, capsys):
 
 
 def test_written_graphs_stay_within_file_cap(tmp_path, capsys):
-    code, _, err = run(capsys, "gen", "path", str(MAX_FILE_ORDER + 1))
+    code, _, err = run(capsys, "gen", "path", str(MAX_PRODUCT_ORDER + 1))
     assert code == 2 and "file cap" in err
     big = write(tmp_path, "k65.txt", serialize_graph(Graph(65)))
     code, _, err = run(capsys, "product", "--kind", "direct", big, big)
@@ -207,25 +207,25 @@ def test_unwritable_output_is_an_error_line(tmp_path, capsys):
 def test_gen_checks_order_before_building(capsys, monkeypatch):
     # the order is read from the family parameters, so an oversized graph is
     # refused without ever being built
-    def refuse(spec):
-        raise AssertionError(f"make_graph called for {spec}")
+    def refuse(*args):
+        raise AssertionError(f"make_graph called for {args}")
 
     monkeypatch.setattr(cli, "make_graph", refuse)
-    over = str(MAX_FILE_ORDER + 1)
+    over = str(MAX_PRODUCT_ORDER + 1)
     for argv in (
         ["path", "100000"],
         ["cycle", over],
         ["complete", over],
         ["star", over],
         ["custom", over, "0", "1"],
-        ["caterpillar", "3", "2000", "2000", str(MAX_FILE_ORDER - 4000 - 2)],
+        ["caterpillar", "3", "2000", "2000", str(MAX_PRODUCT_ORDER - 4000 - 2)],
     ):
         code, out, err = run(capsys, "gen", *argv)
         assert code == 2 and out == "" and "file cap" in err, argv
     monkeypatch.undo()
-    cap = MAX_FILE_ORDER - 4000 - 3
+    cap = MAX_PRODUCT_ORDER - 4000 - 3
     code, out, _ = run(capsys, "gen", "caterpillar", "3", "2000", "2000", str(cap))
-    assert code == 0 and out.startswith(f"{MAX_FILE_ORDER} ")
+    assert code == 0 and out.startswith(f"{MAX_PRODUCT_ORDER} ")
 
 
 def test_gen_errors(capsys):
@@ -250,11 +250,18 @@ def test_product_verb(tmp_path, capsys):
     assert out.splitlines()[0] == "# product kind=cartesian nG=3 nH=2"
     got = parse_graph("\n".join(stable(out)) + "\n")
     assert got == product("cartesian", path(3), path(2)).graph
-    # alias goes through normalize_kind; json output parses back
+    # alias goes through normalize_kind; json output is one JSON object,
+    # and a written product reads back through every verb
     code, out, _ = run(capsys, "product", "--kind", "lex", pg, ph, "--json")
     assert code == 0
-    body = out.splitlines()[-1]
-    assert parse_graph(body) == product("lexicographic", path(3), path(2)).graph
+    json.loads(out)
+    assert parse_graph(out) == product("lexicographic", path(3), path(2)).graph
+    target = str(tmp_path / "prod.json")
+    code, out, _ = run(capsys, "product", "--kind", "strong", pg, ph, "--json", "-o", target)
+    assert (code, out) == (0, "")
+    code, out, err = run(capsys, "grundy", target)
+    assert (code, err) == (0, "")
+    assert stable(out) == [f"value={grundy(product('strong', path(3), path(2)).graph).value}"]
     code, _, err = run(capsys, "product", "--kind", "wreath", pg, ph)
     assert code == 1 and "unknown product kind" in err
 
@@ -264,7 +271,13 @@ def test_grundy_verb(tmp_path, capsys):
     code, out, _ = run(capsys, "grundy", f)
     assert code == 0
     assert stable(out) == ["value=3"]
-    assert "# stats nodes=" in out and " search_s=" in out and " reconstruct_s=" in out
+    # every SolveStats field in declaration order: counts as integers, times to 3 decimals
+    head, *cells = out.splitlines()[-1].split(" ")
+    assert head == "#" and cells[0] == "stats"
+    pairs = [cell.split("=") for cell in cells[1:]]
+    assert [k for k, _ in pairs] == [field.name for field in fields(SolveStats)]
+    for field, (_, v) in zip(fields(SolveStats), pairs):
+        assert re.fullmatch(r"\d+\.\d{3}" if field.type == "float" else r"\d+", v), field.name
     assert "components=1 orbit_skips=0" in out and out.rstrip().endswith(" merged=0")
     # the four vertices of K4 have equal closed rows
     k4 = write(tmp_path, "k4.txt", serialize_graph(complete(4)))
@@ -331,6 +344,10 @@ def test_formula_verb(capsys):
     assert code == 1 and "thm_cart_torus_odd: requires odd k >= 3" in err
     code, _, err = run(capsys, "formula", "thm_no_such")
     assert code == 1 and "unknown formula id" in err
+    # the value is exact, but too long for Python to print
+    huge = "9" * 3000
+    code, out, err = run(capsys, "formula", "thm_cart_grid", huge, huge)
+    assert (code, out) == (2, "") and err.startswith("error:") and "Traceback" not in err
 
 
 def test_construct_verb(tmp_path, capsys):
@@ -476,13 +493,13 @@ def test_search_budget_exits_2_and_skips_scan_pairs(tmp_path, capsys, monkeypatc
 
 
 def test_scan_checks_family_order_before_building(capsys, monkeypatch):
-    def refuse(spec):
-        raise AssertionError(f"make_graph called for {spec}")
+    def refuse(*args):
+        raise AssertionError(f"make_graph called for {args}")
 
     monkeypatch.setattr(cli, "make_graph", refuse)
     # every pair with a factor above the solver cap would be skipped, and
     # the file cap is far above it
-    for token in ("P20000", f"C{MAX_FILE_ORDER + 1}", "P65", "K65", "K1500"):
+    for token in ("P20000", f"C{MAX_PRODUCT_ORDER + 1}", "P65", "K65", "K1500"):
         code, out, err = run(capsys, "scan", "--max-n", "1", "--families", token)
         assert code == 2 and out == "" and "exceeds solver cap" in err, token
 

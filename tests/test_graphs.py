@@ -8,14 +8,13 @@ from itertools import combinations, permutations
 import pytest
 
 from grundydom import graphs
-from grundydom.errors import CapacityError, ParameterError
+from grundydom.errors import ParameterError
 from grundydom.graphs import (
     _canonical_search,
     _connected_codes,
     _orbits,
     _pair_bit,
     _refine,
-    FamilySpec,
     Graph,
     ball,
     bit_indices,
@@ -96,22 +95,22 @@ def test_caterpillar_layout():
 
 
 def test_make_graph_families():
-    assert make_graph(FamilySpec("path", (4,))) == path(4)
-    assert make_graph(FamilySpec("cycle", (5,))) == cycle(5)
-    assert make_graph(FamilySpec("caterpillar", (2, 1, 1))) == caterpillar(2, [1, 1])
-    g = make_graph(FamilySpec("custom", (3, 0, 1, 1, 2)))
+    assert make_graph("path", (4,)) == path(4)
+    assert make_graph("cycle", [5]) == cycle(5)
+    assert make_graph("caterpillar", (2, 1, 1)) == caterpillar(2, [1, 1])
+    g = make_graph("custom", (3, 0, 1, 1, 2))
     assert g == path(3)
     with pytest.raises(ParameterError):
-        make_graph(FamilySpec("nope", (3,)))
+        make_graph("nope", (3,))
     with pytest.raises(ParameterError):
-        make_graph(FamilySpec("custom", (3, 0)))  # dangling endpoint
+        make_graph("custom", (3, 0))  # dangling endpoint
 
 
 def test_one_parameter_families_refuse_other_arities():
     for fam in ("path", "cycle", "complete", "star"):
         for params in ((3, 4), ()):
             with pytest.raises(ParameterError) as exc:
-                make_graph(FamilySpec(fam, params))
+                make_graph(fam, params)
             assert str(exc.value) == f"family '{fam}' expects 1 parameter(s), got {len(params)}"
 
 

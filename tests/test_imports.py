@@ -1,4 +1,4 @@
-"""Static guards: every name a package module imports is used by that module,
+"""Static guards: every name a package or test module imports is used by that module,
 every module-level private name is referenced somewhere in the package,
 every public function is exported or referenced there,
 every formula catalog entry's function takes the parameters its signature
@@ -19,6 +19,7 @@ from grundydom import graphs, solver, theory
 from grundydom.theory import FORMULAS
 
 MODULES = sorted(p for p in Path(grundydom.__file__).parent.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -40,7 +41,7 @@ def test_guard_sees_unused_imports():
     assert unused_imports("from __future__ import annotations\nimport time\ntime.sleep\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize("path", MODULES + TEST_MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert unused_imports(path.read_text()) == []
 
@@ -238,7 +239,6 @@ def public_calls() -> dict[str, object]:
     c5, p3, p4 = gd.cycle(5), gd.path(3), gd.path(4)
     c5p3 = gd.product("strong", c5, p3).graph
     return {
-        "a_value": lambda: gd.a_value(c5, [0, 2]),
         "boundary_sufficient_bound": lambda: gd.boundary_sufficient_bound(c5p3, 3, trials=20),
         "caterpillar": lambda: gd.caterpillar(3, [1, 0, 2]),
         "check_sequence": lambda: gd.check_sequence(c5, [0, 2]),
@@ -258,7 +258,7 @@ def public_calls() -> dict[str, object]:
         "grundy_bruteforce": lambda: gd.grundy_bruteforce(gd.cycle(6)),
         "isoperimetric_check": lambda: gd.isoperimetric_check("grid", [3, 3], 1),
         "lex_grundy": lambda: gd.lex_grundy(gd.cycle(7), 2),
-        "make_graph": lambda: gd.make_graph(gd.FamilySpec("star", (5,))),
+        "make_graph": lambda: gd.make_graph("star", (5,)),
         "path": lambda: gd.path(6),
         "product": lambda: gd.product("direct", c5, p4),
         "product_bounds": lambda: [

@@ -4,7 +4,7 @@ import pytest
 
 from grundydom.errors import ParameterError
 from grundydom.graphs import Graph, complete, cycle, path, star
-from grundydom.sequences import a_value, check_sequence
+from grundydom.sequences import check_sequence
 from helpers import disjoint_union
 
 
@@ -75,8 +75,6 @@ def test_item_validation():
     for items in ([True], [0, False]):
         with pytest.raises(ParameterError):
             check_sequence(path(3), items)
-        with pytest.raises(ParameterError):
-            a_value(path(3), items)
 
 
 def test_empty_sequence():
@@ -88,17 +86,9 @@ def test_empty_sequence():
 def test_a_value_counts_fresh_items():
     # star center last: every leaf is isolated among the earlier picks
     s = star(5)
-    assert a_value(s, [1, 2, 3, 4, 0]) == 4
-    assert a_value(s, [0, 1, 2, 3, 4]) == 1
-    assert a_value(cycle(5), [0, 2, 4]) == 2  # 4 is adjacent to 0
-    with pytest.raises(ParameterError):
-        a_value(s, [0, 0])
-
-
-def test_a_value_matches_report():
-    g = cycle(6)
-    for items in ([0, 2, 4], [0, 3], [5, 1, 3], [0, 1, 2, 3]):
-        assert check_sequence(g, items).a_value == a_value(g, items)
+    assert check_sequence(s, [1, 2, 3, 4, 0]).a_value == 4
+    assert check_sequence(s, [0, 1, 2, 3, 4]).a_value == 1
+    assert check_sequence(cycle(5), [0, 2, 4]).a_value == 2  # 4 is adjacent to 0
 
 
 def test_footprints_partition_covered_set():

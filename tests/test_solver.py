@@ -21,7 +21,7 @@ from grundydom.graphs import (
 )
 from grundydom import solver
 from grundydom.products import product
-from grundydom.sequences import a_value, check_sequence
+from grundydom.sequences import check_sequence
 from grundydom.solver import (
     BRUTE_MAX_ORDER,
     MAX_SOLVER_ORDER,

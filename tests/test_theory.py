@@ -21,7 +21,7 @@ from grundydom.graphs import (
 )
 from grundydom.products import product
 from grundydom.sequences import check_sequence
-from grundydom.solver import grundy, lex_grundy
+from grundydom.solver import grundy
 from grundydom.theory import (
     FORMULAS,
     BoundaryBound,
