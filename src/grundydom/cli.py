@@ -18,7 +18,9 @@ from dataclasses import asdict
 from typing import Iterator, Sequence
 
 from .errors import CapacityError, InvariantError, ParameterError, ParseError
-from .graphs import ENUM_MAX_VERTICES, Graph, enumerate_connected_graphs, make_graph
+from .graphs import (
+    ENUM_MAX_VERTICES, Graph, add_edge, enumerate_connected_graphs, is_int, make_graph,
+)
 from .products import MAX_PRODUCT_ORDER, normalize_kind, product
 from .sequences import check_sequence
 from .solver import MAX_SOLVER_ORDER, grundy
@@ -37,10 +39,31 @@ from .theory import (
 
 _FAMILY_TOKEN = re.compile(r"^([PCKS])(\d+)$")
 _TOKEN_FAMILIES = {"P": "path", "C": "cycle", "K": "complete", "S": "star"}
+_INT_TOKEN = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")  # what int() reads, of any length
 
 
 # ---------------------------------------------------------------------------
 # Text formats
+
+
+class _IntError(ParseError, argparse.ArgumentTypeError):
+    """A ParseError that argparse reports by its text, not by echoing the whole token."""
+
+
+def _int(token: str, what: str = "value", line: int | None = None) -> int:
+    """The integer a token spells; every integer the command line reads comes
+    through here. An integer longer than Python reads is refused without
+    echoing its digits, any other bad token with at most a short prefix."""
+    try:
+        return int(token)
+    except ValueError:
+        if _INT_TOKEN.fullmatch(token):
+            limit = sys.get_int_max_str_digits()
+            msg = f"{what} has more than {limit} digits, the limit for reading an integer"
+        else:
+            shown = repr(token) if len(token) <= 20 else repr(token[:20]) + "..."
+            msg = f"{what} must be an integer, got {shown}"
+    raise _IntError(msg, line)
 
 
 def parse_graph(text: str, name: str | None = None) -> Graph:
@@ -64,10 +87,7 @@ def parse_graph(text: str, name: str | None = None) -> Graph:
         if len(fields) != 2:
             what = "header 'n m'" if header is None else "edge 'u v'"
             raise ParseError(f"expected {what}, got {line!r}", line=lineno)
-        try:
-            a, b = int(fields[0]), int(fields[1])
-        except ValueError:
-            raise ParseError(f"expected two integers, got {line!r}", line=lineno)
+        a, b = (_int(f, "edge endpoint" if header else "header count", lineno) for f in fields)
         if header is None:
             if a < 0 or b < 0:
                 raise ParseError("header counts must be non-negative", line=lineno)
@@ -80,7 +100,7 @@ def parse_graph(text: str, name: str | None = None) -> Graph:
                 f"more than the {header[1]} edges announced in the header",
                 line=lineno,
             )
-        _append_edge(adj, header[0], a, b, lineno)
+        add_edge(adj, a, b, lineno)
         m += 1
     if header is None:
         raise ParseError("empty input, expected a header 'n m'")
@@ -96,17 +116,6 @@ def _check_file_order(n: int) -> None:
         raise CapacityError(f"graph order {n} exceeds file cap {MAX_PRODUCT_ORDER}")
 
 
-def _append_edge(adj: list[int], n: int, u: int, v: int, lineno: int | None) -> None:
-    if not (0 <= u < n and 0 <= v < n):
-        raise ParseError(f"edge {u} {v} out of range for {n} vertices", line=lineno)
-    if u == v:
-        raise ParseError(f"loop edge at vertex {u}", line=lineno)
-    if adj[u] >> v & 1:
-        raise ParseError(f"duplicate edge {u} {v}", line=lineno)
-    adj[u] |= 1 << v
-    adj[v] |= 1 << u
-
-
 def _parse_graph_json(text: str, name: str | None) -> Graph:
     try:
         data = json.loads(text)
@@ -115,9 +124,7 @@ def _parse_graph_json(text: str, name: str | None) -> Graph:
     except (ValueError, RecursionError) as exc:
         # an integer over Python's digit limit, or arrays nested too deep
         raise ParseError(f"invalid JSON: {exc}")
-    if not isinstance(data, dict):
-        raise ParseError("JSON graph must be an object")
-    if not _is_json_int(data.get("n")) or data["n"] < 0:
+    if not is_int(data.get("n")) or data["n"] < 0:
         raise ParseError("JSON graph needs a non-negative integer 'n'")
     n = data["n"]
     _check_file_order(n)
@@ -126,18 +133,13 @@ def _parse_graph_json(text: str, name: str | None) -> Graph:
         raise ParseError("JSON 'edges' must be a list of pairs")
     adj = [0] * n
     for e in edges:
-        if not (isinstance(e, list) and len(e) == 2 and all(_is_json_int(x) for x in e)):
+        if not (isinstance(e, list) and len(e) == 2 and all(is_int(x) for x in e)):
             raise ParseError(f"JSON edge {e!r} is not a pair of integers")
-        _append_edge(adj, n, e[0], e[1], None)
+        add_edge(adj, *e)
     json_name = data.get("name")
     if json_name is not None and not isinstance(json_name, str):
         raise ParseError("JSON 'name' must be a string")
     return Graph._from_rows(adj, name or json_name)
-
-
-def _is_json_int(x) -> bool:
-    # JSON true/false load as bool, a subclass of int; they are not vertex ids
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def serialize_graph(G: Graph) -> str:
@@ -152,13 +154,7 @@ def graph_to_json(G: Graph) -> str:
 
 
 def parse_sequence(text: str) -> list[int]:
-    items = []
-    for tok in text.replace(",", " ").split():
-        try:
-            items.append(int(tok))
-        except ValueError:
-            raise ParseError(f"sequence item {tok!r} is not an integer")
-    return items
+    return [_int(tok, "sequence item") for tok in text.replace(",", " ").split()]
 
 
 def serialize_sequence(items: Sequence[int]) -> str:
@@ -193,7 +189,7 @@ def _family_graph(token: str) -> Graph:
         raise ParameterError(
             f"unknown family token {token!r}; use P<k>, C<k>, K<k>, or S<k>"
         )
-    k = int(m.group(2))
+    k = _int(m.group(2), "family order")
     # scan skips every pair with a factor this large, so it is never built
     if k > MAX_SOLVER_ORDER:
         raise CapacityError(f"graph order {k} exceeds solver cap {MAX_SOLVER_ORDER}")
@@ -216,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a named graph family")
     p.set_defaults(handler=_cmd_gen)
     p.add_argument("family", choices=["path", "cycle", "complete", "star", "caterpillar", "custom"])
-    p.add_argument("params", nargs="*", type=int)
+    p.add_argument("params", nargs="*", type=_int)
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("-o", "--output", help="write to file instead of stdout")
 
@@ -249,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("formula", help="evaluate a catalog formula")
     p.set_defaults(handler=_cmd_formula)
     p.add_argument("formula_id")
-    p.add_argument("params", nargs="*", type=int)
+    p.add_argument("params", nargs="*", type=_int)
 
     p = sub.add_parser("construct", help="build a witness sequence")
     p.set_defaults(handler=_cmd_construct)
@@ -262,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="strong-product conjecture scan")
     p.set_defaults(handler=_cmd_scan)
-    p.add_argument("--max-n", type=int, default=4)
+    p.add_argument("--max-n", type=_int, default=4)
     p.add_argument("--families", nargs="*", default=None,
                    help="family tokens (P3 C4 ...) to pair against; default: self-pairs")
     p.add_argument("--self-pairs", action="store_true",
@@ -272,10 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("iso-check", help="ball-versus-subset boundary check")
     p.set_defaults(handler=_cmd_iso_check)
     p.add_argument("kind", choices=["even-torus", "grid"])
-    p.add_argument("factors", nargs="+", type=int)
-    p.add_argument("--r", type=int, required=True)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("factors", nargs="+", type=_int)
+    p.add_argument("--r", type=_int, required=True)
+    p.add_argument("--trials", type=_int, default=None)
+    p.add_argument("--seed", type=_int, default=0)
 
     return parser
 
@@ -366,20 +362,13 @@ def _construct_args(args, count: int, shape: str) -> list[str]:
     return args.args
 
 
-def _int_arg(tok: str, what: str) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParameterError(f"{what} must be an integer, got {tok!r}")
-
-
 def _cmd_construct(args) -> str:
     if args.what == "odd_torus":
         (k,) = _construct_args(args, 1, "<k>")
-        seq = construct_odd_torus_witness(_int_arg(k, "k"))
+        seq = construct_odd_torus_witness(_int(k, "k"))
     elif args.what == "complete_grid":
         n, m = _construct_args(args, 2, "<n> <m>")
-        seq = construct_complete_grid_witness(_int_arg(n, "n"), _int_arg(m, "m"))
+        seq = construct_complete_grid_witness(_int(n, "n"), _int(m, "m"))
     elif args.what == "cartesian":
         fg, fh, seq_g = _construct_args(args, 3, "<fileG> <fileH> <seqG>")
         seq = construct_cartesian_witness(

@@ -21,7 +21,7 @@ class InvariantError(RuntimeError):
 
 
 class ParseError(ParameterError):
-    """Malformed text input; carries a 1-based line number when known."""
+    """Malformed input or an impossible edge; carries a 1-based line number when known."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence
 
-from .errors import ParameterError
+from .errors import ParameterError, ParseError
 
 # Enumeration by isomorphism class is exponential; this cap keeps it honest.
 ENUM_MAX_VERTICES = 8
@@ -33,6 +33,25 @@ def mask_of(vertices: Iterable[int]) -> int:
     return m
 
 
+def is_int(x) -> bool:
+    # bool is a subclass of int, but True and False are no vertex id or count
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def add_edge(rows: list[int], u: int, v: int, line: int | None = None) -> None:
+    """Join u and v in adjacency rows under construction, refusing an edge a
+    simple graph on len(rows) vertices cannot have; line numbers the error."""
+    n = len(rows)
+    if not (0 <= u < n and 0 <= v < n):
+        raise ParseError(f"edge {u} {v} out of range for {n} vertices", line)
+    if u == v:
+        raise ParseError(f"loop edge at vertex {u}", line)
+    if rows[u] >> v & 1:
+        raise ParseError(f"duplicate edge {u} {v}", line)
+    rows[u] |= 1 << v
+    rows[v] |= 1 << u
+
+
 class Graph:
     """Immutable simple graph; adj[v] is the open-neighborhood bit mask of v."""
 
@@ -43,12 +62,7 @@ class Graph:
             raise ParameterError("vertex count must be nonnegative")
         rows = [0] * n
         for u, v in edges:
-            if u == v:
-                raise ParameterError(f"loop at vertex {u} not allowed")
-            if not (0 <= u < n and 0 <= v < n):
-                raise ParameterError(f"edge ({u},{v}) out of range for {n} vertices")
-            rows[u] |= 1 << v
-            rows[v] |= 1 << u
+            add_edge(rows, u, v)
         self.n = n
         self.adj = tuple(rows)
         self.name = name

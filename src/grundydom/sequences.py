@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import ParameterError
-from .graphs import Graph, bit_indices, mode_rows
+from .graphs import Graph, bit_indices, is_int, mode_rows
 
 
 @dataclass
@@ -29,8 +29,7 @@ def _validated_items(G: Graph, items) -> list[int]:
     items = list(items)
     seen = 0
     for it in items:
-        # bool is a subclass of int, but True and False are not vertex ids
-        if not isinstance(it, int) or isinstance(it, bool) or not 0 <= it < G.n:
+        if not is_int(it) or not 0 <= it < G.n:
             raise ParameterError(f"sequence item {it} out of range")
         if seen >> it & 1:
             raise ParameterError(f"repeated vertex {it} in sequence")

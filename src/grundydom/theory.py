@@ -40,6 +40,7 @@ from .graphs import (
     delete_vertex,
     has_isolated_vertex,
     independence_number,
+    is_int,
     is_simplicial,
     mask_of,
     path,
@@ -516,10 +517,7 @@ def formula_value(formula_id: str, params: Iterable[int]) -> tuple[int, str]:
         known = ", ".join(sorted(FORMULAS))
         raise ParameterError(f"unknown formula id '{formula_id}' (known: {known})")
     params = tuple(params)
-    _chk(
-        all(isinstance(p, int) and not isinstance(p, bool) for p in params),
-        "parameters must be integers",
-    )
+    _chk(all(is_int(p) for p in params), "parameters must be integers")
     try:
         count = len(entry.signature.split())
         _chk(

@@ -65,7 +65,7 @@ def test_json_round_trip():
 def test_parse_error_line_numbers():
     cases = [
         ("3\n", "line 1:", "header"),
-        ("2 1\n0 x\n", "line 2:", "two integers"),
+        ("2 1\n0 x\n", "line 2:", "edge endpoint must be an integer, got 'x'"),
         ("-1 0\n", "line 1:", "non-negative"),
         ("3 1\n0 0\n", "line 2:", "loop"),
         ("3 2\n0 1\n1 0\n", "line 3:", "duplicate"),
@@ -101,6 +101,18 @@ def test_parse_json_errors():
     ):
         with pytest.raises(ParseError):
             parse_graph(text)
+
+
+def test_integer_tokens_are_echoed_short():
+    # a token over Python's digit limit is named without its digits, and a
+    # long token that is no integer is shown by a short prefix
+    with pytest.raises(ParseError) as err:
+        parse_sequence("0 " + "9" * 5000)
+    assert str(err.value) == "sequence item has more than 4300 digits, the limit for reading an integer"
+    with pytest.raises(ParseError) as err:
+        parse_sequence("9" * 5000 + "x")
+    assert str(err.value) == "sequence item must be an integer, got '99999999999999999999'..."
+    assert parse_sequence(" +7 1_0 ") == [7, 10]
 
 
 def test_sequence_round_trip():
@@ -233,6 +245,9 @@ def test_gen_errors(capsys):
     assert code == 1 and "error:" in err
     code, _, err = run(capsys, "gen", "cycle", "2")
     assert code == 1 and "cycle order" in err
+    # a repeated edge is refused, as it is in a graph file
+    code, out, err = run(capsys, "gen", "custom", "3", "0", "1", "1", "0")
+    assert (code, out, err) == (1, "", "error: duplicate edge 1 0\n")
 
 
 def test_gen_one_parameter_family_arity(capsys):
@@ -492,6 +507,17 @@ def test_search_budget_exits_2_and_skips_scan_pairs(tmp_path, capsys, monkeypatc
     assert stable(out)[4] == "counterexamples=0 skipped=1 checked=4"
 
 
+def test_scan_prints_a_counterexample(capsys, monkeypatch):
+    # the pairs are solved on the cartesian product, which makes K2 x P2 = C4
+    # (value 2) a counterexample to the strong-product equality
+    monkeypatch.setattr(theory, "product", lambda kind, G, H: product("cartesian", G, H))
+    code, out, _ = run(capsys, "scan", "--max-n", "2", "--families", "P2")
+    assert code == 0
+    assert stable(out) == ["pair=g1_0xP2 gL=1 gR=1 gProd=1 status=equality",
+                           "pair=g2_0xP2 gL=1 gR=1 gProd=2 status=counterexample",
+                           "counterexamples=1 skipped=0 checked=2"]
+
+
 def test_scan_checks_family_order_before_building(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError(f"make_graph called for {args}")
@@ -530,6 +556,41 @@ def test_iso_check_verb(capsys):
     assert code == 0 and "exhaustive=false" in out and "checked=20" in out
     code, _, err = run(capsys, "iso-check", "even-torus", "3", "3", "--r", "2")
     assert code == 2 and "exceed" in err
+
+
+def test_every_integer_position_refuses_bad_tokens(tmp_path, capsys):
+    # each place the command line reads an integer, with a token over Python's
+    # digit limit and with one that is no integer: one short error line, exit 1
+    p3 = write(tmp_path, "p3.txt", serialize_graph(path(3)))
+    for bad in ("9" * 5000, "x"):
+        graph_fields = (f"{bad} 0", f"3 {bad}", f"3 1\n{bad} 1", f"3 1\n0 {bad}")
+        positions = [
+            ["grundy", write(tmp_path, f"g{i}.txt", text + "\n")]
+            for i, text in enumerate(graph_fields)
+        ] + [
+            ["check-seq", p3, write(tmp_path, "s.txt", f"0 {bad}\n")],
+            ["construct", "cartesian", p3, p3, f"0 {bad}"],
+            ["construct", "odd_torus", bad],
+            ["construct", "complete_grid", bad, "3"],
+            ["construct", "complete_grid", "3", bad],
+            ["scan", "--max-n", "1", "--families", f"P{bad}"],
+            ["gen", "path", bad],
+            ["gen", "custom", "3", "0", bad],
+            ["formula", "thm_cart_grid", bad, "3"],
+            ["scan", "--max-n", bad],
+            ["iso-check", "grid", bad, "3", "--r", "1"],
+            ["iso-check", "grid", "3", "3", "--r", bad],
+            ["iso-check", "grid", "3", "3", "--r", "1", "--trials", bad],
+            ["iso-check", "grid", "3", "3", "--r", "1", "--seed", bad],
+        ]
+        refused = "must be an integer" if bad == "x" else "has more than 4300 digits"
+        for argv in positions:
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (1, ""), (argv[0], bad[:3])
+            # P followed by no digits is no family token at all
+            assert refused in err or argv[-1] == "Px", (argv[0], err[:100])
+            assert err.startswith("error:") and err.count("\n") == 1, (argv[0], err[:100])
+            assert len(err.encode()) < 200 and "Traceback" not in err, (argv[0], err[:100])
 
 
 def test_unknown_verb_and_flags(capsys):

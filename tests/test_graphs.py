@@ -73,10 +73,13 @@ def test_family_errors():
         cycle(2)
     with pytest.raises(ParameterError):
         star(0)
-    with pytest.raises(ParameterError):
+    # the edge check and its texts are those of the graph file formats
+    with pytest.raises(ParameterError, match="^loop edge at vertex 0$"):
         Graph(3, [(0, 0)])
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match="^edge 0 5 out of range for 3 vertices$"):
         Graph(3, [(0, 5)])
+    with pytest.raises(ParameterError, match="^duplicate edge 1 0$"):
+        Graph(3, [(0, 1), (1, 0)])
     with pytest.raises(ParameterError):
         Graph(-1)
 

@@ -2,7 +2,8 @@
 every module-level private name is referenced somewhere in the package,
 every public function is exported or referenced there,
 every formula catalog entry's function takes the parameters its signature
-names, and every nested function that calls itself is deleted by the
+names, the command line turns tokens into integers in one function only,
+and every nested function that calls itself is deleted by the
 function around it; plus the run-time check behind the last: no public
 entry point leaves garbage for the cyclic collector."""
 
@@ -230,6 +231,39 @@ def test_guard_sees_unbroken_self_calls():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_nested_self_calls_are_deleted(path):
     assert unbroken_self_calls(path.read_text()) == []
+
+
+def int_readers_outside(source: str, reader: str) -> list[int]:
+    """Lines that call the builtin int, or hand it on as a keyword argument
+    (argparse's type=int), outside the module-level function reader."""
+    tree = ast.parse(source)
+    inside = {
+        id(node)
+        for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == reader
+        for node in ast.walk(f)
+    }
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and id(node) not in inside:
+            handed = [node.func] + [k.value for k in node.keywords]
+            if any(isinstance(x, ast.Name) and x.id == "int" for x in handed):
+                out.append(node.lineno)
+    return sorted(out)
+
+
+def test_guard_sees_int_outside_the_reader():
+    source = (
+        "def _int(token):\n    return int(token)\n"
+        "def parse(text):\n    return [int(t) for t in text.split()]\n"
+        "p.add_argument('n', type=int)\np.add_argument('m', type=_int)\n"
+        "def typed(x: int) -> bool:\n    return isinstance(x, int)\n"
+    )
+    assert int_readers_outside(source, "_int") == [4, 5]
+
+
+def test_command_line_reads_integers_only_in_its_reader():
+    source = (Path(grundydom.__file__).parent / "cli.py").read_text()
+    assert int_readers_outside(source, "_int") == []
 
 
 def public_calls() -> dict[str, object]:

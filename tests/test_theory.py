@@ -11,6 +11,7 @@ from grundydom.errors import CapacityError, InvariantError, ParameterError
 from grundydom.graphs import (
     Graph,
     bit_indices,
+    boundary,
     caterpillar,
     complete,
     cycle,
@@ -394,6 +395,13 @@ def test_direct_entries_bracket_solver():
             assert formula_value("cor_direct_PP_even", (k, l))[0] == g
 
 
+def test_direct_cc_odd_k_bracket_solver():
+    # odd k takes the first parity branch of cor_direct_CC
+    for l, bound, value in ((5, 13, 16), (6, 17, 18), (7, 21, 24), (8, 25, 26)):
+        assert formula_value("cor_direct_CC", (5, l)) == (bound, "lower-bound")
+        assert exact("direct", cycle(5), cycle(l)) == value
+
+
 def test_multi_cycles_consistent_with_torus():
     # two even factors: the multi-cycle product rule must agree with the torus value
     for k1, k2 in [(2, 4), (2, 5), (3, 5), (2, 6)]:
@@ -766,6 +774,20 @@ def test_conjecture_scan_equalities():
     assert [r.nodes for r in again.records] == [r.nodes for r in report.records]
 
 
+def test_conjecture_scan_reports_a_counterexample(monkeypatch):
+    # P2 x P2 solved on its cartesian product C4 (value 2) in place of the
+    # strong product K4 (value 1) is a counterexample to the equality
+    real = theory.product
+    monkeypatch.setattr(theory, "product", lambda kind, G, H: real("cartesian", G, H))
+    report = conjecture_scan([(path(2), path(2))])
+    (rec,) = report.records
+    assert report.counterexamples == [rec]
+    assert (rec.status, rec.lower, rec.gamma_product, rec.upper) == ("counterexample", 1, 2, 2)
+    assert (rec.witness_g, rec.witness_h, rec.witness_product) == ((0,), (0,), (0, 1))
+    seq = check_sequence(real("cartesian", path(2), path(2)).graph, rec.witness_product)
+    assert seq.legal and seq.dominating
+
+
 def solve_first_record(G: Graph, H: Graph) -> theory.ScanRecord:
     """A scan record computed the old way: every product solved first, then
     checked against the blow-up and both peeling orientations."""
@@ -873,6 +895,18 @@ def test_iso_whole_graph_ball():
     rep = isoperimetric_check("grid", [2, 2], 5)
     assert rep.ball_size == 4 and rep.ball_boundary == 0
     assert rep.checked == 1 and rep.violations == 0
+
+
+def test_iso_reports_violations(monkeypatch):
+    # four scattered vertices of the 4x4 grid, boundary 8, stand in for the
+    # radius-1 ball; many 4-sets have a smaller boundary
+    monkeypatch.setattr(theory, "ball", lambda G, v, r: 0b101000000000101)
+    rep = isoperimetric_check("grid", [4, 4], 1)
+    assert (rep.ball_size, rep.ball_boundary, rep.checked) == (4, 8, 1820)
+    assert rep.violations == 846 and len(rep.examples) == 5
+    grid = product("cartesian", path(4), path(4)).graph
+    for mask in rep.examples:
+        assert mask.bit_count() == 4 and boundary(grid, mask).bit_count() < 8
 
 
 def test_iso_sampled():
