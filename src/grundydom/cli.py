@@ -17,7 +17,7 @@ import sys
 from dataclasses import asdict
 from typing import Iterator, Sequence
 
-from .errors import CapacityError, InvariantError, ParameterError, ParseError
+from .errors import CapacityError, InvariantError, ParameterError, ParseError, quoted
 from .graphs import (
     ENUM_MAX_VERTICES, Graph, add_edge, enumerate_connected_graphs, is_int, make_graph,
 )
@@ -25,6 +25,7 @@ from .products import MAX_PRODUCT_ORDER, normalize_kind, product
 from .sequences import check_sequence
 from .solver import MAX_SOLVER_ORDER, grundy
 from .theory import (
+    FORMULAS,
     conjecture_scan,
     construct_cartesian_witness,
     construct_complete_grid_witness,
@@ -61,8 +62,7 @@ def _int(token: str, what: str = "value", line: int | None = None) -> int:
             limit = sys.get_int_max_str_digits()
             msg = f"{what} has more than {limit} digits, the limit for reading an integer"
         else:
-            shown = repr(token) if len(token) <= 20 else repr(token[:20]) + "..."
-            msg = f"{what} must be an integer, got {shown}"
+            msg = f"{what} must be an integer, got {quoted(token)}"
     raise _IntError(msg, line)
 
 
@@ -86,7 +86,7 @@ def parse_graph(text: str, name: str | None = None) -> Graph:
         fields = line.split()
         if len(fields) != 2:
             what = "header 'n m'" if header is None else "edge 'u v'"
-            raise ParseError(f"expected {what}, got {line!r}", line=lineno)
+            raise ParseError(f"expected {what}, got {quoted(line)}", line=lineno)
         a, b = (_int(f, "edge endpoint" if header else "header count", lineno) for f in fields)
         if header is None:
             if a < 0 or b < 0:
@@ -187,7 +187,7 @@ def _family_graph(token: str) -> Graph:
     m = _FAMILY_TOKEN.match(token)
     if not m:
         raise ParameterError(
-            f"unknown family token {token!r}; use P<k>, C<k>, K<k>, or S<k>"
+            f"unknown family token {quoted(token)}; use P<k>, C<k>, K<k>, or S<k>"
         )
     k = _int(m.group(2), "family order")
     # scan skips every pair with a factor this large, so it is never built
@@ -203,6 +203,14 @@ def _family_graph(token: str) -> Graph:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse API
         raise ParameterError(message)
+
+    def _check_value(self, action, value):
+        # argparse's invalid-choice text quotes the whole token; show it as quoted() does
+        try:
+            super()._check_value(action, value)
+        except argparse.ArgumentError as exc:
+            message = exc.message.replace(repr(value), quoted(value))
+            raise argparse.ArgumentError(action, message) from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -244,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("formula", help="evaluate a catalog formula")
     p.set_defaults(handler=_cmd_formula)
-    p.add_argument("formula_id")
+    p.add_argument("formula_id", help="one of: " + ", ".join(sorted(FORMULAS)))
     p.add_argument("params", nargs="*", type=_int)
 
     p = sub.add_parser("construct", help="build a witness sequence")

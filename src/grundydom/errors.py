@@ -28,3 +28,9 @@ class ParseError(ParameterError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+def quoted(token: str) -> str:
+    """A token as an error message shows it: quoted, and cut after 20 characters."""
+    token = str(token)
+    return repr(token) if len(token) <= 20 else repr(token[:20]) + "..."

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, quoted
 from .graphs import Graph, bit_indices, mask_of, mode_rows
 
 KINDS = ("cartesian", "strong", "direct", "lexicographic")
@@ -31,7 +31,7 @@ _ALIASES = {"lex": "lexicographic", "box": "cartesian", "cart": "cartesian"}
 def normalize_kind(kind: str) -> str:
     kind = _ALIASES.get(kind, kind)
     if kind not in KINDS:
-        raise ParameterError(f"unknown product kind '{kind}'")
+        raise ParameterError(f"unknown product kind {quoted(kind)}")
     return kind
 
 

@@ -23,6 +23,7 @@ graph products:
 
 from __future__ import annotations
 
+import inspect
 import math
 import random
 import time
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .errors import CapacityError, InvariantError, ParameterError
+from .errors import CapacityError, InvariantError, ParameterError, quoted
 from .graphs import (
     Graph,
     ball,
@@ -228,9 +229,9 @@ def boundary_sufficient_bound(
     """Certify (or sample) min |boundary(A)| over all m-subsets A of V(G).
 
     With trials=None all C(n, m) subsets are enumerated; more than
-    SUBSET_ENUM_LIMIT of them raise CapacityError. Passing trials switches
-    to seeded random sampling; the result is then explicitly flagged as
-    uncertified.
+    SUBSET_ENUM_LIMIT of them raise CapacityError. Passing trials (at most
+    SUBSET_ENUM_LIMIT) switches to seeded random sampling; the result is then
+    explicitly flagged as uncertified.
     """
     _chk(1 <= m <= G.n, "m must satisfy 1 <= m <= n")
     subsets, checked, exhaustive = _subsets(G.n, m, trials, seed)
@@ -243,9 +244,9 @@ def _subsets(
 ) -> tuple[Iterator[int], int, bool]:
     """m-subsets of range(n) as masks, how many there are, and whether that is all.
 
-    With trials=None every one of the C(n, m) subsets is yielded, guarded by
-    SUBSET_ENUM_LIMIT; otherwise trials subsets drawn by
-    random.Random(seed).sample.
+    With trials=None every one of the C(n, m) subsets is yielded; otherwise
+    trials subsets drawn by random.Random(seed).sample. Either count is
+    guarded by SUBSET_ENUM_LIMIT.
     """
     if trials is None:
         total = math.comb(n, m)
@@ -256,6 +257,8 @@ def _subsets(
             )
         return (mask_of(c) for c in combinations(range(n), m)), total, True
     _chk(trials >= 1, "trials must be positive")
+    if trials > SUBSET_ENUM_LIMIT:
+        raise CapacityError(f"{trials} trials exceed the subset guard ({SUBSET_ENUM_LIMIT})")
     rng = random.Random(seed)
     return (mask_of(rng.sample(range(n), m)) for _ in range(trials)), trials, False
 
@@ -264,35 +267,27 @@ def _subsets(
 # Formula catalog
 
 
-@dataclass(frozen=True)
-class FormulaEntry:
-    """A catalog entry; fn takes one parameter per word of the signature, or
-    *params when the signature contains '...'."""
-
-    signature: str
-    exactness: str  # exact | lower-bound | upper-bound | conjectured
-    fn: Callable[..., int]
+# id -> (exactness, fn): exactness is exact, lower-bound, upper-bound or
+# conjectured; fn's parameters are the entry's, any count when it takes *params
+FORMULAS: dict[str, tuple[str, Callable[..., int]]] = {}
 
 
-FORMULAS: dict[str, FormulaEntry] = {}
-
-
-def _formula(formula_id: str, signature: str, exactness: str):
+def _formula(formula_id: str, exactness: str):
     def register(fn: Callable[..., int]):
-        FORMULAS[formula_id] = FormulaEntry(signature, exactness, fn)
+        FORMULAS[formula_id] = (exactness, fn)
         return fn
 
     return register
 
 
-@_formula("thm_cart_grid", "k l", "exact")
+@_formula("thm_cart_grid", "exact")
 def _cart_grid(k, l):
     """cart(P_k, P_l) = k(l-1) for 2 <= k <= l."""
     _chk(2 <= k <= l, "requires 2 <= k <= l")
     return k * (l - 1)
 
 
-@_formula("thm_cart_cylinder", "k l", "exact")
+@_formula("thm_cart_cylinder", "exact")
 def _cart_cylinder(k, l):
     """cart(P_k, C_l) = max{l(k-1), k(l-2)} for k >= 2, l >= 3."""
     _chk(k >= 2, "requires k >= 2")
@@ -300,7 +295,7 @@ def _cart_cylinder(k, l):
     return max(l * (k - 1), k * (l - 2))
 
 
-@_formula("thm_cart_torus", "k l", "exact")
+@_formula("thm_cart_torus", "exact")
 def _cart_torus(k, l):
     """cart(C_k, C_l) = k(l-2) for 3 <= k <= l, except k = l odd."""
     _chk(3 <= k <= l, "requires 3 <= k <= l")
@@ -308,14 +303,14 @@ def _cart_torus(k, l):
     return k * (l - 2)
 
 
-@_formula("thm_cart_torus_odd", "k", "exact")
+@_formula("thm_cart_torus_odd", "exact")
 def _cart_torus_odd(k):
     """cart(C_k, C_k) = k(k-2)+1 for odd k >= 3."""
     _chk(k >= 3 and k % 2 == 1, "requires odd k >= 3")
     return k * (k - 2) + 1
 
 
-@_formula("prop_cart_multi_cycles", "k1 ... kn", "exact")
+@_formula("prop_cart_multi_cycles", "exact")
 def _cart_multi_cycles(*params):
     """cart(C_2k1, ..., C_2kn) = 2^n k1...k(n-1) (kn - 1); params are half-lengths."""
     _chk(len(params) >= 1, "expects at least one half-length")
@@ -328,7 +323,7 @@ def _cart_multi_cycles(*params):
     return 2 ** len(params) * math.prod(params[:-1]) * (params[-1] - 1)
 
 
-@_formula("prop_cart_multi_paths", "k1 ... kn", "exact")
+@_formula("prop_cart_multi_paths", "exact")
 def _cart_multi_paths(*params):
     """cart(P_k1, ..., P_kn) = k1...k(n-1) (kn - 1)."""
     _chk(len(params) >= 1, "expects at least one order")
@@ -341,7 +336,7 @@ def _cart_multi_paths(*params):
     return math.prod(params[:-1]) * (params[-1] - 1)
 
 
-@_formula("cor_lex_path_H", "k gamma_h", "exact")
+@_formula("cor_lex_path_H", "exact")
 def _lex_path_value(k: int, gamma_h: int) -> int:
     """lex(P_k, H) from gamma_h = grundy(H); k >= 1, k != 2, H not complete."""
     _chk(k >= 1, "requires k >= 1")
@@ -352,7 +347,7 @@ def _lex_path_value(k: int, gamma_h: int) -> int:
     return ((k + 1) // 2) * gamma_h
 
 
-@_formula("cor_lex_cycle_H", "k gamma_h", "exact")
+@_formula("cor_lex_cycle_H", "exact")
 def _lex_cycle_value(k: int, gamma_h: int) -> int:
     """lex(C_k, H) from gamma_h = grundy(H); k >= 4, H not complete."""
     _chk(k >= 4, "requires k >= 4")
@@ -362,7 +357,7 @@ def _lex_cycle_value(k: int, gamma_h: int) -> int:
     return (k // 2) * gamma_h + 1
 
 
-@_formula("cor_lex_path_path", "k l", "exact")
+@_formula("cor_lex_path_path", "exact")
 def _lex_path_path(k, l):
     """lex(P_k, P_l) for k, l >= 3."""
     _chk(k >= 3, "requires k >= 3")
@@ -370,7 +365,7 @@ def _lex_path_path(k, l):
     return _lex_path_value(k, l - 1)
 
 
-@_formula("cor_lex_path_cycle", "k l", "exact")
+@_formula("cor_lex_path_cycle", "exact")
 def _lex_path_cycle(k, l):
     """lex(P_k, C_l) for k >= 3, l >= 4 (C_3 is complete, so l = 3 is out)."""
     _chk(k >= 3, "requires k >= 3")
@@ -378,7 +373,7 @@ def _lex_path_cycle(k, l):
     return _lex_path_value(k, l - 2)
 
 
-@_formula("cor_lex_cycle_cycle", "k l", "exact")
+@_formula("cor_lex_cycle_cycle", "exact")
 def _lex_cycle_cycle(k, l):
     """lex(C_k, C_l) for k >= 4, l >= 4."""
     _chk(k >= 4, "requires k >= 4")
@@ -386,7 +381,7 @@ def _lex_cycle_cycle(k, l):
     return _lex_cycle_value(k, l - 2)
 
 
-@_formula("cor_direct_PC", "k l", "lower-bound")
+@_formula("cor_direct_PC", "lower-bound")
 def _direct_pc(k, l):
     """direct(P_k, C_l) lower bound for k >= 2, l >= 4, by parity.
 
@@ -407,7 +402,7 @@ def _direct_pc(k, l):
     return k * l - 2 * k - l + 6
 
 
-@_formula("cor_direct_CC", "k l", "lower-bound")
+@_formula("cor_direct_CC", "lower-bound")
 def _direct_cc(k, l):
     """direct(C_k, C_l) lower bound for 4 <= k <= l, by parity."""
     _chk(4 <= k <= l, "requires 4 <= k <= l")
@@ -418,7 +413,7 @@ def _direct_cc(k, l):
     return k * l - k - 2 * l + 3
 
 
-@_formula("cor_direct_PP", "k l", "lower-bound")
+@_formula("cor_direct_PP", "lower-bound")
 def _direct_pp(k, l):
     """direct(P_k, P_l) lower bound for 2 <= k <= l, by parity."""
     _chk(2 <= k <= l, "requires 2 <= k <= l")
@@ -429,14 +424,14 @@ def _direct_pp(k, l):
     return max(k * l - l, k * l - k - l + 3)
 
 
-@_formula("prop_direct_PP_upper", "k l", "upper-bound")
+@_formula("prop_direct_PP_upper", "upper-bound")
 def _direct_pp_upper(k, l):
     """direct(P_k, P_l) <= kl - k for 2 <= k <= l."""
     _chk(2 <= k <= l, "requires 2 <= k <= l")
     return k * l - k
 
 
-@_formula("cor_direct_PP_even", "k l", "exact")
+@_formula("cor_direct_PP_even", "exact")
 def _direct_pp_even(k, l):
     """direct(P_k, P_l) = kl - k for even 2 <= k <= l."""
     _chk(2 <= k <= l, "requires 2 <= k <= l")
@@ -444,7 +439,7 @@ def _direct_pp_even(k, l):
     return k * l - k
 
 
-@_formula("cor_strong_grid", "k l", "exact")
+@_formula("cor_strong_grid", "exact")
 def _strong_grid(k, l):
     """strong(P_k, P_l) = (k-1)(l-1) for k, l >= 2."""
     _chk(k >= 2, "requires k >= 2")
@@ -452,7 +447,7 @@ def _strong_grid(k, l):
     return (k - 1) * (l - 1)
 
 
-@_formula("cor_strong_cylinder", "k l", "exact")
+@_formula("cor_strong_cylinder", "exact")
 def _strong_cylinder(k, l):
     """strong(P_k, C_l) = (k-1)(l-2) for k >= 2, l >= 3."""
     _chk(k >= 2, "requires k >= 2")
@@ -460,21 +455,21 @@ def _strong_cylinder(k, l):
     return (k - 1) * (l - 2)
 
 
-@_formula("cor_strong_torus_upper", "k l", "upper-bound")
+@_formula("cor_strong_torus_upper", "upper-bound")
 def _strong_torus_upper(k, l):
     """strong(C_k, C_l) <= (k-2)(l-1) for 3 <= k <= l."""
     _chk(3 <= k <= l, "requires 3 <= k <= l")
     return (k - 2) * (l - 1)
 
 
-@_formula("conj_strong_torus", "k l", "conjectured")
+@_formula("conj_strong_torus", "conjectured")
 def _strong_torus_conj(k, l):
     """strong(C_k, C_l) = (k-2)(l-2) for 3 <= k <= l, if the product conjecture holds."""
     _chk(3 <= k <= l, "requires 3 <= k <= l")
     return (k - 2) * (l - 2)
 
 
-@_formula("cor_strong_multi_paths", "k1 ... kn", "exact")
+@_formula("cor_strong_multi_paths", "exact")
 def _strong_multi_paths(*params):
     """strong(P_k1, ..., P_kn) = (k1-1)...(kn-1)."""
     _chk(len(params) >= 1, "expects at least one order")
@@ -482,7 +477,7 @@ def _strong_multi_paths(*params):
     return math.prod(k - 1 for k in params)
 
 
-@_formula("cor_strong_multi_paths_cycle", "k1 ... kn l", "exact")
+@_formula("cor_strong_multi_paths_cycle", "exact")
 def _strong_multi_paths_cycle(*params):
     """strong(P_k1, ..., P_kn, C_l) = (k1-1)...(kn-1)(l-2); last parameter is l."""
     _chk(len(params) >= 2, "expects path orders followed by a cycle length")
@@ -492,14 +487,14 @@ def _strong_multi_paths_cycle(*params):
     return math.prod(k - 1 for k in ks) * (l - 2)
 
 
-@_formula("gamma_t_path", "k", "exact")
+@_formula("gamma_t_path", "exact")
 def _gamma_t_path(k):
     """Grundy total domination number of P_k for k >= 2."""
     _chk(k >= 2, "requires k >= 2")
     return k if k % 2 == 0 else k - 1
 
 
-@_formula("gamma_t_cycle", "l", "exact")
+@_formula("gamma_t_cycle", "exact")
 def _gamma_t_cycle(l):
     """Grundy total domination number of C_l for l >= 3."""
     _chk(l >= 3, "requires l >= 3")
@@ -512,22 +507,24 @@ def formula_value(formula_id: str, params: Iterable[int]) -> tuple[int, str]:
     Preconditions are enforced literally; out-of-range parameters raise a
     ParameterError naming the violated condition rather than extrapolating.
     """
-    entry = FORMULAS.get(formula_id)
-    if entry is None:
-        known = ", ".join(sorted(FORMULAS))
-        raise ParameterError(f"unknown formula id '{formula_id}' (known: {known})")
+    if formula_id not in FORMULAS:
+        raise ParameterError(
+            f"unknown formula id {quoted(formula_id)} (grundydom formula -h lists the known ids)"
+        )
+    exactness, fn = FORMULAS[formula_id]
     params = tuple(params)
     _chk(all(is_int(p) for p in params), "parameters must be integers")
+    names = inspect.signature(fn).parameters
     try:
-        count = len(entry.signature.split())
-        _chk(
-            "..." in entry.signature or len(params) == count,
-            f"expects {count} parameter(s) ({entry.signature}), got {len(params)}",
-        )
-        value = entry.fn(*params)
+        if not any(p.kind is p.VAR_POSITIONAL for p in names.values()):
+            _chk(
+                len(params) == len(names),
+                f"expects {len(names)} parameter(s) ({' '.join(names)}), got {len(params)}",
+            )
+        value = fn(*params)
     except ParameterError as exc:
         raise ParameterError(f"{formula_id}: {exc}") from None
-    return value, entry.exactness
+    return value, exactness
 
 
 # ---------------------------------------------------------------------------
@@ -968,9 +965,9 @@ def isoperimetric_check(
     product above MAX_PRODUCT_ORDER vertices raises CapacityError before it
     is built. With trials=None all subsets of the ball's size are enumerated
     (at most SUBSET_ENUM_LIMIT); otherwise that many seeded random subsets
-    are tested. Violations are reported, not asserted: zero is the expected
-    outcome for these proved inequalities, so any hit points at the
-    ball/boundary code.
+    are tested, again at most SUBSET_ENUM_LIMIT. Violations are reported,
+    not asserted: zero is the expected outcome for these proved
+    inequalities, so any hit points at the ball/boundary code.
     """
     _chk(kind in ("even-torus", "grid"), "kind must be 'even-torus' or 'grid'")
     factors = tuple(factors)

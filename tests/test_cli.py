@@ -556,6 +556,8 @@ def test_iso_check_verb(capsys):
     assert code == 0 and "exhaustive=false" in out and "checked=20" in out
     code, _, err = run(capsys, "iso-check", "even-torus", "3", "3", "--r", "2")
     assert code == 2 and "exceed" in err
+    code, out, err = run(capsys, "iso-check", "grid", "3", "3", "--r", "1", "--trials", "10000001")
+    assert (code, out, err) == (2, "", "error: 10000001 trials exceed the subset guard (10000000)\n")
 
 
 def test_every_integer_position_refuses_bad_tokens(tmp_path, capsys):
@@ -591,6 +593,35 @@ def test_every_integer_position_refuses_bad_tokens(tmp_path, capsys):
             assert refused in err or argv[-1] == "Px", (argv[0], err[:100])
             assert err.startswith("error:") and err.count("\n") == 1, (argv[0], err[:100])
             assert len(err.encode()) < 200 and "Traceback" not in err, (argv[0], err[:100])
+
+
+LONG = "x" * 5000
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--max-n", "1", "--families", LONG],
+        ["grundy", "three-fields.txt"],
+        ["formula", LONG],
+        ["product", "--kind", LONG, "g.txt", "h.txt"],
+        ["bounds", "--kind", LONG, "g.txt", "h.txt"],
+        ["construct", LONG],
+        ["grundy", "--mode", LONG, "g.txt"],
+        ["gen", LONG],
+        ["check-seq", "--mode", LONG, "g.txt", "s.txt"],
+        ["iso-check", LONG, "3", "--r", "1"],
+    ],
+    ids=lambda argv: "-".join(a for a in argv if a != LONG)[:30],
+)
+def test_long_tokens_are_echoed_short(tmp_path, capsys, monkeypatch, argv):
+    # every message that quotes a token the user typed shows at most 20 characters of it
+    monkeypatch.chdir(tmp_path)
+    write(tmp_path, "three-fields.txt", f"3 1\n0 1 {LONG}\n")
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "Traceback" not in err, err[:100]
+    assert len(err.encode()) < 200 and "x" * 21 not in err, err[:100]
 
 
 def test_unknown_verb_and_flags(capsys):

@@ -1,8 +1,7 @@
 """Static guards: every name a package or test module imports is used by that module,
 every module-level private name is referenced somewhere in the package,
 every public function is exported or referenced there,
-every formula catalog entry's function takes the parameters its signature
-names, the command line turns tokens into integers in one function only,
+the command line turns tokens into integers in one function only,
 and every nested function that calls itself is deleted by the
 function around it; plus the run-time check behind the last: no public
 entry point leaves garbage for the cyclic collector."""
@@ -17,7 +16,6 @@ import pytest
 
 import grundydom
 from grundydom import graphs, solver, theory
-from grundydom.theory import FORMULAS
 
 MODULES = sorted(p for p in Path(grundydom.__file__).parent.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
@@ -169,18 +167,6 @@ def test_every_public_function_is_exported_or_referenced():
     package = Path(grundydom.__file__).parent
     sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
     assert unreferenced_publics(sources) == []
-
-
-def test_formula_functions_match_their_signatures():
-    # formula_value checks the count from the signature and then calls fn(*params),
-    # so a mismatch would end in a TypeError instead of a ParameterError
-    for fid, entry in FORMULAS.items():
-        params = inspect.signature(entry.fn).parameters.values()
-        positional = [p for p in params if p.kind in (p.POSITIONAL_ONLY, p.POSITIONAL_OR_KEYWORD)]
-        variadic = any(p.kind is p.VAR_POSITIONAL for p in params)
-        assert variadic == ("..." in entry.signature), fid
-        if not variadic:
-            assert len(positional) == len(entry.signature.split()), fid
 
 
 def unbroken_self_calls(source: str) -> list[str]:

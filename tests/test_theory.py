@@ -1,6 +1,7 @@
 """Catalog formulas, witness constructions, bounds, scans, and spot checks."""
 
 import hashlib
+import inspect
 import random
 from itertools import combinations
 
@@ -197,6 +198,9 @@ def test_boundary_bound_guards():
         boundary_sufficient_bound(product("cartesian", cycle(6), cycle(6)).graph, 15)
     with pytest.raises(ParameterError):
         boundary_sufficient_bound(path(3), 1, trials=0)
+    # sampling takes no more subsets than enumeration does
+    with pytest.raises(CapacityError, match="10000001 trials exceed the subset guard"):
+        boundary_sufficient_bound(path(3), 1, trials=theory.SUBSET_ENUM_LIMIT + 1)
 
 
 def test_boundary_bound_dominates_grundy():
@@ -309,14 +313,16 @@ def test_formula_preconditions():
 def test_formula_unknown_and_arity():
     with pytest.raises(ParameterError) as err:
         formula_value("thm_unheard_of", (3,))
-    assert "known:" in str(err.value)
+    assert str(err.value) == (
+        "unknown formula id 'thm_unheard_of' (grundydom formula -h lists the known ids)"
+    )
     with pytest.raises(ParameterError):
         formula_value("thm_cart_grid", (3,))
     with pytest.raises(ParameterError):
         formula_value("thm_cart_grid", (3.0, 4))
 
 
-# the signature each fixed-arity entry states, as its arity error quotes it
+# the parameters each fixed-arity entry's function takes, as its arity error quotes them
 FIXED_ARITY = {
     "conj_strong_torus": "k l",
     "cor_direct_CC": "k l",
@@ -342,7 +348,15 @@ FIXED_ARITY = {
 
 
 def test_formula_arity_error_texts_are_pinned():
-    assert set(FIXED_ARITY) == {fid for fid, e in FORMULAS.items() if "..." not in e.signature}
+    variadic = {
+        fid for fid, (_, fn) in FORMULAS.items()
+        if any(p.kind is p.VAR_POSITIONAL for p in inspect.signature(fn).parameters.values())
+    }
+    assert set(FIXED_ARITY) == set(FORMULAS) - variadic
+    assert variadic == {
+        "cor_strong_multi_paths", "cor_strong_multi_paths_cycle",
+        "prop_cart_multi_cycles", "prop_cart_multi_paths",
+    }
     for fid, sig in FIXED_ARITY.items():
         count = len(sig.split())
         for got in (0, count - 1, count + 1):
@@ -930,6 +944,8 @@ def test_iso_guards():
         isoperimetric_check("even-torus", [3, 3], 2)  # C(36,13) subsets
     rep = isoperimetric_check("even-torus", [3, 3], 2, trials=10)
     assert rep.checked == 10
+    with pytest.raises(CapacityError, match="10000001 trials exceed the subset guard"):
+        isoperimetric_check("grid", [3, 3], 1, trials=theory.SUBSET_ENUM_LIMIT + 1)
 
 
 def test_iso_checks_order_before_building(monkeypatch):
