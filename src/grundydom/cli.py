@@ -134,7 +134,7 @@ def _parse_graph_json(text: str, name: str | None) -> Graph:
     adj = [0] * n
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(is_int(x) for x in e)):
-            raise ParseError(f"JSON edge {e!r} is not a pair of integers")
+            raise ParseError(f"JSON edge {quoted(e)} is not a pair of integers")
         add_edge(adj, *e)
     json_name = data.get("name")
     if json_name is not None and not isinstance(json_name, str):
@@ -204,13 +204,20 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: A003 - argparse API
         raise ParameterError(message)
 
-    def _check_value(self, action, value):
-        # argparse's invalid-choice text quotes the whole token; show it as quoted() does
+    def parse_args(self, args=None, namespace=None):
+        args, extras = self.parse_known_args(args, namespace)
+        if extras:
+            self.error("unrecognized arguments: " + " ".join(map(quoted, extras)))
+        return args
+
+    def _get_values(self, action, arg_strings):
+        # argparse's invalid-choice and invalid-value texts quote the whole token
         try:
-            super()._check_value(action, value)
+            return super()._get_values(action, arg_strings)
         except argparse.ArgumentError as exc:
-            message = exc.message.replace(repr(value), quoted(value))
-            raise argparse.ArgumentError(action, message) from None
+            for token in arg_strings:
+                exc.message = exc.message.replace(repr(token), quoted(token))
+            raise
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -257,10 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("construct", help="build a witness sequence")
     p.set_defaults(handler=_cmd_construct)
-    p.add_argument(
-        "what",
-        choices=["odd_torus", "complete_grid", "cartesian", "lex", "direct", "strong"],
-    )
+    p.add_argument("what", choices=_CONSTRUCT.keys())
     p.add_argument("args", nargs="*")
     p.add_argument("--emit-seq", help="also write the sequence to a file")
 
@@ -364,40 +368,33 @@ def _cmd_formula(args) -> str:
         ) from None
 
 
-def _construct_args(args, count: int, shape: str) -> list[str]:
-    if len(args.args) != count:
-        raise ParameterError(f"construct {args.what} expects: {shape}")
-    return args.args
+def _two_factor(builder):
+    # lex, direct and strong take each factor graph followed by its sequence
+    return lambda fg, fh, sg, sh: builder(
+        _load_graph(fg), parse_sequence(sg), _load_graph(fh), parse_sequence(sh))
+
+
+# construct's what -> (argument shape, builder taking one string per shape word)
+_CONSTRUCT = {
+    "odd_torus": ("<k>", lambda k: construct_odd_torus_witness(_int(k, "k"))),
+    "complete_grid": ("<n> <m>", lambda n, m: construct_complete_grid_witness(
+        _int(n, "n"), _int(m, "m"))),
+    "cartesian": ("<fileG> <fileH> <seqG>", lambda fg, fh, sg: construct_cartesian_witness(
+        _load_graph(fg), _load_graph(fh), parse_sequence(sg))),
+    "lex": ("<fileG> <fileH> <seqG> <seqH>", _two_factor(construct_lex_witness)),
+    "direct": ("<fileG> <fileH> <seqG> <seqH>", _two_factor(construct_direct_witness)),
+    "strong": ("<fileG> <fileH> <seqG> <seqH>", _two_factor(construct_strong_witness)),
+}
 
 
 def _cmd_construct(args) -> str:
-    if args.what == "odd_torus":
-        (k,) = _construct_args(args, 1, "<k>")
-        seq = construct_odd_torus_witness(_int(k, "k"))
-    elif args.what == "complete_grid":
-        n, m = _construct_args(args, 2, "<n> <m>")
-        seq = construct_complete_grid_witness(_int(n, "n"), _int(m, "m"))
-    elif args.what == "cartesian":
-        fg, fh, seq_g = _construct_args(args, 3, "<fileG> <fileH> <seqG>")
-        seq = construct_cartesian_witness(
-            _load_graph(fg), _load_graph(fh), parse_sequence(seq_g)
-        )
-    else:
-        fg, fh, seq_g, seq_h = _construct_args(
-            args, 4, "<fileG> <fileH> <seqG> <seqH>"
-        )
-        builder = {
-            "lex": construct_lex_witness,
-            "direct": construct_direct_witness,
-            "strong": construct_strong_witness,
-        }[args.what]
-        seq = builder(
-            _load_graph(fg), parse_sequence(seq_g),
-            _load_graph(fh), parse_sequence(seq_h),
-        )
+    shape, build = _CONSTRUCT[args.what]
+    if len(args.args) != len(shape.split()):
+        raise ParameterError(f"construct {args.what} expects: {shape}")
+    seq = build(*args.args)
     if args.emit_seq:
         _write(args.emit_seq, serialize_sequence(seq))
-    return f"length={len(seq)}\nsequence=" + " ".join(str(v) for v in seq) + "\n"
+    return f"length={len(seq)}\nsequence=" + serialize_sequence(seq)
 
 
 def _cmd_scan(args) -> str:

@@ -21,13 +21,12 @@ class InvariantError(RuntimeError):
 
 
 class ParseError(ParameterError):
-    """Malformed input or an impossible edge; carries a 1-based line number when known."""
+    """Malformed input or an impossible edge; the message leads with its 1-based line when known."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
-        self.line = line
 
 
 def quoted(token: str) -> str:

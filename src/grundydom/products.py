@@ -37,22 +37,12 @@ def normalize_kind(kind: str) -> str:
 
 @dataclass(frozen=True)
 class ProductDescriptor:
-    """A built product graph plus the indexing maps back to its factors."""
+    """A built product graph and its factors; vertex (g, h) is g * H.n + h."""
 
     kind: str
     G: Graph
     H: Graph
     graph: Graph
-
-    def index(self, g: int, h: int) -> int:
-        if not (0 <= g < self.G.n and 0 <= h < self.H.n):
-            raise ParameterError(f"factor coordinates ({g},{h}) out of range")
-        return g * self.H.n + h
-
-    def coords(self, idx: int) -> tuple[int, int]:
-        if not 0 <= idx < self.graph.n:
-            raise ParameterError(f"product vertex {idx} out of range")
-        return divmod(idx, self.H.n)
 
 
 def check_product_order(order: int) -> None:

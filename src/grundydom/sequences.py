@@ -17,12 +17,15 @@ from .graphs import Graph, bit_indices, is_int, mode_rows
 
 @dataclass
 class SequenceReport:
-    legal: bool
     dominating: bool
     footprints: dict[int, int] = field(default_factory=dict)
     a_value: int = 0
     length: int = 0
     illegal_at: int | None = None
+
+    @property
+    def legal(self) -> bool:
+        return self.illegal_at is None
 
 
 def _validated_items(G: Graph, items) -> list[int]:
@@ -50,7 +53,6 @@ def check_sequence(G: Graph, items, mode: str = "closed") -> SequenceReport:
 
     dominated = 0
     chosen = 0
-    legal = True
     illegal_at = None
     a = 0
     footprints: dict[int, int] = {}
@@ -58,17 +60,13 @@ def check_sequence(G: Graph, items, mode: str = "closed") -> SequenceReport:
         if G.adj[it] & chosen == 0:
             a += 1
         new = rows[it] & ~dominated
-        if new == 0:
-            legal = False
-            if illegal_at is None:
-                illegal_at = pos
-        else:
-            for u in bit_indices(new):
-                footprints[u] = it
-            dominated |= new
+        if new == 0 and illegal_at is None:
+            illegal_at = pos
+        for u in bit_indices(new):
+            footprints[u] = it
+        dominated |= new
         chosen |= 1 << it
     return SequenceReport(
-        legal=legal,
         dominating=dominated == G.full_mask,
         footprints=footprints,
         a_value=a,

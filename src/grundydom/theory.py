@@ -560,13 +560,13 @@ def _layered_witness(
     H-vertices fresh inside its layer, every other item walks dependent.
     Returns the sequence and its check_sequence report on the product.
     """
-    desc = product(kind, G, H)
+    graph = product(kind, G, H).graph
     out: list[int] = []
     chosen = 0
     for d in seq_g:
-        out.extend(desc.index(d, h) for h in (dependent if G.adj[d] & chosen else fresh))
+        out.extend(d * H.n + h for h in (dependent if G.adj[d] & chosen else fresh))
         chosen |= 1 << d
-    return out, check_sequence(desc.graph, out)
+    return out, check_sequence(graph, out)
 
 
 def construct_cartesian_witness(G: Graph, H: Graph, seq_g: Sequence[int]) -> list[int]:

@@ -1,8 +1,11 @@
 """Command line verbs, the shared text formats, and the exit code taxonomy."""
 
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -255,6 +258,9 @@ def test_gen_one_parameter_family_arity(capsys):
         code, out, err = run(capsys, "gen", fam, "3", "4")
         assert (code, out) == (1, "")
         assert err == f"error: family '{fam}' expects 1 parameter(s), got 2\n"
+    # with no parameter the order check passes and make_graph names the count
+    code, out, err = run(capsys, "gen", "path")
+    assert (code, out, err) == (1, "", "error: family 'path' expects 1 parameter(s), got 0\n")
 
 
 def test_product_verb(tmp_path, capsys):
@@ -611,13 +617,17 @@ LONG = "x" * 5000
         ["gen", LONG],
         ["check-seq", "--mode", LONG, "g.txt", "s.txt"],
         ["iso-check", LONG, "3", "--r", "1"],
+        ["scan", "--max-n", "1", "--budget", LONG],
+        ["gen", "path", "--" + LONG],
+        ["grundy", "bad-edge.json"],
     ],
-    ids=lambda argv: "-".join(a for a in argv if a != LONG)[:30],
+    ids=lambda argv: "-".join(a for a in argv if LONG not in a)[:30],
 )
 def test_long_tokens_are_echoed_short(tmp_path, capsys, monkeypatch, argv):
     # every message that quotes a token the user typed shows at most 20 characters of it
     monkeypatch.chdir(tmp_path)
     write(tmp_path, "three-fields.txt", f"3 1\n0 1 {LONG}\n")
+    write(tmp_path, "bad-edge.json", json.dumps({"n": 3, "edges": [[0, LONG]]}))
     code, out, err = run(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "Traceback" not in err, err[:100]
@@ -631,6 +641,21 @@ def test_unknown_verb_and_flags(capsys):
     assert code == 1
     code, _, err = run(capsys, "gen", "path", "--bogus")
     assert code == 1
+
+
+def test_module_entry_point_exits_with_mains_code(tmp_path):
+    # `python -m grundydom.cli` hands main's return value to the process
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    for argv, code, out, err in (
+        (["gen", "path", "2"], 0, "2 1\n0 1\n", ""),
+        (["gen", "path"], 1, "", "error: family 'path' expects 1 parameter(s), got 0\n"),
+        (["gen", "path", "5000"], 2, "", "error: graph order 5000 exceeds file cap 4096\n"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "grundydom.cli", *argv],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err), argv
 
 
 def test_readme_command_line_block(tmp_path, capsys, monkeypatch):

@@ -62,7 +62,7 @@ def test_products_match_definition():
             assert P.graph.n == G.n * H.n
             edges = []
             for u, v in combinations(range(P.graph.n), 2):
-                (g1, h1), (g2, h2) = P.coords(u), P.coords(v)
+                (g1, h1), (g2, h2) = divmod(u, H.n), divmod(v, H.n)
                 want = definition_adjacent(kind, G, H, g1, h1, g2, h2)
                 assert P.graph.has_edge(u, v) == want, (kind, G.display_name, H.display_name)
                 if want:
@@ -102,9 +102,9 @@ def test_commutativity_bijections():
             P = product(kind, G, H)
             Q = product(kind, H, G)
             for u, v in P.graph.edges():
-                gu, hu = P.coords(u)
-                gv, hv = P.coords(v)
-                assert Q.graph.has_edge(Q.index(hu, gu), Q.index(hv, gv))
+                gu, hu = divmod(u, H.n)
+                gv, hv = divmod(v, H.n)
+                assert Q.graph.has_edge(hu * G.n + gu, hv * G.n + gv)
             assert P.graph.m == Q.graph.m
 
 
@@ -114,27 +114,16 @@ def test_lex_is_not_commutative():
     assert a.m != b.m  # 11 vs 13
 
 
-def test_index_coords_roundtrip():
-    P = product("strong", path(3), cycle(4))
-    for g in range(3):
-        for h in range(4):
-            assert P.coords(P.index(g, h)) == (g, h)
-    with pytest.raises(ParameterError):
-        P.index(3, 0)
-    with pytest.raises(ParameterError):
-        P.coords(12)
-
-
 def test_cartesian_layers_induce_factors():
     # each H-layer of the cartesian product is a copy of H, each G-layer a copy of G
     G, H = path(3), cycle(4)
     P = product("cartesian", G, H)
     for g in range(G.n):
         for h1, h2 in combinations(range(H.n), 2):
-            assert P.graph.has_edge(P.index(g, h1), P.index(g, h2)) == H.has_edge(h1, h2)
+            assert P.graph.has_edge(g * H.n + h1, g * H.n + h2) == H.has_edge(h1, h2)
     for h in range(H.n):
         for g1, g2 in combinations(range(G.n), 2):
-            assert P.graph.has_edge(P.index(g1, h), P.index(g2, h)) == G.has_edge(g1, g2)
+            assert P.graph.has_edge(g1 * H.n + h, g2 * H.n + h) == G.has_edge(g1, g2)
 
 
 def test_direct_layers_are_independent():
@@ -142,8 +131,8 @@ def test_direct_layers_are_independent():
     G, H = cycle(3), path(4)
     P = product("direct", G, H)
     for u, v in P.graph.edges():
-        gu, hu = P.coords(u)
-        gv, hv = P.coords(v)
+        gu, hu = divmod(u, H.n)
+        gv, hv = divmod(v, H.n)
         assert gu != gv and hu != hv
 
 
