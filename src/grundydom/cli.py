@@ -431,7 +431,7 @@ def _cmd_scan(args) -> str:
     lines.append(f"# settled={sum(r.settled for r in report.records)}")
     lines.append(
         f"# stats pairs={len(report.records)}"
-        f" solved={len(report.records) - len(report.skipped)}"
+        f" solved={sum(r.status != 'skipped' and not r.settled for r in report.records)}"
         f" nodes={sum(r.nodes for r in report.records)}"
         f" elapsed={sum(r.elapsed for r in report.records):.3f}s"
     )

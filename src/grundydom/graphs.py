@@ -477,8 +477,6 @@ def _canonical_search(G: Graph) -> tuple[int, list[list[int]], list[int]]:
     graph_from_code(G.n, code).
     """
     n, adj = G.n, G.adj
-    if n <= 1:
-        return 0, [], list(range(n))
     edges = G.edges()
     # the pair-bit table: _pair_bit(n, a, b) is offset[a] + b
     offset = [_pair_bit(n, a, 0) for a in range(n)]

@@ -205,18 +205,16 @@ class _Search:
 
         Root moves run in ascending vertex order within equal coverage size, so
         each orbit is first met at its least vertex. Orbits are computed only
-        when the first move did not settle the root and its subtree expanded
-        at least n^2 nodes. Then a move in the orbit of an earlier move has
-        that move's value and is dropped. The representatives are None when
-        the orbits were never computed.
+        when the first move's subtree expanded at least n^2 nodes, which one
+        that settles the root never does: it forces every position under it.
+        Then a move in the orbit of an earlier move has that move's value and
+        is dropped; the representatives are None if orbits were not computed.
         """
         rows = self.rows
         n = self.n
         width = self.width
         moves = sorted((row.bit_count(), u) for u, row in enumerate(rows))
         best = 1 + self.value(rows[moves[0][1]])
-        if best == width:
-            return best, None
         reps: list[int] | None = None
         # the memo was empty before the first move, so it holds that subtree
         if len(self.memo) >= n * n:

@@ -114,8 +114,10 @@ def maximal_cliques(G: Graph) -> list[int]:
 def _min_set_cover(n_items: int, sets: list[int]) -> int:
     """Exact minimum number of sets (as item masks) covering all n_items.
 
-    A set that is the only one holding some item is in every cover, so the
-    search starts from the union of those forced sets.
+    Every item must lie in some set, else ParameterError. A set that is the
+    only one holding some item is in every cover, so the search starts from
+    the union of those forced sets. Its first descent is greedy: it branches
+    on the item with the fewest holders and tries the largest set first.
     """
     full = (1 << n_items) - 1
     by_item: list[list[int]] = [[] for _ in range(n_items)]
@@ -125,16 +127,15 @@ def _min_set_cover(n_items: int, sets: list[int]) -> int:
             low = m & -m
             m ^= low
             by_item[low.bit_length() - 1].append(s)
+    if not all(by_item):
+        raise ParameterError(f"item {by_item.index([])} lies in no set")
     forced = {holders[0] for holders in by_item if len(holders) == 1}
     start = 0
     for s in forced:
         start |= s
     if start == full:
         return len(forced)
-    covered, best = start, len(forced)
-    while covered != full:
-        covered |= max(sets, key=lambda s: (s & ~covered).bit_count())
-        best += 1
+    best = len(sets)
     biggest = max(s.bit_count() for s in sets)
 
     def descend(covered: int, used: int) -> None:
@@ -178,8 +179,6 @@ def edge_clique_cover_number(G: Graph) -> int:
         inc[u] |= 1 << n_edges
         inc[v] |= 1 << n_edges
         n_edges += 1
-    if not n_edges:
-        return 0
     sets = []
     for clique in maximal_cliques(G):
         # two rows share only the bit of the edge between their vertices
@@ -749,13 +748,12 @@ def _strong_uppers(G: Graph, H: Graph, g_g: int, g_h: int) -> tuple[int, int]:
 def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
     """Every applicable named bound for grundy of the given product.
 
-    Lower bounds are realized by the corresponding construct_* builders. The
-    cartesian replication entry is emitted only when a maximum factor
-    sequence actually replicates (both orientations are tried, longest
-    certified length wins) and is omitted when both collapse; assuming the
-    replicated length unconditionally overstates the value on factors whose
-    maximum sequences all contain a self-only footprinter. The lexicographic
-    kind carries its exact sequence formula in both lists.
+    Lower bounds come from the layered walk the construct_* builders share.
+    The cartesian entry walks a maximum sequence of each factor across the
+    other and keeps the longer legal one; it is omitted when both collapse,
+    since the replicated length overstates the value on factors whose maximum
+    sequences all contain a self-only footprinter. The lexicographic kind
+    carries its exact sequence formula in both lists.
     """
     kind = normalize_kind(kind)
     if G.n < 1 or H.n < 1:
@@ -765,14 +763,14 @@ def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
     # both products of H and G are isomorphic to those of G and H, so the
     # replication bounds try both orientations
     if kind == "cartesian":
-        # construct_cartesian_witness builds the product: refuse its order before any solve
+        # the layered walk builds the product: refuse its order before any solve
         check_product_order(G.n * H.n)
         found = []
         for A, B in ((G, H), (H, G)):
-            try:
-                found.append(len(construct_cartesian_witness(A, B, grundy(A).witness)))
-            except ParameterError:
-                pass
+            seq, rep = _layered_witness(
+                "cartesian", A, grundy(A).witness, B, range(B.n), range(B.n))
+            if rep.legal:
+                found.append(len(seq))
         if found:
             lower.append(("cartesian_layer_replication", max(found)))
     elif kind == "direct":

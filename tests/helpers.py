@@ -1,12 +1,18 @@
-"""Graph builders and predicates that only the tests use.
+"""Graph builders, predicates and solves that only the tests use.
 
 The package has no caller for them, so they live here rather than in
-`grundydom`; the tests that build unions, substitute cliques or check
-triangle-freeness and connectivity import them from this module.
+`grundydom`; the tests that build unions, substitute cliques, draw seeded
+random graphs, solve products or check triangle-freeness and connectivity
+import them from this module.
 """
+
+import random
+from itertools import combinations
 
 from grundydom.errors import ParameterError
 from grundydom.graphs import Graph, bit_indices, connected_components
+from grundydom.products import product
+from grundydom.solver import grundy
 
 
 def is_connected(G: Graph) -> bool:
@@ -41,3 +47,19 @@ def disjoint_union(G: Graph, H: Graph) -> Graph:
     """G and H side by side; H's ids are shifted up by G.n."""
     edges = G.edges() + [(u + G.n, v + G.n) for u, v in H.edges()]
     return Graph(G.n + H.n, edges, name=f"{G.display_name}+{H.display_name}")
+
+
+def random_connected_graph(rng: random.Random, n: int) -> Graph:
+    """Random spanning tree plus extra edges; connected, no isolated vertices."""
+    edges = set()
+    for v in range(1, n):
+        edges.add((rng.randrange(v), v))
+    for u, v in combinations(range(n), 2):
+        if rng.random() < 0.3:
+            edges.add((u, v))
+    return Graph(n, sorted(edges))
+
+
+def exact(kind: str, G: Graph, H: Graph) -> int:
+    """grundy of the kind product of G and H, solved without a witness."""
+    return grundy(product(kind, G, H).graph, witness=False).value

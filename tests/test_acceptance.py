@@ -32,7 +32,7 @@ from grundydom.theory import (
     product_bounds,
     strong_simplicial_upper,
 )
-from helpers import is_triangle_free
+from helpers import exact, is_triangle_free, random_connected_graph
 
 FROZEN_TORUS_5 = [7, 12, 17, 22, 13, 18, 11, 16, 10, 14, 15, 19, 5, 6, 8, 9]
 
@@ -43,20 +43,6 @@ def report(num: int, name: str, ok: bool, detail: str = "") -> None:
         line += f" ({detail})"
     sys.__stdout__.write(line + "\n")
     sys.__stdout__.flush()
-
-
-def random_connected_graph(rng: random.Random, n: int) -> Graph:
-    edges = set()
-    for v in range(1, n):
-        edges.add((rng.randrange(v), v))
-    for u, v in combinations(range(n), 2):
-        if rng.random() < 0.3:
-            edges.add((u, v))
-    return Graph(n, sorted(edges))
-
-
-def solve(kind: str, G: Graph, H: Graph) -> int:
-    return grundy(product(kind, G, H).graph, witness=False).value
 
 
 def test_acceptance_01_oracle_equivalence():
@@ -81,7 +67,7 @@ def test_acceptance_01_oracle_equivalence():
 
 def test_acceptance_02_grid_values():
     cases = [(k, l) for k in range(2, 5) for l in range(k, 5)] + [(4, 5), (5, 5)]
-    ok = all(solve("cartesian", path(k), path(l)) == k * (l - 1) for k, l in cases)
+    ok = all(exact("cartesian", path(k), path(l)) == k * (l - 1) for k, l in cases)
     report(2, "grid-values", ok, f"{len(cases)} grids")
     assert ok
 
@@ -89,7 +75,7 @@ def test_acceptance_02_grid_values():
 def test_acceptance_03_cylinder_values():
     cases = [(k, l) for k in (2, 3) for l in (3, 4, 5)] + [(4, 4)]
     ok = all(
-        solve("cartesian", path(k), cycle(l)) == max(l * (k - 1), k * (l - 2))
+        exact("cartesian", path(k), cycle(l)) == max(l * (k - 1), k * (l - 2))
         for k, l in cases
     )
     report(3, "cylinder-values", ok, f"{len(cases)} cylinders")
@@ -98,7 +84,7 @@ def test_acceptance_03_cylinder_values():
 
 def test_acceptance_04_torus_values():
     pinned = {(3, 3): 4, (3, 4): 6, (3, 5): 9, (4, 4): 8, (4, 5): 12, (5, 5): 16}
-    ok = all(solve("cartesian", cycle(k), cycle(l)) == v for (k, l), v in pinned.items())
+    ok = all(exact("cartesian", cycle(k), cycle(l)) == v for (k, l), v in pinned.items())
     report(4, "torus-values", ok, f"{len(pinned)} tori")
     assert ok
 
@@ -120,21 +106,21 @@ def test_acceptance_06_lex_exactness():
         for g in enumerate_connected_graphs(n):
             for h in (path(3), path(4), cycle(4)):
                 gamma_h = grundy(h, witness=False).value
-                ok &= lex_grundy(g, gamma_h)[0] == solve("lexicographic", g, h)
+                ok &= lex_grundy(g, gamma_h)[0] == exact("lexicographic", g, h)
                 checked += 1
     for k in (3, 4, 5):
         for l in (3, 4, 5):
             val = formula_value("cor_lex_path_path", (k, l))[0]
-            ok &= val == solve("lexicographic", path(k), path(l))
+            ok &= val == exact("lexicographic", path(k), path(l))
             checked += 1
         for l in (4, 5):
             val = formula_value("cor_lex_path_cycle", (k, l))[0]
-            ok &= val == solve("lexicographic", path(k), cycle(l))
+            ok &= val == exact("lexicographic", path(k), cycle(l))
             checked += 1
     for k in (4, 5):
         for l in (4, 5):
             val = formula_value("cor_lex_cycle_cycle", (k, l))[0]
-            ok &= val == solve("lexicographic", cycle(k), cycle(l))
+            ok &= val == exact("lexicographic", cycle(k), cycle(l))
             checked += 1
     report(6, "lex-exactness", ok, f"{checked} products")
     assert ok
@@ -143,11 +129,11 @@ def test_acceptance_06_lex_exactness():
 def test_acceptance_07_direct_product_values():
     ok = True
     for k, l in [(2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (4, 4), (4, 5)]:
-        ok &= solve("direct", path(k), path(l)) == k * l - k
+        ok &= exact("direct", path(k), path(l)) == k * l - k
     lower_cases = [
-        ("cor_direct_PC", (3, 4), solve("direct", path(3), cycle(4))),
-        ("cor_direct_PP", (3, 5), solve("direct", path(3), path(5))),
-        ("cor_direct_CC", (4, 4), solve("direct", cycle(4), cycle(4))),
+        ("cor_direct_PC", (3, 4), exact("direct", path(3), cycle(4))),
+        ("cor_direct_PP", (3, 5), exact("direct", path(3), path(5))),
+        ("cor_direct_CC", (4, 4), exact("direct", cycle(4), cycle(4))),
     ]
     for fid, params, exact_val in lower_cases:
         ok &= formula_value(fid, params)[0] <= exact_val
@@ -159,10 +145,10 @@ def test_acceptance_08_strong_product_scan():
     ok = True
     for k in range(2, 5):
         for l in range(k, 5):
-            ok &= solve("strong", path(k), path(l)) == (k - 1) * (l - 1)
+            ok &= exact("strong", path(k), path(l)) == (k - 1) * (l - 1)
     for k in (2, 3):
         for l in (3, 4, 5):
-            ok &= solve("strong", path(k), cycle(l)) == (k - 1) * (l - 2)
+            ok &= exact("strong", path(k), cycle(l)) == (k - 1) * (l - 2)
     pairs = [
         (g, h)
         for n in range(1, 6)
@@ -252,7 +238,7 @@ def test_acceptance_10_bound_sandwich():
     for kind in ("cartesian", "strong", "direct", "lexicographic"):
         for g, h in suite:
             rep = product_bounds(kind, g, h)
-            val = solve(kind, g, h)
+            val = exact(kind, g, h)
             if rep.best_lower is not None:
                 ok &= rep.best_lower <= val
             if rep.best_upper is not None:
@@ -264,7 +250,7 @@ def test_acceptance_10_bound_sandwich():
         for h in (path(3), cycle(4)):
             gamma_h = grundy(h, witness=False).value
             peel = strong_simplicial_upper(g, h, exact_cap=2 * h.n)
-            exact_val = solve("strong", g, h)
+            exact_val = exact("strong", g, h)
             ok &= peel == gamma_g * gamma_h == exact_val
             checked += 1
     report(
@@ -287,7 +273,7 @@ def test_acceptance_11_clique_substitution():
         size = rng.choice((2, 3))
         g2 = substitute_clique(g, v, size)
         ok &= grundy(g2, witness=False).value == grundy(g, witness=False).value
-        ok &= solve("strong", g2, path(3)) == solve("strong", g, path(3))
+        ok &= exact("strong", g2, path(3)) == exact("strong", g, path(3))
     report(11, "clique-substitution", ok, "10 seeded graphs, sizes 2-3")
     assert ok
 

@@ -461,6 +461,11 @@ def test_scan_verb(capsys):
     assert lines[2] == "counterexamples=0 skipped=0 checked=2"
     stats = out.splitlines()[-1]
     assert stats.startswith("# stats pairs=2 solved=2 nodes=") and " elapsed=" in stats
+    # solved= counts only the pairs whose product was solved, not those the bounds settled
+    code, out, _ = run(capsys, "scan", "--max-n", "6", "--families", "P3")
+    assert code == 0
+    assert out.splitlines()[-2] == "# settled=112"
+    assert out.splitlines()[-1].startswith("# stats pairs=143 solved=31 nodes=")
 
 
 def test_scan_self_pairs_and_budget(capsys):

@@ -73,6 +73,8 @@ def test_family_errors():
         cycle(2)
     with pytest.raises(ParameterError):
         star(0)
+    with pytest.raises(ParameterError, match="^complete graph order must be at least 1$"):
+        complete(0)
     # the edge check and its texts are those of the graph file formats
     with pytest.raises(ParameterError, match="^loop edge at vertex 0$"):
         Graph(3, [(0, 0)])
@@ -95,6 +97,8 @@ def test_caterpillar_layout():
         caterpillar(2, [1])  # one leg count per spine vertex
     with pytest.raises(ParameterError):
         caterpillar(0, [])
+    with pytest.raises(ParameterError, match="^leg counts must be nonnegative$"):
+        caterpillar(2, [1, -1])
 
 
 def test_make_graph_families():
@@ -107,6 +111,8 @@ def test_make_graph_families():
         make_graph("nope", (3,))
     with pytest.raises(ParameterError):
         make_graph("custom", (3, 0))  # dangling endpoint
+    with pytest.raises(ParameterError, match="^caterpillar needs a spine length$"):
+        make_graph("caterpillar", [])
 
 
 def test_one_parameter_families_refuse_other_arities():
@@ -131,6 +137,12 @@ def test_neighborhoods_boundary_ball():
     assert ball(c, 0, 1) == mask_of([0, 1, 5])
     assert ball(c, 0, 2) == mask_of([0, 1, 2, 4, 5])
     assert ball(c, 0, 99) == c.full_mask
+    with pytest.raises(ParameterError, match="^vertex set out of range$"):
+        boundary(c, 1 << c.n)
+    with pytest.raises(ParameterError, match="^vertex 6 out of range$"):
+        ball(c, c.n, 1)
+    with pytest.raises(ParameterError, match="^radius must be nonnegative$"):
+        ball(c, 0, -1)
 
 
 def test_connectivity():
@@ -208,6 +220,8 @@ def test_simplicial():
     assert all(is_simplicial(complete(4), v) for v in range(4))
     assert not any(is_simplicial(cycle(5), v) for v in range(5))
     assert is_simplicial(Graph(1), 0)  # empty neighborhood is a clique
+    with pytest.raises(ParameterError, match="^vertex 4 out of range$"):
+        is_simplicial(path(4), 4)
 
 
 def test_substitute_clique():

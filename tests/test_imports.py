@@ -2,6 +2,7 @@
 every module-level private name is referenced somewhere in the package,
 every public function is exported or referenced there,
 the command line turns tokens into integers in one function only,
+no except clause in the package swallows its exception with a bare pass,
 and every nested function that calls itself is deleted by the
 function around it; plus the run-time check behind the last: no public
 entry point leaves garbage for the cyclic collector."""
@@ -250,6 +251,34 @@ def test_guard_sees_int_outside_the_reader():
 def test_command_line_reads_integers_only_in_its_reader():
     source = (Path(grundydom.__file__).parent / "cli.py").read_text()
     assert int_readers_outside(source, "_int") == []
+
+
+def silent_handlers(source: str) -> list[int]:
+    """Lines of except clauses whose whole body is pass."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ExceptHandler)
+        and all(isinstance(stmt, ast.Pass) for stmt in node.body)
+    ]
+
+
+def test_guard_sees_silent_handlers():
+    source = (
+        "try:\n    f()\nexcept ValueError:\n    pass\n"
+        "try:\n    f()\nexcept (KeyError, OSError) as exc:\n    pass\n    pass\n"
+        "try:\n    f()\nexcept KeyError:\n    raise\n"
+        "try:\n    f()\nexcept:\n    log()\n    pass\n"
+        "def g():\n    try:\n        f()\n    except Exception:\n        pass\n"
+    )
+    assert silent_handlers(source) == [3, 7, 22]
+
+
+@pytest.mark.parametrize(
+    "path", sorted(Path(grundydom.__file__).parent.glob("*.py")), ids=lambda p: p.name
+)
+def test_no_handler_swallows_its_exception(path):
+    assert silent_handlers(path.read_text()) == []
 
 
 def public_calls() -> dict[str, object]:

@@ -30,19 +30,7 @@ from grundydom.solver import (
     lex_grundy,
     max_weighted_sequence,
 )
-from helpers import disjoint_union
-
-
-def random_connected_graph(rng: random.Random, n: int) -> Graph:
-    """Random spanning tree plus extra edges; connected, no isolated vertices."""
-    edges = set()
-    for v in range(1, n):
-        u = rng.randrange(v)
-        edges.add((u, v))
-    for u, v in combinations(range(n), 2):
-        if rng.random() < 0.3:
-            edges.add((u, v))
-    return Graph(n, sorted(edges))
+from helpers import disjoint_union, random_connected_graph
 
 
 def test_closed_family_values():
@@ -409,6 +397,8 @@ def test_capacity_and_parameter_errors():
         grundy_bruteforce(path(BRUTE_MAX_ORDER + 1))
     with pytest.raises(ParameterError):
         grundy(Graph(0))
+    with pytest.raises(ParameterError, match="^solver needs at least one vertex$"):
+        grundy_bruteforce(Graph(0))
     with pytest.raises(ParameterError):
         grundy(disjoint_union(path(2), Graph(1)), "open")
     with pytest.raises(ParameterError):

@@ -42,11 +42,7 @@ from grundydom.theory import (
     product_bounds,
     strong_simplicial_upper,
 )
-from helpers import disjoint_union, is_triangle_free
-
-
-def exact(kind: str, G: Graph, H: Graph) -> int:
-    return grundy(product(kind, G, H).graph, witness=False).value
+from helpers import disjoint_union, exact, is_triangle_free
 
 
 # === edge clique covers ===
@@ -161,6 +157,10 @@ def test_edge_clique_cover_guard():
     with pytest.raises(CapacityError):
         edge_clique_cover_number(path(17))
     assert edge_clique_cover_number(path(16)) == 15
+    # an item in no set has no cover; the search must not report one
+    with pytest.raises(ParameterError, match="^item 1 lies in no set$"):
+        theory._min_set_cover(2, [0b01])
+    assert theory._min_set_cover(0, []) == 0
 
 
 def test_theta_upper_bounds_grundy():
