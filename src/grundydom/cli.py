@@ -14,12 +14,13 @@ import argparse
 import json
 import re
 import sys
+from collections import Counter
 from dataclasses import asdict
 from typing import Iterator, Sequence
 
 from .errors import CapacityError, InvariantError, ParameterError, ParseError, quoted
 from .graphs import (
-    ENUM_MAX_VERTICES, Graph, add_edge, enumerate_connected_graphs, is_int, make_graph,
+    ENUM_MAX_VERTICES, Graph, add_edge, bit_indices, enumerate_connected_graphs, is_int, make_graph,
 )
 from .products import MAX_PRODUCT_ORDER, normalize_kind, product
 from .sequences import check_sequence
@@ -66,7 +67,7 @@ def _int(token: str, what: str = "value", line: int | None = None) -> int:
     raise _IntError(msg, line)
 
 
-def parse_graph(text: str, name: str | None = None) -> Graph:
+def parse_graph(text: str) -> Graph:
     """Parse the shared graph text format, or JSON when text starts with '{'.
 
     Text format: a header line "n m" followed by m edge lines "u v"; blank
@@ -75,7 +76,7 @@ def parse_graph(text: str, name: str | None = None) -> Graph:
     MAX_PRODUCT_ORDER raises CapacityError.
     """
     if text.lstrip().startswith("{"):
-        return _parse_graph_json(text, name)
+        return _parse_graph_json(text)
     header: tuple[int, int] | None = None
     adj = []
     m = 0
@@ -106,7 +107,7 @@ def parse_graph(text: str, name: str | None = None) -> Graph:
         raise ParseError("empty input, expected a header 'n m'")
     if m != header[1]:
         raise ParseError(f"header announced {header[1]} edges, found {m}")
-    return Graph._from_rows(adj, name)
+    return Graph._from_rows(adj)
 
 
 def _check_file_order(n: int) -> None:
@@ -116,7 +117,7 @@ def _check_file_order(n: int) -> None:
         raise CapacityError(f"graph order {n} exceeds file cap {MAX_PRODUCT_ORDER}")
 
 
-def _parse_graph_json(text: str, name: str | None) -> Graph:
+def _parse_graph_json(text: str) -> Graph:
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -139,13 +140,14 @@ def _parse_graph_json(text: str, name: str | None) -> Graph:
     json_name = data.get("name")
     if json_name is not None and not isinstance(json_name, str):
         raise ParseError("JSON 'name' must be a string")
-    return Graph._from_rows(adj, name or json_name)
+    return Graph._from_rows(adj, json_name)
 
 
 def serialize_graph(G: Graph) -> str:
-    lines = [f"{G.n} {G.m}"]
-    lines.extend(f"{u} {v}" for u, v in G.edges())
-    return "\n".join(lines) + "\n"
+    # one string per row, with no list of edge tuples: a K4096 has 8.4 M edges
+    rows = ("".join(f"{u} {v}\n" for v in bit_indices(row >> (u + 1) << (u + 1)))
+            for u, row in enumerate(G.adj))
+    return "".join([f"{G.n} {G.m}\n", *rows])
 
 
 def graph_to_json(G: Graph) -> str:
@@ -428,10 +430,12 @@ def _cmd_scan(args) -> str:
         f"counterexamples={len(report.counterexamples)}"
         f" skipped={len(report.skipped)} checked={len(report.records)}"
     )
-    lines.append(f"# settled={sum(r.settled for r in report.records)}")
+    deciders = Counter(r.decided_by for r in report.records if r.decided_by)
+    solved = deciders.pop("product", 0)
+    by_bound = [f"{name}={count}" for name, count in sorted(deciders.items())]
+    lines.append(" ".join([f"# settled={sum(deciders.values())}", *by_bound]))
     lines.append(
-        f"# stats pairs={len(report.records)}"
-        f" solved={sum(r.status != 'skipped' and not r.settled for r in report.records)}"
+        f"# stats pairs={len(report.records)} solved={solved}"
         f" nodes={sum(r.nodes for r in report.records)}"
         f" elapsed={sum(r.elapsed for r in report.records):.3f}s"
     )

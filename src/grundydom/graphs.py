@@ -130,7 +130,7 @@ def cycle(k: int) -> Graph:
 def complete(k: int) -> Graph:
     if k < 1:
         raise ParameterError("complete graph order must be at least 1")
-    return Graph(k, [(i, j) for i in range(k) for j in range(i + 1, k)], name=f"K{k}")
+    return Graph._from_rows((((1 << k) - 1) ^ (1 << v) for v in range(k)), name=f"K{k}")
 
 
 def star(k: int) -> Graph:

@@ -192,9 +192,7 @@ class _Search:
         for row in rows:
             child = S | row
             if child != S and width - child.bit_count() >= best:
-                got = memo.get(child)
-                if got is None:
-                    got = self.value(child)
+                got = self.value(child)
                 if got >= best:
                     best = got + 1
         memo[S] = best

@@ -136,7 +136,6 @@ def _min_set_cover(n_items: int, sets: list[int]) -> int:
     if start == full:
         return len(forced)
     best = len(sets)
-    biggest = max(s.bit_count() for s in sets)
 
     def descend(covered: int, used: int) -> None:
         nonlocal best
@@ -144,7 +143,7 @@ def _min_set_cover(n_items: int, sets: list[int]) -> int:
         if missing == 0:
             best = min(best, used)
             return
-        if used + (missing.bit_count() + biggest - 1) // biggest >= best:
+        if used + 1 >= best:
             return
         # branch on the item with fewest candidate sets
         item = min(bit_indices(missing), key=lambda i: len(by_item[i]))
@@ -733,16 +732,14 @@ def strong_simplicial_upper(
     return total + grundy(product("strong", cur, H).graph, witness=False).value
 
 
-def _strong_uppers(G: Graph, H: Graph, g_g: int, g_h: int) -> tuple[int, int]:
-    """Blow-up and simplicial peeling upper bounds for grundy(strong(G, H)),
-    from g_g = grundy(G) and g_h = grundy(H); the peeling bound is the
-    better of its two orientations."""
-    blowup = min(G.n * g_h, g_g * H.n)
+def _strong_uppers(G: Graph, H: Graph, g_g: int, g_h: int) -> list[tuple[str, int]]:
+    """Named blow-up and simplicial peeling upper bounds for grundy(strong(G, H)),
+    from g_g = grundy(G) and g_h = grundy(H), peeling at its better orientation."""
     peel = min(
         strong_simplicial_upper(G, H, g_g=g_g, g_h=g_h),
         strong_simplicial_upper(H, G, g_g=g_h, g_h=g_g),
     )
-    return blowup, peel
+    return [("strong_min_blowup", min(G.n * g_h, g_g * H.n)), ("strong_simplicial_peeling", peel)]
 
 
 def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
@@ -800,10 +797,8 @@ def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
     else:
         g_g = grundy(G, witness=False).value
         g_h = grundy(H, witness=False).value
-        blowup, peel = _strong_uppers(G, H, g_g, g_h)
         lower.append(("strong_grundy_product", g_g * g_h))
-        upper.append(("strong_min_blowup", blowup))
-        upper.append(("strong_simplicial_peeling", peel))
+        upper.extend(_strong_uppers(G, H, g_g, g_h))
     return BoundsReport(kind, tuple(lower), tuple(upper))
 
 
@@ -826,12 +821,12 @@ class ScanRecord:
     witness_h: tuple[int, ...] | None = None
     witness_product: tuple[int, ...] | None = None
     # seconds spent on the pair; the search nodes of its solves of G, H and,
-    # unless the bounds settled the pair, the product (with witnesses too for
-    # a counterexample; the peeling bound's own solves are not counted); and
-    # whether the bounds settled it. Records compare without these
+    # unless a bound settled the pair, the product (with witnesses too for a
+    # counterexample; the peeling bound's own solves are not counted); and
+    # "product" or the name of that bound ("" if skipped). Not compared
     elapsed: float = field(default=0.0, compare=False)
     nodes: int = field(default=0, compare=False)
-    settled: bool = field(default=False, compare=False)
+    decided_by: str = field(default="", compare=False)
 
 
 @dataclass(frozen=True)
@@ -890,16 +885,18 @@ def _scan_pair(G: Graph, H: Graph, deadline: float | None) -> ScanRecord:
         g_g, g_h = (sol.value for sol in solves)
         lower = g_g * g_h
         peeled = G.n * H.n > PEEL_EXACT_CAP
-        # on a smaller product the peeling bound deletes no vertex and would
-        # be the product's own value, so only the blow-up bound comes first
-        upper = min(_strong_uppers(G, H, g_g, g_h)) if peeled else min(G.n * g_h, g_g * H.n)
+        # on a smaller product the peeling bound deletes no vertex and would be
+        # the product's own value, so the product is checked by the blow-up bound
+        blowup = min(G.n * g_h, g_g * H.n)
+        uppers = _strong_uppers(G, H, g_g, g_h) if peeled else [("product", blowup)]
+        bound, upper = min(uppers, key=lambda named: named[1])
         if upper < lower:
             raise InvariantError(
                 f"bound violation on {name_g} x {name_h}:"
                 f" upper bound {upper} is below lower bound {lower}"
             )
-        settled = peeled and upper == lower
-        if settled:
+        decided_by = bound if upper == lower else "product"
+        if decided_by != "product":
             g_p = lower
         else:
             prod_graph = product("strong", G, H).graph
@@ -926,7 +923,7 @@ def _scan_pair(G: Graph, H: Graph, deadline: float | None) -> ScanRecord:
         witness_g=witnesses[0], witness_h=witnesses[1], witness_product=witnesses[2],
         elapsed=time.perf_counter() - start,
         nodes=sum(sol.stats.nodes for sol in solves),
-        settled=settled,
+        decided_by=decided_by,
     )
 
 

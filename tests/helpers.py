@@ -2,8 +2,8 @@
 
 The package has no caller for them, so they live here rather than in
 `grundydom`; the tests that build unions, substitute cliques, draw seeded
-random graphs, solve products or check triangle-freeness and connectivity
-import them from this module.
+random graphs, solve products, cover 0/1 matrices by rectangles or check
+triangle-freeness and connectivity import them from this module.
 """
 
 import random
@@ -13,6 +13,7 @@ from grundydom.errors import ParameterError
 from grundydom.graphs import Graph, bit_indices, connected_components
 from grundydom.products import product
 from grundydom.solver import grundy
+from grundydom.theory import _min_set_cover
 
 
 def is_connected(G: Graph) -> bool:
@@ -63,3 +64,23 @@ def random_connected_graph(rng: random.Random, n: int) -> Graph:
 def exact(kind: str, G: Graph, H: Graph) -> int:
     """grundy of the kind product of G and H, solved without a witness."""
     return grundy(product(kind, G, H).graph, witness=False).value
+
+
+def rectangle_cover_number(rows: list[int]) -> int:
+    """Fewest all-ones rectangles that cover the ones of the square 0/1 matrix
+    whose row i is the bit mask rows[i]; exact, for a few rows.
+
+    The closures of all row subsets give every maximal rectangle, and each
+    one of the matrix is one set-cover item.
+    """
+    ones = [(r, c) for r, row in enumerate(rows) for c in bit_indices(row)]
+    item = {one: i for i, one in enumerate(ones)}
+    rectangles = set()
+    for subset in range(1, 1 << len(rows)):
+        cols = -1
+        for r in bit_indices(subset):
+            cols &= rows[r]
+        if cols:
+            members = [r for r, row in enumerate(rows) if row & cols == cols]
+            rectangles.add(sum(1 << item[r, c] for r in members for c in bit_indices(cols)))
+    return _min_set_cover(len(ones), list(rectangles))

@@ -464,7 +464,7 @@ def test_scan_verb(capsys):
     # solved= counts only the pairs whose product was solved, not those the bounds settled
     code, out, _ = run(capsys, "scan", "--max-n", "6", "--families", "P3")
     assert code == 0
-    assert out.splitlines()[-2] == "# settled=112"
+    assert out.splitlines()[-2] == "# settled=112 strong_simplicial_peeling=112"
     assert out.splitlines()[-1].startswith("# stats pairs=143 solved=31 nodes=")
 
 
@@ -546,7 +546,7 @@ def test_scan_bound_violation_is_an_error_line(capsys, monkeypatch):
     # squares of --max-n 2 have at most 16 and check their product solve,
     # here of an edgeless graph whose value 4 exceeds K2xK2's blow-up bound 2
     with monkeypatch.context() as patch:
-        patch.setattr(theory, "_strong_uppers", lambda *args, **kwargs: (0, 0))
+        patch.setattr(theory, "_strong_uppers", lambda *args: [("blowup", 0), ("peel", 0)])
         code, out, err = run(capsys, "scan", "--max-n", "1", "--families", "P18")
         assert code == 1 and out == ""
         assert err.startswith("error: bound violation") and "Traceback" not in err

@@ -64,6 +64,10 @@ def test_family_shapes():
     assert s.n == 4 and s.degree(0) == 3 and s.m == 3 and s.name == "S4"
     assert path(1).n == 1 and path(1).m == 0
     assert complete(1).m == 0
+    # complete builds its rows directly; they equal the edge-built graph's
+    for k in range(1, 13):
+        want = Graph(k, combinations(range(k), 2), name=f"K{k}")
+        assert (complete(k), complete(k).name) == (want, want.name)
 
 
 def test_family_errors():

@@ -3,6 +3,7 @@ every module-level private name is referenced somewhere in the package,
 every public function is exported or referenced there,
 the command line turns tokens into integers in one function only,
 no except clause in the package swallows its exception with a bare pass,
+every parameter with a default is passed by some call,
 and every nested function that calls itself is deleted by the
 function around it; plus the run-time check behind the last: no public
 entry point leaves garbage for the cyclic collector."""
@@ -20,6 +21,7 @@ from grundydom import graphs, solver, theory
 
 MODULES = sorted(p for p in Path(grundydom.__file__).parent.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(Path(__file__).parent.glob("*.py"))
+BENCH_MODULES = sorted((Path(__file__).parent.parent / "perfbench").glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -279,6 +281,96 @@ def test_guard_sees_silent_handlers():
 )
 def test_no_handler_swallows_its_exception(path):
     assert silent_handlers(path.read_text()) == []
+
+
+def unset_parameters(package: dict[str, str], callers: list[str]) -> list[str]:
+    """Parameters with a default, of the functions and methods defined in the
+    package sources, that no call in the caller sources passes.
+
+    Calls match definitions by name: f(...) and x.f(...) count for every
+    function named f, and a call of a class counts for its __init__. A call
+    passes a parameter by keyword, or by position when it has enough
+    positional arguments; *args passes every positional parameter and
+    **kwargs every parameter. _Parser.parse_args keeps argparse's signature.
+    """
+    calls = [
+        node
+        for source in callers
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+    ]
+
+    def passes(call: ast.Call, callee: str, param: str, position: int | None) -> bool:
+        func = call.func
+        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != callee:
+            return False
+        if any(k.arg in (param, None) for k in call.keywords):
+            return True
+        if any(isinstance(a, ast.Starred) for a in call.args):
+            return position is not None
+        return position is not None and len(call.args) > position
+
+    out = []
+
+    def visit(node: ast.AST, cls: ast.ClassDef | None, module: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, child, module)
+                continue
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                method = cls is not None and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod"
+                    for d in child.decorator_list
+                )
+                name = f"{cls.name}.{child.name}" if cls is not None else child.name
+                callee = cls.name if method and child.name == "__init__" else child.name
+                args = child.args
+                positional = args.posonlyargs + args.args
+                defaulted = [
+                    (a.arg, i - method)
+                    for i, a in enumerate(positional)
+                    if i >= len(positional) - len(args.defaults)
+                ] + [
+                    (a.arg, None)
+                    for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                ]
+                for param, position in defaulted:
+                    if name != "_Parser.parse_args" and not any(
+                        passes(call, callee, param, position) for call in calls
+                    ):
+                        out.append(f"{module}:{name}({param}=)")
+            visit(child, None, module)
+
+    for module, source in package.items():
+        visit(ast.parse(source), None, module)
+    del visit
+    return out
+
+
+def test_guard_sees_unset_parameters():
+    package = {
+        "a.py": (
+            "def f(x, y=1, *, z=2, w=3):\n    pass\n"
+            "def g(x=0):\n    def inner(k=1):\n        pass\n    inner()\n"
+            "class C:\n    def __init__(self, n, m=0):\n        pass\n"
+            "    def method(self, p=0, q=0):\n        pass\n"
+            "    @staticmethod\n    def static(p=0):\n        pass\n"
+            "def h(a=0, b=0):\n    pass\n"
+        ),
+    }
+    callers = [
+        package["a.py"],
+        "f(0, 5, z=1)\nC(1, 2)\nobj.method(1)\nC.static(1)\nh(*args)\ng(**kw)\n",
+    ]
+    assert unset_parameters(package, callers) == [
+        "a.py:f(w=)", "a.py:inner(k=)", "a.py:C.method(q=)"
+    ]
+
+
+def test_every_parameter_default_is_passed_by_some_call():
+    package = {p.name: p.read_text() for p in Path(grundydom.__file__).parent.glob("*.py")}
+    callers = [*package.values(), *(p.read_text() for p in TEST_MODULES + BENCH_MODULES)]
+    assert unset_parameters(package, callers) == []
 
 
 def public_calls() -> dict[str, object]:

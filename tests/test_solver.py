@@ -30,7 +30,7 @@ from grundydom.solver import (
     lex_grundy,
     max_weighted_sequence,
 )
-from helpers import disjoint_union, random_connected_graph
+from helpers import disjoint_union, random_connected_graph, rectangle_cover_number
 
 
 def test_closed_family_values():
@@ -610,3 +610,37 @@ def test_weighted_cap_counts_the_largest_component():
 def test_max_weighted_sequence_accepts_cap_order():
     val, seq = max_weighted_sequence(path(25), 1, 1)
     assert val == grundy(path(25)).value == len(seq)
+
+
+@pytest.mark.parametrize("kind, mode", [("strong", "closed"), ("direct", "open")])
+def test_kronecker_sandwich(kind, mode):
+    # Above the brute-force cap the search is checked against bounds proven
+    # for these products. A legal sequence, row v_i against its footprint
+    # column, is a unit lower-triangular submatrix of the neighbourhood
+    # matrix of the mode, and that matrix of the product is the Kronecker
+    # product of the factors' (N[G] (x) N[H] for strong closed, A_G (x) A_H
+    # for direct open). So the factors' sequences, paired in lexicographic
+    # order, give a legal sequence of length the product of their values,
+    # and a rectangle cover of a triangular submatrix has at least its
+    # order, which bounds the value by the product of the factors' covers.
+    classes = [G for n in range(2, 7) for G in enumerate_connected_graphs(n)]
+    pairs = [(G, H) for i, G in enumerate(classes) for H in classes[i:] if G.n * H.n >= 20]
+    covers = {}
+    met = 0
+    for G, H in random.Random(2016).sample(pairs, 60):
+        sol_g, sol_h = grundy(G, mode), grundy(H, mode)
+        for F in (G, H):
+            if F.name not in covers:
+                covers[F.name] = rectangle_cover_number(mode_rows(F, mode))
+        lower = sol_g.value * sol_h.value
+        upper = covers[G.name] * covers[H.name]
+        P = product(kind, G, H).graph
+        value = grundy(P, mode, witness=False).value
+        assert lower <= value <= upper, (G.name, H.name)
+        if lower == upper:
+            met += 1
+            assert value == lower, (G.name, H.name)
+            witness = [g * H.n + h for g in sol_g.witness for h in sol_h.witness]
+            rep = check_sequence(P, witness, mode)
+            assert rep.legal and rep.dominating and len(witness) == lower, (G.name, H.name)
+    assert met >= 10

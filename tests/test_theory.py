@@ -3,6 +3,7 @@
 import hashlib
 import inspect
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -834,9 +835,11 @@ def test_conjecture_scan_upper_is_the_bound_without_product_value():
     records = conjecture_scan(pairs).records
     for (G, H), rec in zip(pairs, records):
         assert rec == solve_first_record(G, H), (G.name, H.name)
-        assert rec.settled == (G.n * H.n > theory.PEEL_EXACT_CAP and rec.upper == rec.lower)
-    # 123 of the 133 pairs over 16 vertices
-    assert sum(rec.settled for rec in records) == 123
+        settled = G.n * H.n > theory.PEEL_EXACT_CAP and rec.upper == rec.lower
+        assert (rec.decided_by != "product") == settled
+    # 123 of the 133 pairs over 16 vertices, all by peeling
+    assert Counter(rec.decided_by for rec in records) == {
+        "product": len(pairs) - 123, "strong_simplicial_peeling": 123}
 
 
 def test_conjecture_scan_settles_by_bounds_without_solving_the_product(monkeypatch):
@@ -850,10 +853,13 @@ def test_conjecture_scan_settles_by_bounds_without_solving_the_product(monkeypat
 
     monkeypatch.setattr(theory, "grundy", counting)
     (rec,) = conjecture_scan([(path(6), path(3))]).records
-    assert rec.settled and rec.status == "equality"
+    assert rec.decided_by == "strong_simplicial_peeling" and rec.status == "equality"
     assert rec.gamma_product == rec.lower == rec.upper == 10
     assert 18 not in solved
     assert rec.nodes == grundy(path(6)).stats.nodes + grundy(path(3)).stats.nodes
+    # on K1 x P18 both bounds are grundy(P18); the blow-up bound is named first
+    (rec,) = conjecture_scan([(complete(1), path(18))]).records
+    assert rec.decided_by == "strong_min_blowup" and rec.status == "equality"
     # a peeled upper bound below the lower bound is a bound violation, raised
     # before the product is solved
     monkeypatch.setattr(theory, "strong_simplicial_upper", lambda *args, **kwargs: 9)
