@@ -132,15 +132,13 @@ def _parse_graph_json(text: str) -> Graph:
     edges = data.get("edges", [])
     if not isinstance(edges, list):
         raise ParseError("JSON 'edges' must be a list of pairs")
-    adj = [0] * n
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(is_int(x) for x in e)):
             raise ParseError(f"JSON edge {quoted(e)} is not a pair of integers")
-        add_edge(adj, *e)
     json_name = data.get("name")
     if json_name is not None and not isinstance(json_name, str):
         raise ParseError("JSON 'name' must be a string")
-    return Graph._from_rows(adj, json_name)
+    return Graph(n, edges, json_name)
 
 
 def serialize_graph(G: Graph) -> str:
@@ -151,8 +149,11 @@ def serialize_graph(G: Graph) -> str:
 
 
 def graph_to_json(G: Graph) -> str:
-    payload = {"n": G.n, "edges": [list(e) for e in G.edges()], "name": G.display_name}
-    return json.dumps(payload) + "\n"
+    # json.dumps' text, written row by row as serialize_graph writes its own
+    rows = (", ".join(f"[{u}, {v}]" for v in bit_indices(row >> (u + 1) << (u + 1)))
+            for u, row in enumerate(G.adj))
+    edges = ", ".join(filter(None, rows))
+    return f'{{"n": {G.n}, "edges": [{edges}], "name": {json.dumps(G.display_name)}}}\n'
 
 
 def parse_sequence(text: str) -> list[int]:

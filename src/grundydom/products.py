@@ -37,11 +37,8 @@ def normalize_kind(kind: str) -> str:
 
 @dataclass(frozen=True)
 class ProductDescriptor:
-    """A built product graph and its factors; vertex (g, h) is g * H.n + h."""
+    """A built product graph; vertex (g, h) of factors G, H is g * H.n + h."""
 
-    kind: str
-    G: Graph
-    H: Graph
     graph: Graph
 
 
@@ -73,4 +70,4 @@ def product(kind: str, G: Graph, H: Graph) -> ProductDescriptor:
         spread = mask_of(u * nH for u in bit_indices(nb))
         rows.extend(z << g * nH | y * spread for y, z in zip(Y, Z))
     name = f"{kind}({G.display_name},{H.display_name})"
-    return ProductDescriptor(kind, G, H, Graph._from_rows(rows, name))
+    return ProductDescriptor(Graph._from_rows(rows, name))

@@ -698,33 +698,25 @@ class BoundsReport:
 
 
 def strong_simplicial_upper(
-    G: Graph,
-    H: Graph,
-    *,
-    exact_cap: int = PEEL_EXACT_CAP,
-    g_g: int | None = None,
-    g_h: int | None = None,
+    G: Graph, H: Graph, g_g: int, g_h: int, *, exact_cap: int = PEEL_EXACT_CAP
 ) -> int:
-    """Upper bound for grundy(strong(G, H)) by peeling simplicial vertices.
+    """Upper bound for grundy(strong(G, H)) by peeling simplicial vertices,
+    given g_g = grundy(G) and g_h = grundy(H).
 
-    A simplicial vertex of G accounts for at most grundy(H) sequence items,
-    so it is deleted and grundy(H) is added. When the remaining product is
-    small enough it is solved exactly (a single vertex left adds grundy(H),
-    as strong(K1, H) is H); if no simplicial vertex remains the
-    blow-up bound min{|V| * grundy(H), grundy * |V(H)|} finishes instead.
-    g_g and g_h are grundy(G) and grundy(H) when the caller knows them. When
+    A simplicial vertex of G accounts for at most g_h sequence items, so it
+    is deleted and g_h is added. When the remaining product is small enough
+    it is solved exactly (a single vertex left adds g_h, as strong(K1, H) is
+    H); if no simplicial vertex remains the blow-up bound
+    min{|V| * g_h, grundy * |V(H)|} finishes instead. When
     G.n * H.n <= exact_cap nothing is peeled.
     """
-    if g_h is None:
-        g_h = grundy(H, witness=False).value
     cur = G
     total = 0
     while cur.n * H.n > exact_cap and cur.n >= 2:
         v = next((u for u in range(cur.n) if is_simplicial(cur, u)), None)
         if v is None:
-            if cur is not G or g_g is None:
-                g_g = grundy(cur, witness=False).value
-            return total + min(cur.n * g_h, g_g * H.n)
+            g_cur = g_g if cur is G else grundy(cur, witness=False).value
+            return total + min(cur.n * g_h, g_cur * H.n)
         total += g_h
         cur = delete_vertex(cur, v)
     if cur.n == 1:  # strong(K1, H) is H
@@ -736,8 +728,8 @@ def _strong_uppers(G: Graph, H: Graph, g_g: int, g_h: int) -> list[tuple[str, in
     """Named blow-up and simplicial peeling upper bounds for grundy(strong(G, H)),
     from g_g = grundy(G) and g_h = grundy(H), peeling at its better orientation."""
     peel = min(
-        strong_simplicial_upper(G, H, g_g=g_g, g_h=g_h),
-        strong_simplicial_upper(H, G, g_g=g_h, g_h=g_g),
+        strong_simplicial_upper(G, H, g_g, g_h),
+        strong_simplicial_upper(H, G, g_h, g_g),
     )
     return [("strong_min_blowup", min(G.n * g_h, g_g * H.n)), ("strong_simplicial_peeling", peel)]
 
@@ -745,12 +737,20 @@ def _strong_uppers(G: Graph, H: Graph, g_g: int, g_h: int) -> list[tuple[str, in
 def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
     """Every applicable named bound for grundy of the given product.
 
-    Lower bounds come from the layered walk the construct_* builders share.
-    The cartesian entry walks a maximum sequence of each factor across the
-    other and keeps the longer legal one; it is omitted when both collapse,
-    since the replicated length overstates the value on factors whose maximum
-    sequences all contain a self-only footprinter. The lexicographic kind
-    carries its exact sequence formula in both lists.
+    Each kind's lower bounds have their own source:
+    - cartesian: the layered walk the construct_* builders share. It walks a
+      maximum sequence of each factor across the other and keeps the longer
+      legal one; the entry is omitted when both collapse, since the
+      replicated length overstates the value on factors whose maximum
+      sequences all contain a self-only footprinter.
+    - direct: the weighted search of one factor A against the other B (no
+      isolated vertex), an item weighing |V(B)| when no earlier item is
+      adjacent to it and the total Grundy number of B otherwise; the better
+      orientation is kept.
+    - lexicographic: max{alpha(G) * grundy(H), grundy(G)}, and the exact
+      sequence formula, which is also an upper bound.
+    - strong: grundy(G) * grundy(H), with the blow-up and simplicial
+      peeling upper bounds.
     """
     kind = normalize_kind(kind)
     if G.n < 1 or H.n < 1:

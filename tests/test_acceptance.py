@@ -249,7 +249,7 @@ def test_acceptance_10_bound_sandwich():
         gamma_g = grundy(g, witness=False).value
         for h in (path(3), cycle(4)):
             gamma_h = grundy(h, witness=False).value
-            peel = strong_simplicial_upper(g, h, exact_cap=2 * h.n)
+            peel = strong_simplicial_upper(g, h, gamma_g, gamma_h, exact_cap=2 * h.n)
             exact_val = exact("strong", g, h)
             ok &= peel == gamma_g * gamma_h == exact_val
             checked += 1

@@ -65,6 +65,25 @@ def test_json_round_trip():
     assert data["n"] == 4 and data["name"] == "C4" and len(data["edges"]) == 4
 
 
+def test_json_text_is_json_dumps_text():
+    # named, unnamed, edgeless, a name json.dumps escapes, and a product
+    for G in (path(4), Graph(3, [(0, 2)]), Graph(3), Graph(0),
+              Graph(2, [(0, 1)], 'say "hi" \u2713'), product("strong", cycle(4), path(3)).graph):
+        payload = {"n": G.n, "edges": [list(e) for e in G.edges()], "name": G.display_name}
+        assert graph_to_json(G) == json.dumps(payload) + "\n"
+
+
+def test_writers_build_no_edge_list(monkeypatch):
+    G = complete(6)
+    want = serialize_graph(G), graph_to_json(G)
+
+    def refuse(self):
+        raise AssertionError("a writer listed the edges")
+
+    monkeypatch.setattr(Graph, "edges", refuse)
+    assert (serialize_graph(G), graph_to_json(G)) == want
+
+
 def test_parse_error_line_numbers():
     cases = [
         ("3\n", "line 1:", "header"),
@@ -89,21 +108,27 @@ def test_parse_error_line_numbers():
 
 
 def test_parse_json_errors():
-    for text in (
-        '{"n": -1}',
-        '{"n": "three"}',
-        '{"n": 3, "edges": 7}',
-        '{"n": 3, "edges": [[0, 1, 2]]}',
-        '{"n": 3, "edges": [[0, 0]]}',
-        '{"n": 3, "edges": [], "name": 5}',
-        '{"n": true, "edges": []}',
-        '{"n": 3, "edges": [[true, false]]}',
-        '{"n": 3, "edges": [[0, true]]}',
-        '{"n": 3,',
-        "[1, 2]",
+    for text, message in (
+        ('{"n": -1}', "JSON graph needs a non-negative integer 'n'"),
+        ('{"n": "three"}', "JSON graph needs a non-negative integer 'n'"),
+        ('{"n": true, "edges": []}', "JSON graph needs a non-negative integer 'n'"),
+        ('{"n": 3, "edges": 7}', "JSON 'edges' must be a list of pairs"),
+        ('{"n": 3, "edges": [[0, 1, 2]]}', "JSON edge '[0, 1, 2]' is not a pair of integers"),
+        ('{"n": 3, "edges": [[true, false]]}', "JSON edge '[True, False]' is not a pair of integers"),
+        ('{"n": 3, "edges": [[0, true]]}', "JSON edge '[0, True]' is not a pair of integers"),
+        ('{"n": 3, "edges": [[0, 3]]}', "edge 0 3 out of range for 3 vertices"),
+        ('{"n": 3, "edges": [[0, 0]]}', "loop edge at vertex 0"),
+        ('{"n": 3, "edges": [[0, 1], [1, 0]]}', "duplicate edge 1 0"),
+        ('{"n": 3, "edges": [], "name": 5}', "JSON 'name' must be a string"),
+        # every edge's shape and the name are checked before any edge is added
+        ('{"n": 3, "edges": [[0, 3], [0]]}', "JSON edge '[0]' is not a pair of integers"),
+        ('{"n": 3, "edges": [[0, 0]], "name": 5}', "JSON 'name' must be a string"),
+        ('{"n": 3,', "line 1: invalid JSON: Expecting property name enclosed in double quotes"),
+        ("[1, 2]", "line 1: header count must be an integer, got '[1,'"),
     ):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as err:
             parse_graph(text)
+        assert str(err.value) == message, text
 
 
 def test_integer_tokens_are_echoed_short():

@@ -160,5 +160,4 @@ def test_product_order_cap(monkeypatch):
 
 def test_product_naming():
     P = product("lex", path(3), cycle(4))
-    assert P.kind == "lexicographic"
     assert P.graph.name == "lexicographic(P3,C4)"

@@ -729,14 +729,14 @@ def test_product_bounds_reports_are_pinned():
 
 def test_strong_simplicial_upper():
     # no simplicial vertex in C5: falls back to the blow-up bound
-    assert strong_simplicial_upper(cycle(5), path(2), exact_cap=1) == 5
+    assert strong_simplicial_upper(cycle(5), path(2), 3, 1, exact_cap=1) == 5
     # peeling a path one leaf at a time lands on the product exactly
-    assert strong_simplicial_upper(path(5), path(3), exact_cap=6) == 8
+    assert strong_simplicial_upper(path(5), path(3), 4, 2, exact_cap=6) == 8
     for G in (path(4), caterpillar(3, [1, 0, 1]), star(4)):
         for H in (path(3), cycle(4)):
-            cap = strong_simplicial_upper(G, H, exact_cap=2 * H.n)
-            want = grundy(G, witness=False).value * grundy(H, witness=False).value
-            assert cap == want
+            g_g, g_h = grundy(G, witness=False).value, grundy(H, witness=False).value
+            cap = strong_simplicial_upper(G, H, g_g, g_h, exact_cap=2 * H.n)
+            assert cap == g_g * g_h
             assert exact("strong", G, H) <= cap
 
 
@@ -747,7 +747,9 @@ def test_peeling_without_product_value_solves_both_orientations():
     # a product once and skips the peeling bound.
     graphs = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
     pairs = [(G, H) for G in graphs for H in graphs if G.n * H.n <= 16]
-    peel = {(G.name, H.name): strong_simplicial_upper(G, H) for G, H in pairs}
+    value = {G.name: grundy(G, witness=False).value for G in graphs}
+    peel = {(G.name, H.name): strong_simplicial_upper(G, H, value[G.name], value[H.name])
+            for G, H in pairs}
     assert len(pairs) == 4128
     for G, H in pairs:
         want = exact("strong", G, H)
@@ -811,7 +813,8 @@ def solve_first_record(G: Graph, H: Graph) -> theory.ScanRecord:
     g_p = grundy(prod, witness=False).value
     lower = g_g * g_h
     blowup = min(G.n * g_h, g_g * H.n)
-    upper = min(blowup, strong_simplicial_upper(G, H), strong_simplicial_upper(H, G))
+    upper = min(blowup, strong_simplicial_upper(G, H, g_g, g_h),
+                strong_simplicial_upper(H, G, g_h, g_g))
     assert lower <= g_p <= upper
     if g_p == lower:
         return theory.ScanRecord(G.display_name, H.display_name, g_g, g_h, g_p, lower, upper,
