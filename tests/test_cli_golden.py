@@ -31,6 +31,13 @@ COMMANDS = [
     "gen cycle 4 --json",
     "gen custom 3 --json",
     "gen custom 3 0 1 1 2",
+    # the layered product builders: valid runs and each kind's refusal
+    "construct lex p4.txt c5.txt '1 2' '0 2'",
+    "construct direct p4.txt c5.txt '0 2' '0 1 2'",
+    "construct cartesian p4.txt c5.txt '1 3'",
+    "construct direct p4.txt c5.txt '0 2' '0 2'",
+    "construct strong p4.txt c5.txt '0 2' '0'",
+    "construct lex p4.txt c5.txt '0 2'",
     # products
     "product --kind strong p4.txt c5.txt",
     "product --kind lex p4.txt s4.json --json",
