@@ -1,6 +1,7 @@
 """Static guards: every name a package or test module imports is used by that module,
 every module-level private name is referenced somewhere in the package,
 every public function is exported or referenced there,
+the package's __all__ lists exactly what its __init__ imports, sorted,
 the command line turns tokens into integers in one function only,
 no except clause in the package swallows its exception with a bare pass,
 every parameter with a default is passed by some call,
@@ -170,6 +171,44 @@ def test_every_public_function_is_exported_or_referenced():
     package = Path(grundydom.__file__).parent
     sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
     assert unreferenced_publics(sources) == []
+
+
+def export_faults(source: str) -> list[str]:
+    """What the __all__ of a package __init__ source gets wrong: names it
+    imports that __all__ leaves out, names __all__ lists that it does not
+    import, and an __all__ that is not sorted or lists a name twice."""
+    tree = ast.parse(source)
+    imported = {
+        a.asname or a.name
+        for node in tree.body if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for a in node.names
+    }
+    listed = [
+        name
+        for node in tree.body
+        if isinstance(node, ast.Assign) and "__all__" in defined_names(node)
+        for name in ast.literal_eval(node.value)
+    ]
+    out = [f"unlisted {name}" for name in sorted(imported - set(listed))]
+    out += [f"not imported {name}" for name in listed if name not in imported]
+    if listed != sorted(set(listed)):
+        out.append("__all__ is not sorted")
+    return out
+
+
+def test_guard_sees_export_faults():
+    source = (
+        "from .a import kept, dropped\nfrom .b import thing as alias\n"
+        "__version__ = '0'\n__all__ = ['kept', 'alias', 'ghost']\n"
+    )
+    assert export_faults(source) == ["unlisted dropped", "not imported ghost", "__all__ is not sorted"]
+    assert export_faults("from .a import b, a\n__all__ = ['a', 'b', 'b']\n") == ["__all__ is not sorted"]
+    assert export_faults("from .a import b, a\n__all__ = ['a', 'b']\n") == []
+
+
+def test_package_exports_exactly_what_it_imports():
+    source = Path(grundydom.__file__).read_text()
+    assert export_faults(source) == []
 
 
 def unbroken_self_calls(source: str) -> list[str]:

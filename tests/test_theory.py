@@ -18,13 +18,14 @@ from grundydom.graphs import (
     complete,
     cycle,
     enumerate_connected_graphs,
+    has_isolated_vertex,
     independence_number,
     path,
     star,
 )
 from grundydom.products import product
 from grundydom.sequences import check_sequence
-from grundydom.solver import grundy
+from grundydom.solver import grundy, lex_grundy, max_weighted_sequence
 from grundydom.theory import (
     FORMULAS,
     BoundaryBound,
@@ -725,6 +726,88 @@ def test_product_bounds_reports_are_pinned():
                for G in graphs for H in graphs]
     digest = hashlib.sha256("\n".join(map(repr, reports)).encode()).hexdigest()
     assert digest == "9639f8eab5e04d1c67c589583d8089f40a58ac737b2ad8540550ab45234f80e7"
+
+
+def _build(kind, G, H, seq_g, seq_h=()):
+    if kind == "cartesian":
+        return construct_cartesian_witness(G, H, seq_g)
+    builder = {"lexicographic": construct_lex_witness, "direct": construct_direct_witness,
+               "strong": construct_strong_witness}[kind]
+    return builder(G, seq_g, H, seq_h)
+
+
+def test_builder_outputs_are_pinned():
+    # every layered builder's output or refusal, over the 14 factors of the
+    # pin above in the same order, from least witnesses of the factors
+    graphs = [G for n in range(1, 5) for G in enumerate_connected_graphs(n)]
+    graphs += [
+        disjoint_union(complete(2), disjoint_union(complete(1), complete(1))),
+        disjoint_union(path(2), path(3)),
+        caterpillar(4, [2, 1, 1, 2]),
+        product("cartesian", path(4), path(5)).graph,
+    ]
+    entries = []
+    for kind in ("cartesian", "lexicographic", "direct", "strong"):
+        for G in graphs:
+            for H in graphs:
+                if kind == "direct" and has_isolated_vertex(H):
+                    continue
+                seq_h = () if kind == "cartesian" else grundy(
+                    H, mode="open" if kind == "direct" else "closed").witness
+                try:
+                    entries.append(repr(_build(kind, G, H, grundy(G).witness, seq_h)))
+                except (ParameterError, CapacityError) as e:
+                    entries.append(repr(f"{type(e).__name__}: {e}"))
+    assert len(entries) == 756
+    assert sum("illegal at position" in e for e in entries) == 91
+    digest = hashlib.sha256("\n".join(entries).encode()).hexdigest()
+    assert digest == "e1abf210a0c1759dd7dfcef0a24daf7f26e8bcc543b790ed3110f5aa7fc34c70"
+
+
+def test_layered_lower_bounds_are_attained_by_builder_sequences():
+    # each layered lower bound product_bounds reports is the length of a
+    # builder sequence, legal and dominating on the product it was built on
+    graphs = [G for n in range(1, 5) for G in enumerate_connected_graphs(n)]
+    graphs += [
+        disjoint_union(complete(2), disjoint_union(complete(1), complete(1))),
+        disjoint_union(path(2), path(3)),
+    ]
+
+    def certified(kind, A, B, seq_a, seq_b=()):
+        seq = _build(kind, A, B, seq_a, seq_b)
+        rep = check_sequence(product(kind, A, B).graph, seq)
+        assert rep.legal and rep.dominating and rep.length == len(seq)
+        return len(seq)
+
+    def cartesian(A, B):
+        try:
+            return certified("cartesian", A, B, grundy(A).witness)
+        except ParameterError:
+            return None
+
+    def direct(A, B):
+        total = grundy(B, mode="open")
+        seq_a = max_weighted_sequence(A, B.n, total.value)[1]
+        return certified("direct", A, B, seq_a, total.witness)
+
+    for G in graphs:
+        for H in graphs:
+            walks = [n for n in (cartesian(G, H), cartesian(H, G)) if n is not None]
+            lower = dict(product_bounds("cartesian", G, H).lower)
+            assert lower.get("cartesian_layer_replication") == max(walks, default=None)
+
+            g_h = grundy(H, witness=False).value
+            lower = dict(product_bounds("lexicographic", G, H).lower)
+            assert lower["lex_sequence_formula"] == certified(
+                "lexicographic", G, H, lex_grundy(G, g_h)[1], grundy(H).witness)
+
+            walks = [direct(A, B) for A, B in ((G, H), (H, G)) if not has_isolated_vertex(B)]
+            lower = dict(product_bounds("direct", G, H).lower)
+            assert lower.get("direct_layered_replication") == max(walks, default=None)
+
+            lower = dict(product_bounds("strong", G, H).lower)
+            assert lower["strong_grundy_product"] == certified(
+                "strong", G, H, grundy(G).witness, grundy(H).witness)
 
 
 def test_strong_simplicial_upper():
