@@ -23,12 +23,9 @@ from .theory import (
     ScanReport,
     boundary_sufficient_bound,
     conjecture_scan,
-    construct_cartesian_witness,
     construct_complete_grid_witness,
-    construct_direct_witness,
-    construct_lex_witness,
     construct_odd_torus_witness,
-    construct_strong_witness,
+    construct_product_witness,
     edge_clique_cover_number,
     formula_value,
     isoperimetric_check,
@@ -57,12 +54,9 @@ __all__ = [
     "check_sequence",
     "complete",
     "conjecture_scan",
-    "construct_cartesian_witness",
     "construct_complete_grid_witness",
-    "construct_direct_witness",
-    "construct_lex_witness",
     "construct_odd_torus_witness",
-    "construct_strong_witness",
+    "construct_product_witness",
     "cycle",
     "edge_clique_cover_number",
     "enumerate_connected_graphs",

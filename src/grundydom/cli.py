@@ -28,12 +28,9 @@ from .solver import MAX_SOLVER_ORDER, grundy
 from .theory import (
     FORMULAS,
     conjecture_scan,
-    construct_cartesian_witness,
     construct_complete_grid_witness,
-    construct_direct_witness,
-    construct_lex_witness,
     construct_odd_torus_witness,
-    construct_strong_witness,
+    construct_product_witness,
     formula_value,
     isoperimetric_check,
     product_bounds,
@@ -371,10 +368,10 @@ def _cmd_formula(args) -> str:
         ) from None
 
 
-def _two_factor(builder):
-    # lex, direct and strong take each factor graph followed by its sequence
-    return lambda fg, fh, sg, sh: builder(
-        _load_graph(fg), parse_sequence(sg), _load_graph(fh), parse_sequence(sh))
+def _layered(kind):
+    # a product builder reads fileG, fileH, seqG and, but for cartesian, seqH
+    return lambda fg, fh, sg, *sh: construct_product_witness(
+        kind, _load_graph(fg), _load_graph(fh), parse_sequence(sg), *map(parse_sequence, sh))
 
 
 # construct's what -> (argument shape, builder taking one string per shape word)
@@ -382,11 +379,10 @@ _CONSTRUCT = {
     "odd_torus": ("<k>", lambda k: construct_odd_torus_witness(_int(k, "k"))),
     "complete_grid": ("<n> <m>", lambda n, m: construct_complete_grid_witness(
         _int(n, "n"), _int(m, "m"))),
-    "cartesian": ("<fileG> <fileH> <seqG>", lambda fg, fh, sg: construct_cartesian_witness(
-        _load_graph(fg), _load_graph(fh), parse_sequence(sg))),
-    "lex": ("<fileG> <fileH> <seqG> <seqH>", _two_factor(construct_lex_witness)),
-    "direct": ("<fileG> <fileH> <seqG> <seqH>", _two_factor(construct_direct_witness)),
-    "strong": ("<fileG> <fileH> <seqG> <seqH>", _two_factor(construct_strong_witness)),
+    "cartesian": ("<fileG> <fileH> <seqG>", _layered("cartesian")),
+    "lex": ("<fileG> <fileH> <seqG> <seqH>", _layered("lex")),
+    "direct": ("<fileG> <fileH> <seqG> <seqH>", _layered("direct")),
+    "strong": ("<fileG> <fileH> <seqG> <seqH>", _layered("strong")),
 }
 
 

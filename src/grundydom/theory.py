@@ -11,9 +11,9 @@ graph products:
   products; lexicographic and direct products of paths and cycles; strong
   grids, cylinders, the torus bounds and the multi-path products; total
   Grundy domination of paths and cycles), each guarded by its preconditions,
-* constructive witness builders, one per product lower bound; the four
-  product builders share one layered walk, which replicates a factor
-  sequence layer by layer and splits its items by the a-value rule,
+* constructive witness builders: one builder for the four product lower
+  bounds, which replicates a factor sequence layer by layer and splits its
+  items by the a-value rule, and closed-form complete grid and odd torus ones,
 * per-product-kind named lower/upper bounds,
 * a scan harness for the conjecture that the strong product is
   multiplicative for the Grundy domination number, and
@@ -567,27 +567,55 @@ def _layered_witness(
     return out, check_sequence(graph, out)
 
 
-def construct_cartesian_witness(G: Graph, H: Graph, seq_g: Sequence[int]) -> list[int]:
-    """Replicate a dominating sequence of G across every H-layer.
+# per kind: the mode seq_h must be legal in (None: seq_h is not read), and
+# the two H-lists of the layered walk, taken from H and seq_h
+_LAYER_WALKS = {
+    "cartesian": (None, lambda H, seq_h: (range(H.n), range(H.n))),
+    "lexicographic": ("closed", lambda H, seq_h: (seq_h, seq_h[:1])),
+    "direct": ("open", lambda H, seq_h: (range(H.n), seq_h)),
+    "strong": ("closed", lambda H, seq_h: (seq_h, seq_h)),
+}
 
-    Produces ((d_1,0),...,(d_1,nH-1),...,(d_m,nH-1)) on cart(G, H), of length
-    len(seq_g) * |V(H)|. Replication is legal whenever every seq_g item
-    footprints some vertex other than itself; an item whose only footprint is
-    itself collapses inside its own layer, and the sequence is rejected with
-    the failing position named. The replicated length can then be genuinely
-    out of reach: every maximum sequence of star(4) contains a self-only
-    footprinter, and grundy(cart(star(4), path(3))) is 8, short of 3 * 3.
+
+def construct_product_witness(
+    kind: str, G: Graph, H: Graph, seq_g: Sequence[int], seq_h: Sequence[int] = ()
+) -> list[int]:
+    """Replicate a legal dominating sequence seq_g of G layer by layer on the
+    kind product of G and H.
+
+    The a(seq_g) items with no earlier neighbor each walk a first list of
+    H-vertices inside their own layer, every other item walks a second:
+    - cartesian: every vertex, both times; seq_h is not read. Length
+      len(seq_g) * |V(H)|.
+    - lexicographic: seq_h, then its first item. Length
+      a * (len(seq_h) - 1) + len(seq_g).
+    - direct: every vertex (a still untouched independent layer), then seq_h,
+      which must be a legal total dominating sequence of H. Length
+      a * |V(H)| + (len(seq_g) - a) * len(seq_h).
+    - strong: seq_h, both times. Length len(seq_g) * len(seq_h).
+    For lexicographic and strong, seq_h must be a legal dominating sequence
+    of H. The last three walks are legal for any legal inputs. The cartesian
+    one is legal whenever every seq_g item footprints some vertex other than
+    itself; an item whose only footprint is itself collapses inside its own
+    layer, and the sequence is rejected with the failing position named. The
+    replicated length can then be genuinely out of reach: every maximum
+    sequence of star(4) contains a self-only footprinter, and
+    grundy(cart(star(4), path(3))) is 8, short of 3 * 3.
     """
+    kind = normalize_kind(kind)
+    mode, walks = _LAYER_WALKS[kind]
     _require_sequence(G, seq_g, "closed", "seq_g")
-    out, rep = _layered_witness("cartesian", G, seq_g, H, range(H.n), range(H.n))
-    if not rep.legal:
+    if mode:
+        _require_sequence(H, seq_h, mode, "total_seq_h" if mode == "open" else "seq_h")
+    out, rep = _layered_witness(kind, G, seq_g, H, *walks(H, seq_h))
+    if not rep.legal and kind == "cartesian":
         d, h = divmod(out[rep.illegal_at], H.n)
         raise ParameterError(
             f"replicating seq_g over {H.display_name} is illegal at position"
             f" {rep.illegal_at} (factor item {d}, layer {h}); choose a"
             " sequence whose items each footprint a vertex besides themselves"
         )
-    assert rep.dominating and rep.length == len(list(seq_g)) * H.n
+    assert rep.legal and rep.dominating
     return out
 
 
@@ -627,55 +655,6 @@ def construct_odd_torus_witness(k: int) -> list[int]:
     first.sort(key=lambda p: (abs(p[1]), 0 if p[1] > 0 else 1, p[0]))
     second.sort(key=lambda p: (abs(p[0]), 0 if p[0] > 0 else 1, p[1]))
     return [(x + t) * k + (y + t) for x, y in first + second]
-
-
-def construct_lex_witness(
-    G: Graph, seq_g: Sequence[int], H: Graph, seq_h: Sequence[int]
-) -> list[int]:
-    """Witness on lex(G, H) of length a(seq_g)(len(seq_h)-1) + len(seq_g).
-
-    Items of seq_g with no earlier neighbor expand to a full copy of seq_h
-    inside their layer; every other item contributes a single vertex. Valid
-    for any legal dominating inputs.
-    """
-    _require_sequence(G, seq_g, "closed", "seq_g")
-    _require_sequence(H, seq_h, "closed", "seq_h")
-    out, rep = _layered_witness("lexicographic", G, seq_g, H, seq_h, seq_h[:1])
-    assert rep.legal and rep.dominating
-    return out
-
-
-def construct_direct_witness(
-    G: Graph, seq_g: Sequence[int], H: Graph, total_seq_h: Sequence[int]
-) -> list[int]:
-    """Witness on direct(G, H) from a dominating sequence of G and a total
-    dominating sequence of H.
-
-    Items of seq_g with no earlier neighbor contribute their whole H-layer
-    (an independent set, still untouched); every other item walks total_seq_h
-    inside its layer. Length a|V(H)| + len(total_seq_h)(len(seq_g) - a) where
-    a counts the no-earlier-neighbor items.
-    """
-    _require_sequence(G, seq_g, "closed", "seq_g")
-    _require_sequence(H, total_seq_h, "open", "total_seq_h")
-    out, rep = _layered_witness("direct", G, seq_g, H, range(H.n), total_seq_h)
-    assert rep.legal and rep.dominating
-    return out
-
-
-def construct_strong_witness(
-    G: Graph, seq_g: Sequence[int], H: Graph, seq_h: Sequence[int]
-) -> list[int]:
-    """The all-pairs witness on strong(G, H), length len(seq_g)*len(seq_h).
-
-    Pair (d_i, d'_j) footprints (u_i, u'_j) where u_i, u'_j are the factor
-    footprints, so the full pairing is legal for any legal dominating inputs.
-    """
-    _require_sequence(G, seq_g, "closed", "seq_g")
-    _require_sequence(H, seq_h, "closed", "seq_h")
-    out, rep = _layered_witness("strong", G, seq_g, H, seq_h, seq_h)
-    assert rep.legal and rep.dominating
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -738,7 +717,7 @@ def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
     """Every applicable named bound for grundy of the given product.
 
     Each kind's lower bounds have their own source:
-    - cartesian: the layered walk the construct_* builders share. It walks a
+    - cartesian: the layered walk of construct_product_witness. It walks a
       maximum sequence of each factor across the other and keeps the longer
       legal one; the entry is omitted when both collapse, since the
       replicated length overstates the value on factors whose maximum

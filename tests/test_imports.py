@@ -180,7 +180,7 @@ def export_faults(source: str) -> list[str]:
     tree = ast.parse(source)
     imported = {
         a.asname or a.name
-        for node in tree.body if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for node in tree.body if isinstance(node, ast.ImportFrom)
         for a in node.names
     }
     listed = [
@@ -192,7 +192,7 @@ def export_faults(source: str) -> list[str]:
     out = [f"unlisted {name}" for name in sorted(imported - set(listed))]
     out += [f"not imported {name}" for name in listed if name not in imported]
     if listed != sorted(set(listed)):
-        out.append("__all__ is not sorted")
+        out.append("unsorted or repeated")
     return out
 
 
@@ -201,8 +201,10 @@ def test_guard_sees_export_faults():
         "from .a import kept, dropped\nfrom .b import thing as alias\n"
         "__version__ = '0'\n__all__ = ['kept', 'alias', 'ghost']\n"
     )
-    assert export_faults(source) == ["unlisted dropped", "not imported ghost", "__all__ is not sorted"]
-    assert export_faults("from .a import b, a\n__all__ = ['a', 'b', 'b']\n") == ["__all__ is not sorted"]
+    faults = ["unlisted dropped", "not imported ghost", "unsorted or repeated"]
+    assert export_faults(source) == faults
+    repeated = "from .a import b, a\n__all__ = ['a', 'b', 'b']\n"
+    assert export_faults(repeated) == ["unsorted or repeated"]
     assert export_faults("from .a import b, a\n__all__ = ['a', 'b']\n") == []
 
 
@@ -424,12 +426,14 @@ def public_calls() -> dict[str, object]:
         "check_sequence": lambda: gd.check_sequence(c5, [0, 2]),
         "complete": lambda: gd.complete(4),
         "conjecture_scan": lambda: gd.conjecture_scan([(p3, p4), (c5, p4)]),
-        "construct_cartesian_witness": lambda: gd.construct_cartesian_witness(p3, p4, [0, 1]),
         "construct_complete_grid_witness": lambda: gd.construct_complete_grid_witness(3, 4),
-        "construct_direct_witness": lambda: gd.construct_direct_witness(p3, [0, 2], c5, [0, 1, 2]),
-        "construct_lex_witness": lambda: gd.construct_lex_witness(p3, [0, 2], p4, [0, 3]),
         "construct_odd_torus_witness": lambda: gd.construct_odd_torus_witness(5),
-        "construct_strong_witness": lambda: gd.construct_strong_witness(p3, [0, 2], p4, [0, 3]),
+        "construct_product_witness": lambda: [
+            gd.construct_product_witness("cartesian", p3, p4, [0, 1]),
+            gd.construct_product_witness("lexicographic", p3, p4, [0, 2], [0, 3]),
+            gd.construct_product_witness("direct", p3, c5, [0, 2], [0, 1, 2]),
+            gd.construct_product_witness("strong", p3, p4, [0, 2], [0, 3]),
+        ],
         "cycle": lambda: gd.cycle(6),
         "edge_clique_cover_number": lambda: gd.edge_clique_cover_number(c5p3),
         "enumerate_connected_graphs": lambda: list(gd.enumerate_connected_graphs(5)),

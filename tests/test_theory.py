@@ -31,12 +31,9 @@ from grundydom.theory import (
     BoundaryBound,
     boundary_sufficient_bound,
     conjecture_scan,
-    construct_cartesian_witness,
     construct_complete_grid_witness,
-    construct_direct_witness,
-    construct_lex_witness,
     construct_odd_torus_witness,
-    construct_strong_witness,
+    construct_product_witness,
     edge_clique_cover_number,
     formula_value,
     isoperimetric_check,
@@ -470,68 +467,68 @@ def test_odd_torus_witness():
 
 
 def test_cartesian_witness_replication():
-    seq = construct_cartesian_witness(path(3), path(2), [0, 1])
+    seq = construct_product_witness("cartesian", path(3), path(2), [0, 1])
     assert len(seq) == 4
     assert_witness("cartesian", path(3), path(2), seq, value=4)
-    seq = construct_cartesian_witness(cycle(4), path(3), [0, 1])
+    seq = construct_product_witness("cartesian", cycle(4), path(3), [0, 1])
     assert_witness("cartesian", cycle(4), path(3), seq)
 
 
 def test_cartesian_witness_rejects_self_footprint():
     # item 2 of (0, 2) on P3 footprints only itself; its layer copies collapse
     with pytest.raises(ParameterError) as err:
-        construct_cartesian_witness(path(3), path(2), [0, 2])
+        construct_product_witness("cartesian", path(3), path(2), [0, 2])
     assert "position 3" in str(err.value)
     assert "factor item 2" in str(err.value)
 
 
 def test_witness_input_validation():
     with pytest.raises(ParameterError) as err:
-        construct_cartesian_witness(path(3), path(2), [1, 0])
+        construct_product_witness("cartesian", path(3), path(2), [1, 0])
     assert "covers nothing new" in str(err.value)
     with pytest.raises(ParameterError) as err:
-        construct_cartesian_witness(path(3), path(2), [0])
+        construct_product_witness("cartesian", path(3), path(2), [0])
     assert "does not dominate" in str(err.value)
     with pytest.raises(ParameterError):
-        construct_lex_witness(path(3), [0], path(3), [0, 2])
+        construct_product_witness("lexicographic", path(3), path(3), [0], [0, 2])
     with pytest.raises(ParameterError):
-        construct_strong_witness(path(3), [0, 2], path(3), [1, 0])
+        construct_product_witness("strong", path(3), path(3), [0, 2], [1, 0])
     # (0, 1) is not a legal closed sequence of K2: the second item is redundant
     with pytest.raises(ParameterError):
-        construct_direct_witness(complete(2), [0, 1], path(4), [0, 3, 1, 2])
+        construct_product_witness("direct", complete(2), path(4), [0, 1], [0, 3, 1, 2])
     # the direct construction needs an open-mode legal H-sequence
     with pytest.raises(ParameterError):
-        construct_direct_witness(path(3), [0, 2], cycle(4), [1, 3, 0, 2])
+        construct_product_witness("direct", path(3), cycle(4), [0, 2], [1, 3, 0, 2])
 
 
 def test_lex_witness():
     # both items of (0, 2) are earlier-neighbor-free, so both expand fully
-    seq = construct_lex_witness(path(3), [0, 2], path(3), [0, 2])
+    seq = construct_product_witness("lexicographic", path(3), path(3), [0, 2], [0, 2])
     assert len(seq) == 4
     assert_witness("lexicographic", path(3), path(3), seq, value=4)
     # (0, 1) has a dependent second item contributing a single vertex
-    seq = construct_lex_witness(path(3), [0, 1], path(3), [0, 2])
+    seq = construct_product_witness("lexicographic", path(3), path(3), [0, 1], [0, 2])
     assert len(seq) == 3
     assert_witness("lexicographic", path(3), path(3), seq)
 
 
 def test_direct_witness():
-    seq = construct_direct_witness(path(3), [0, 2], path(4), [0, 3, 1, 2])
+    seq = construct_product_witness("direct", path(3), path(4), [0, 2], [0, 3, 1, 2])
     assert len(seq) == 8  # two independent items, each a full 4-vertex layer
     assert_witness("direct", path(3), path(4), seq, value=8)
     assert len(seq) == exact("direct", path(3), path(4))
     # dependent items walk the total sequence instead
-    seq = construct_direct_witness(path(4), [0, 1, 3], cycle(4), [0, 1])
+    seq = construct_product_witness("direct", path(4), cycle(4), [0, 1, 3], [0, 1])
     assert len(seq) == 2 * 4 + 1 * 2
     assert_witness("direct", path(4), cycle(4), seq)
 
 
 def test_strong_witness():
-    seq = construct_strong_witness(path(3), [0, 2], path(3), [0, 2])
+    seq = construct_product_witness("strong", path(3), path(3), [0, 2], [0, 2])
     assert len(seq) == 4
     assert_witness("strong", path(3), path(3), seq, value=4)
     assert len(seq) == exact("strong", path(3), path(3))
-    seq = construct_strong_witness(path(4), [0, 1, 3], cycle(5), [0, 1, 2])
+    seq = construct_product_witness("strong", path(4), cycle(5), [0, 1, 3], [0, 1, 2])
     assert len(seq) == 9
     assert_witness("strong", path(4), cycle(5), seq)
 
@@ -541,9 +538,9 @@ def test_constructed_lengths_track_a_value():
     g, seq_g = path(5), [0, 1, 3]
     rep = check_sequence(g, seq_g)
     a, rest = rep.a_value, rep.length - rep.a_value
-    lex_seq = construct_lex_witness(g, seq_g, path(3), [0, 2])
+    lex_seq = construct_product_witness("lexicographic", g, path(3), seq_g, [0, 2])
     assert len(lex_seq) == a * 2 + rest
-    direct_seq = construct_direct_witness(g, seq_g, path(4), [0, 3, 1, 2])
+    direct_seq = construct_product_witness("direct", g, path(4), seq_g, [0, 3, 1, 2])
     assert len(direct_seq) == a * 4 + rest * 4
 
 
@@ -560,27 +557,33 @@ def test_builder_sequences_are_pinned():
     assert grundy(PIN_Y, mode="open").witness == [1, 0, 2, 3]
     U, X, Y = PIN_U, PIN_X, PIN_Y
     cases = [
-        (construct_cartesian_witness(U, X, [0, 2, 3]),
+        (construct_product_witness("cartesian", U, X, [0, 2, 3]),
          [0, 1, 2, 3, 8, 9, 10, 11, 12, 13, 14, 15]),
-        (construct_cartesian_witness(X, U, [3, 2]), [15, 16, 17, 18, 19, 10, 11, 12, 13, 14]),
-        (construct_cartesian_witness(Y, path(2), [1, 3, 0]), [2, 3, 6, 7, 0, 1]),
-        (construct_lex_witness(U, [0, 2, 3], X, [0, 2, 1]), [0, 2, 1, 8, 10, 9, 12]),
-        (construct_lex_witness(Y, [1, 3, 0], U, [0, 2, 3]), [5, 7, 8, 15, 0]),
-        (construct_lex_witness(X, [0, 2, 1], Y, [1, 3, 0]), [1, 3, 0, 11, 6, 8, 5]),
-        (construct_direct_witness(U, [0, 2, 3], Y, [1, 0, 2, 3]),
+        (construct_product_witness("cartesian", X, U, [3, 2]),
+         [15, 16, 17, 18, 19, 10, 11, 12, 13, 14]),
+        (construct_product_witness("cartesian", Y, path(2), [1, 3, 0]), [2, 3, 6, 7, 0, 1]),
+        (construct_product_witness("lexicographic", U, X, [0, 2, 3], [0, 2, 1]),
+         [0, 2, 1, 8, 10, 9, 12]),
+        (construct_product_witness("lexicographic", Y, U, [1, 3, 0], [0, 2, 3]),
+         [5, 7, 8, 15, 0]),
+        (construct_product_witness("lexicographic", X, Y, [0, 2, 1], [1, 3, 0]),
+         [1, 3, 0, 11, 6, 8, 5]),
+        (construct_product_witness("direct", U, Y, [0, 2, 3], [1, 0, 2, 3]),
          [0, 1, 2, 3, 4, 10, 11, 12, 13, 14, 16, 15, 17, 18]),
-        (construct_direct_witness(X, [0, 2, 1], U, [0, 1, 2, 3]),
+        (construct_product_witness("direct", X, U, [0, 2, 1], [0, 1, 2, 3]),
          [0, 1, 2, 3, 4, 10, 11, 12, 13, 5, 6, 7, 8, 9]),
-        (construct_direct_witness(Y, [1, 3, 0], X, [0, 1, 2, 3]),
+        (construct_product_witness("direct", Y, X, [1, 3, 0], [0, 1, 2, 3]),
          [4, 5, 6, 7, 12, 13, 14, 15, 0, 1, 2, 3]),
-        (construct_strong_witness(U, [0, 2, 3], X, [0, 2, 1]), [0, 2, 1, 8, 10, 9, 12, 14, 13]),
-        (construct_strong_witness(Y, [1, 3, 0], U, [0, 2, 3]), [5, 7, 8, 15, 17, 18, 0, 2, 3]),
+        (construct_product_witness("strong", U, X, [0, 2, 3], [0, 2, 1]),
+         [0, 2, 1, 8, 10, 9, 12, 14, 13]),
+        (construct_product_witness("strong", Y, U, [1, 3, 0], [0, 2, 3]),
+         [5, 7, 8, 15, 17, 18, 0, 2, 3]),
     ]
     for got, want in cases:
         assert got == want
     # item 1 of (0, 2, 1) on X footprints only itself, so its copies collapse
     with pytest.raises(ParameterError) as err:
-        construct_cartesian_witness(X, U, [0, 2, 1])
+        construct_product_witness("cartesian", X, U, [0, 2, 1])
     assert str(err.value) == (
         "replicating seq_g over P2+P3 is illegal at position 11 (factor item 1,"
         " layer 1); choose a sequence whose items each footprint a vertex"
@@ -599,14 +602,14 @@ def test_witness_builders_refuse_products_over_the_cap():
     with pytest.raises(CapacityError, match="product order 9000000 " + cap):
         construct_complete_grid_witness(3_000_000, 3)
     s64, s65 = star(64), star(65)
-    assert construct_strong_witness(s64, [0], s64, [0]) == [0]
-    for build in (construct_strong_witness, construct_lex_witness):
+    assert construct_product_witness("strong", s64, s64, [0], [0]) == [0]
+    for kind in ("strong", "lexicographic"):
         with pytest.raises(CapacityError, match="product order 4225 " + cap):
-            build(s65, [0], s65, [0])
+            construct_product_witness(kind, s65, s65, [0], [0])
     with pytest.raises(CapacityError, match=cap):
-        construct_direct_witness(s65, [0], s65, [0, 1])
+        construct_product_witness("direct", s65, s65, [0], [0, 1])
     with pytest.raises(CapacityError, match=cap):
-        construct_cartesian_witness(s65, s65, [0])
+        construct_product_witness("cartesian", s65, s65, [0])
     # the factors are within the solver cap, so only the product is refused
     matching = Graph(66, [(2 * i, 2 * i + 1) for i in range(33)])
     with pytest.raises(CapacityError, match="product order 4356 " + cap):
@@ -728,14 +731,6 @@ def test_product_bounds_reports_are_pinned():
     assert digest == "9639f8eab5e04d1c67c589583d8089f40a58ac737b2ad8540550ab45234f80e7"
 
 
-def _build(kind, G, H, seq_g, seq_h=()):
-    if kind == "cartesian":
-        return construct_cartesian_witness(G, H, seq_g)
-    builder = {"lexicographic": construct_lex_witness, "direct": construct_direct_witness,
-               "strong": construct_strong_witness}[kind]
-    return builder(G, seq_g, H, seq_h)
-
-
 def test_builder_outputs_are_pinned():
     # every layered builder's output or refusal, over the 14 factors of the
     # pin above in the same order, from least witnesses of the factors
@@ -755,7 +750,8 @@ def test_builder_outputs_are_pinned():
                 seq_h = () if kind == "cartesian" else grundy(
                     H, mode="open" if kind == "direct" else "closed").witness
                 try:
-                    entries.append(repr(_build(kind, G, H, grundy(G).witness, seq_h)))
+                    seq = construct_product_witness(kind, G, H, grundy(G).witness, seq_h)
+                    entries.append(repr(seq))
                 except (ParameterError, CapacityError) as e:
                     entries.append(repr(f"{type(e).__name__}: {e}"))
     assert len(entries) == 756
@@ -774,7 +770,7 @@ def test_layered_lower_bounds_are_attained_by_builder_sequences():
     ]
 
     def certified(kind, A, B, seq_a, seq_b=()):
-        seq = _build(kind, A, B, seq_a, seq_b)
+        seq = construct_product_witness(kind, A, B, seq_a, seq_b)
         rep = check_sequence(product(kind, A, B).graph, seq)
         assert rep.legal and rep.dominating and rep.length == len(seq)
         return len(seq)
