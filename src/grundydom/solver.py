@@ -79,7 +79,21 @@ first move u in vertex order that meets one of them:
 
 Nothing else settles a position. On the path p-u-x from D = {p, u}, the
 dominated u has the one fresh vertex x but scores only w_dependent, while
-playing x scores w_independent.
+playing x scores w_independent. Two exact prunings skip moves without
+settling anything, as the plain search's do:
+
+- Bound skip. Every move covers at least one fresh vertex and weighs at
+  most w_top = max(w_independent, w_dependent), so a position with k
+  undominated vertices is worth at most w_top * k. At a branching position
+  a move of weight w to D' is skipped when w + w_top * |V - D'| cannot beat
+  the best sibling so far; the maximum over the moves is unchanged.
+- Root orbit skip. An automorphism p of G maps closed rows to closed rows,
+  so it maps a legal sequence from D to one from p(D), and an item is
+  dominated in D exactly when its image is dominated in p(D). Weights are
+  kept, so value(p(D)) = value(D) and root moves in one orbit have equal
+  values. The root plays its moves and computes orbits as the plain root
+  does (same order, same n^2 trigger), and the witness walk reads each
+  root child's value at its orbit representative.
 """
 
 from __future__ import annotations
@@ -360,8 +374,10 @@ def max_weighted_sequence(G: Graph, w_independent: int, w_dependent: int) -> tup
 
 
 def _weighted_connected(G: Graph, w_independent: int, w_dependent: int) -> tuple[int, list[int]]:
+    n = G.n
     full = G.full_mask
-    moves_of = list(zip(mode_rows(G, "closed"), (1 << u for u in range(G.n))))
+    rows = mode_rows(G, "closed")
+    moves_of = list(zip(rows, (1 << u for u in range(n))))
     memo: dict[int, int] = {}
     # which one-fresh-vertex moves settle a position (module docstring):
     # any of them when the weights are equal, and an undominated one whose
@@ -369,6 +385,9 @@ def _weighted_connected(G: Graph, w_independent: int, w_dependent: int) -> tuple
     # much as dependent ones
     settle_any = w_independent == w_dependent
     settle_own = w_independent >= w_dependent
+    # every move covers a fresh vertex and weighs at most w_top, so a position
+    # with k free vertices is worth at most w_top * k
+    w_top = max(w_independent, w_dependent)
 
     def value(dom: int) -> int:
         cached = memo.get(dom)
@@ -384,18 +403,42 @@ def _weighted_connected(G: Graph, w_independent: int, w_dependent: int) -> tuple
                     best = memo[dom] = w + value(dom | new)
                     return best
                 moves.append((w, new))
+        # a move that cannot beat best even at that bound is skipped
+        left = free.bit_count()
         best = 0
         for w, new in moves:
-            got = w + value(dom | new)
-            if got > best:
-                best = got
+            if w + w_top * (left - new.bit_count()) > best:
+                got = w + value(dom | new)
+                if got > best:
+                    best = got
         memo[dom] = best
         return best
 
-    total = value(0)
+    reps: list[int] | None = None
+    if n == 1:
+        total = value(0)
+    else:
+        # the root of two or more vertices never settles, as every move
+        # covers at least two; its moves and orbit skip are those of
+        # _Search.root_value, and each move weighs w_independent
+        moves = sorted((row.bit_count(), u) for u, row in enumerate(rows))
+        total = w_independent + value(rows[moves[0][1]])
+        if len(memo) >= n * n:
+            reps = vertex_orbits(G)
+            moves = [(c, u) for c, u in moves if reps[u] == u]
+        for c, u in moves:
+            if w_independent + w_top * (n - c) > total:
+                total = max(total, w_independent + value(rows[u]))
     seq: list[int] = []
     dom = 0
     t = total
+    if reps:
+        # at the root, read each child's value at its orbit representative,
+        # the move the search expanded
+        u = next(u for u in range(n) if w_independent + value(rows[reps[u]]) == t)
+        seq.append(u)
+        dom = rows[u]
+        t -= w_independent
     # extend until maximal so the witness is dominating even with zero weights
     while dom != full:
         free = full ^ dom

@@ -18,6 +18,7 @@ from grundydom.graphs import (
     mode_rows,
     path,
     star,
+    vertex_orbits,
 )
 from grundydom import solver
 from grundydom.products import product
@@ -271,19 +272,22 @@ def unreduced_grundy(g: Graph, mode: str) -> tuple[int, list[int]]:
     return value(0), seq
 
 
+# in open mode, G7 □ K3 has a root whose first move is not optimal, so an
+# orbit skip that drops too much shows there
+G7 = Graph(7, [(0, 1), (0, 2), (0, 5), (0, 6), (1, 3), (1, 4), (1, 6), (2, 4), (2, 6), (3, 4)])
+
+
 def test_reductions_match_unreduced_search():
     # value and lexicographically least witness on products where the orbit
     # trigger fires (four vertex-transitive ones, and one that is not), on
     # relabelled copies, and on unions
     rng = random.Random(3)
-    g7 = Graph(7, [(0, 1), (0, 2), (0, 5), (0, 6), (1, 3), (1, 4), (1, 6), (2, 4), (2, 6), (3, 4)])
     cases = [
         ("open", product("cartesian", cycle(5), cycle(5)).graph),
         ("open", product("direct", cycle(5), cycle(5)).graph),
         ("open", product("strong", cycle(5), cycle(6)).graph),
         ("closed", product("direct", cycle(5), cycle(5)).graph),
-        # here the first root move is not optimal, so skipping too much shows
-        ("open", product("cartesian", g7, complete(3)).graph),
+        ("open", product("cartesian", G7, complete(3)).graph),
     ]
     cases += [(mode, relabel(g, rng)) for mode, g in cases for _ in range(2)]
     for mode, g in cases:
@@ -296,7 +300,7 @@ def test_reductions_match_unreduced_search():
         assert (res.value, res.witness) == unreduced_grundy(union, mode), mode
         assert res.stats.components == 2
     # orbits of a component whose vertex ids do not start at 0
-    union = disjoint_union(path(3), product("cartesian", g7, complete(3)).graph)
+    union = disjoint_union(path(3), product("cartesian", G7, complete(3)).graph)
     res = grundy(union, "open")
     assert (res.value, res.witness) == unreduced_grundy(union, "open")
     assert res.stats.components == 2 and res.stats.orbit_skips > 0
@@ -575,6 +579,65 @@ def test_max_weighted_sequence_matches_unpruned_search():
         for wi, wd in ((3, 1), (3, 2), (2, 2), (1, 1), (2, 3), (0, 1), (0, 0)):
             got = max_weighted_sequence(g, wi, wd)
             assert got == unpruned_weighted(g, wi, wd), (g.edges(), wi, wd)
+
+
+def test_weighted_root_orbits_match_unpruned_search(monkeypatch):
+    # value and least witness where the weighted search's root orbit skip can
+    # fire: four vertex-transitive products with two relabelled copies each,
+    # G7 □ K3, a direct product whose last root orbit is the only optimal one
+    # at (2, 3), and a union whose components' vertex ids interleave
+    calls = []
+
+    def counted(G: Graph) -> list[int]:
+        calls.append(G.n)
+        return vertex_orbits(G)
+
+    monkeypatch.setattr(solver, "vertex_orbits", counted)
+    rng = random.Random(30)
+    graphs = [product("cartesian", F, H).graph for F, H in (
+        (cycle(3), cycle(5)), (path(4), path(4)), (cycle(4), cycle(5)), (complete(3), cycle(6)))]
+    graphs += [relabel(g, rng) for g in graphs for _ in range(2)]
+    graphs.append(product("cartesian", G7, complete(3)).graph)
+    # C5 with the chords 0-3 and 1-4
+    chorded = Graph(5, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (3, 4)])
+    graphs.append(product("direct", chorded, cycle(4)).graph)
+    union = relabel(disjoint_union(path(3), product("cartesian", G7, complete(3)).graph), rng)
+    assert any(comp[-1] - comp[0] >= len(comp) for comp in map(bit_indices, connected_components(union)))
+    graphs.append(union)
+    fired = []
+    for g in graphs:
+        before = len(calls)
+        for wi, wd in ((3, 2), (2, 1), (4, 2), (2, 3)):
+            got = max_weighted_sequence(g, wi, wd)
+            assert got == unpruned_weighted(g, wi, wd), (g.edges(), wi, wd)
+        fired.append(len(calls) > before)
+    # every graph but the three copies of C3 □ C5, whose first root subtree
+    # stays under n^2 states, computes orbits at some weights; the last three
+    # among them, so the test cannot pass without the skip
+    assert all(fired[-3:]) and sum(fired) == len(graphs) - 3, fired
+
+
+def test_weighted_bound_skip_matches_unpruned_search():
+    # the bound w_top * (free vertices) where w_top is the dependent weight,
+    # (2, 3) and (0, 1), and at (0, 0), where it skips every child of a
+    # branching position and the walk alone finds the least maximal sequence;
+    # on products above the brute-force cap
+    rng = random.Random(31)
+    graphs = [
+        product("cartesian", path(3), cycle(4)).graph,
+        product("strong", cycle(4), path(3)).graph,
+        product("direct", cycle(5), path(4)).graph,
+        product("lexicographic", path(4), complete(3)).graph,
+        product("cartesian", G7, path(2)).graph,
+    ]
+    graphs.append(relabel(graphs[-1], rng))
+    assert min(g.n for g in graphs) > BRUTE_MAX_ORDER
+    for g in graphs:
+        for wi, wd in ((2, 3), (0, 1), (0, 0)):
+            got = max_weighted_sequence(g, wi, wd)
+            assert got == unpruned_weighted(g, wi, wd), (g.edges(), wi, wd)
+            rep = check_sequence(g, got[1])
+            assert rep.legal and rep.dominating, (g.edges(), wi, wd)
 
 
 def test_max_weighted_sequence_dominated_move_does_not_settle():
