@@ -45,14 +45,24 @@ whose fresh coverage is a single class now counts as forced. In closed
 mode the classes are true twins, in open mode false twins. The bound skip
 and the root's early stop count columns, not vertices.
 
-Both exact searches see only connected graphs. The value adds up over
-connected components, so each component is solved as a graph of its own,
-vertex verts[i] relabelled i, and its memo is freed before the next one.
-At the root, a move that an automorphism maps onto an earlier root move
-has the same value and is skipped. The orbits are merged from the
-automorphisms that the canonical labelling search records
-(graphs.vertex_orbits), and are only computed once the first root move's
-subtree has expanded at least n^2 nodes, so small solves never pay for it.
+Both exact searches, this one and max_weighted_sequence below, see only
+connected graphs. The value adds up over connected components, so each
+component is solved as a graph of its own, vertex verts[i] relabelled i,
+and its memo is freed before the next one. Both start at one root routine
+and end in one witness walk; the plain search passes unit weights, with
+which its bound skip width - c >= best reads 1 + 1 * (width - c) > best.
+
+- Root orbit skip. At the root, a move that an automorphism maps onto an
+  earlier root move has the same value and is skipped. The orbits are
+  merged from the automorphisms that the canonical labelling search records
+  (graphs.vertex_orbits), and are only computed once the first root move's
+  subtree has expanded at least n^2 nodes, so small solves never pay for it.
+- Witness walk. At each position the walk takes the least vertex whose
+  child still reaches the value t that is left, so the witness is the
+  lexicographically least optimal one. At the root it reads each child's
+  value at its orbit representative, the move the search expanded. It does
+  not solve a child that cannot reach t even at the bound skip's estimate,
+  so it expands few positions that the search did not.
 
 grundy_bruteforce is an independent oracle: plain enumeration of all legal
 sequences straight from the definition, no memo, no pruning.
@@ -91,9 +101,7 @@ settling anything, as the plain search's do:
   so it maps a legal sequence from D to one from p(D), and an item is
   dominated in D exactly when its image is dominated in p(D). Weights are
   kept, so value(p(D)) = value(D) and root moves in one orbit have equal
-  values. The root plays its moves and computes orbits as the plain root
-  does (same order, same n^2 trigger), and the witness walk reads each
-  root child's value at its orbit representative.
+  values.
 """
 
 from __future__ import annotations
@@ -101,7 +109,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import astuple, dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .errors import CapacityError, ParameterError
 from .graphs import Graph, bit_indices, connected_components, mode_rows, vertex_orbits
@@ -169,8 +177,6 @@ class _Search:
     Nothing is evicted: every expanded position keeps its entry."""
 
     def __init__(self, G: Graph, rows: list[int]):
-        self.G = G
-        self.n = G.n
         full = G.full_mask
         distinct = set(rows)
         if len(distinct) < len(rows):
@@ -182,7 +188,6 @@ class _Search:
         self.width = full.bit_count()
         self.memo: dict[int, int] = {}
         self.branching = 0
-        self.orbit_skips = 0
 
     def value(self, S: int) -> int:
         memo = self.memo
@@ -212,69 +217,70 @@ class _Search:
         memo[S] = best
         return best
 
-    def root_value(self) -> tuple[int, list[int] | None]:
-        """Value of the graph, and the orbit representatives used at its root.
 
-        Root moves run in ascending vertex order within equal coverage size, so
-        each orbit is first met at its least vertex. Orbits are computed only
-        when the first move's subtree expanded at least n^2 nodes, which one
-        that settles the root never does: it forces every position under it.
-        Then a move in the orbit of an earlier move has that move's value and
-        is dropped; the representatives are None if orbits were not computed.
-        """
-        rows = self.rows
-        n = self.n
-        width = self.width
-        moves = sorted((row.bit_count(), u) for u, row in enumerate(rows))
-        best = 1 + self.value(rows[moves[0][1]])
-        reps: list[int] | None = None
-        # the memo was empty before the first move, so it holds that subtree
-        if len(self.memo) >= n * n:
-            reps = vertex_orbits(self.G)
-            # automorphic moves cover equally many vertices, so each orbit
-            # comes first at its least vertex, its representative
-            moves = [(c, u) for c, u in moves if reps[u] == u]
-            self.orbit_skips += n - len(moves)
-        # the first move is played again, as a memo hit or a bound skip
-        for c, u in moves:
-            if width - c >= best:
-                best = max(best, 1 + self.value(rows[u]))
-        return best, reps
+def _root(G: Graph, rows: list[int], width: int, value: Callable[[int], int],
+          memo: dict[int, int], w_top: int, w_root: int) -> tuple[int, list[int] | None]:
+    """Value of a connected graph, each root move weighing w_root, and the
+    orbit representatives used at its root (None if none were computed).
 
-    def reconstruct(self, t: int, reps: list[int] | None) -> list[int]:
-        # Greedy walk: at each position take the smallest-id vertex that still
-        # achieves the memoized value. This is deterministic regardless of
-        # search order and yields the lexicographically least optimal witness.
-        rows = self.rows
-        S = 0
-        seq: list[int] = []
-        if reps:
-            # at the root, read each child's value at its orbit representative,
-            # the move the search expanded
-            u = next(u for u in range(self.n) if self.value(rows[reps[u]]) == t - 1)
-            seq.append(u)
-            S = rows[u]
-            t -= 1
-        while t:
-            free = self.full ^ S
-            for u, row in enumerate(rows):
-                new = row & free
-                if new and self.value(S | new) == t - 1:
+    Root moves run in ascending vertex order within equal coverage size, so
+    each orbit is first met at its least vertex. In the plain search, a first
+    move that settles the root never trips the n^2 trigger, as it forces
+    every position under it.
+    """
+    n = G.n
+    moves = sorted((row.bit_count(), u) for u, row in enumerate(rows))
+    best = w_root + value(rows[moves[0][1]])
+    reps: list[int] | None = None
+    # the memo was empty before the first move, so it holds that subtree
+    if len(memo) >= n * n:
+        reps = vertex_orbits(G)
+        # automorphic moves cover equally many vertices, so each orbit
+        # comes first at its least vertex, its representative
+        moves = [(c, u) for c, u in moves if reps[u] == u]
+    # the first move is played again, as a memo hit or a bound skip; a move
+    # is skipped when it cannot beat best even at w_top per column it leaves
+    for c, u in moves:
+        if w_root + w_top * (width - c) > best:
+            best = max(best, w_root + value(rows[u]))
+    return best, reps
+
+
+def _walk(rows: list[int], full: int, value: Callable[[int], int], t: int,
+          reps: list[int] | None, w_independent: int, w_dependent: int, w_top: int) -> list[int]:
+    # The least optimal witness (module docstring). It extends until every
+    # column is covered, so that it is dominating even with zero weights.
+    seq: list[int] = []
+    S = 0
+    if reps:
+        # at the root, each child is read at its orbit representative
+        u = next(u for u in range(len(rows)) if w_independent + value(rows[reps[u]]) == t)
+        seq.append(u)
+        S = rows[u]
+        t -= w_independent
+    while S != full:
+        free = full ^ S
+        for u, row in enumerate(rows):
+            new = row & free
+            if new:
+                w = w_dependent if S >> u & 1 else w_independent
+                # a child that cannot reach t even at the bound is not solved
+                if w + w_top * (free ^ new).bit_count() >= t and w + value(S | new) == t:
                     seq.append(u)
                     S |= new
-                    t -= 1
+                    t -= w
                     break
-            else:
-                raise AssertionError("witness reconstruction lost the optimum")
-        return seq
+        else:
+            raise AssertionError("witness reconstruction lost the optimum")
+    return seq
 
 
 def _grundy_connected(G: Graph, rows: list[int], witness: bool) -> SolveResult:
     start = time.perf_counter()
     search = _Search(G, rows)
-    val, reps = search.root_value()
+    val, reps = _root(G, search.rows, search.width, search.value, search.memo, 1, 1)
     searched = time.perf_counter()
-    seq = search.reconstruct(val, reps) if witness else []
+    seq = _walk(search.rows, search.full, search.value, val, reps, 1, 1, 1) if witness else []
     # every position but the root writes one memo entry, and every position
     # that did not branch was settled by a forced move
     entries = len(search.memo)
@@ -284,9 +290,9 @@ def _grundy_connected(G: Graph, rows: list[int], witness: bool) -> SolveResult:
         search_s=searched - start,
         reconstruct_s=time.perf_counter() - searched,
         components=1,
-        orbit_skips=search.orbit_skips,
+        orbit_skips=G.n - len(set(reps)) if reps else 0,
         forced=entries - search.branching,
-        merged=search.n - search.width,
+        merged=G.n - search.width,
     )
     return SolveResult(value=val, witness=seq, stats=stats)
 
@@ -414,45 +420,9 @@ def _weighted_connected(G: Graph, w_independent: int, w_dependent: int) -> tuple
         memo[dom] = best
         return best
 
-    reps: list[int] | None = None
-    if n == 1:
-        total = value(0)
-    else:
-        # the root of two or more vertices never settles, as every move
-        # covers at least two; its moves and orbit skip are those of
-        # _Search.root_value, and each move weighs w_independent
-        moves = sorted((row.bit_count(), u) for u, row in enumerate(rows))
-        total = w_independent + value(rows[moves[0][1]])
-        if len(memo) >= n * n:
-            reps = vertex_orbits(G)
-            moves = [(c, u) for c, u in moves if reps[u] == u]
-        for c, u in moves:
-            if w_independent + w_top * (n - c) > total:
-                total = max(total, w_independent + value(rows[u]))
-    seq: list[int] = []
-    dom = 0
-    t = total
-    if reps:
-        # at the root, read each child's value at its orbit representative,
-        # the move the search expanded
-        u = next(u for u in range(n) if w_independent + value(rows[reps[u]]) == t)
-        seq.append(u)
-        dom = rows[u]
-        t -= w_independent
-    # extend until maximal so the witness is dominating even with zero weights
-    while dom != full:
-        free = full ^ dom
-        for u, (row, bit) in enumerate(moves_of):
-            new = row & free
-            if new:
-                w = w_dependent if dom & bit else w_independent
-                if w + value(dom | new) == t:
-                    seq.append(u)
-                    dom |= new
-                    t -= w
-                    break
-        else:
-            raise AssertionError("weighted reconstruction lost the optimum")
+    # every root move is undominated, so it weighs w_independent
+    total, reps = _root(G, rows, n, value, memo, w_top, w_independent)
+    seq = _walk(rows, full, value, total, reps, w_independent, w_dependent, w_top)
     # value refers to itself through its closure; break that cycle so that
     # the memo is freed now, not at the next cyclic garbage collection
     del value

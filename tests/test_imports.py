@@ -3,6 +3,7 @@ every module-level private name is referenced somewhere in the package,
 every public function is exported or referenced there,
 the package's __all__ lists exactly what its __init__ imports, sorted,
 the command line turns tokens into integers in one function only,
+the solver computes vertex orbits in one function only,
 no except clause in the package swallows its exception with a bare pass,
 every parameter with a default is passed by some call,
 and every nested function that calls itself is deleted by the
@@ -294,6 +295,41 @@ def test_guard_sees_int_outside_the_reader():
 def test_command_line_reads_integers_only_in_its_reader():
     source = (Path(grundydom.__file__).parent / "cli.py").read_text()
     assert int_readers_outside(source, "_int") == []
+
+
+def users_of(source: str, name: str) -> list[str]:
+    """Module-level functions, and methods as Class.method, that mention
+    name, bare or as an attribute (x.name); other code mentions it under its
+    class's name or as <module>. A module-level import does not count."""
+    parts = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ClassDef):
+            parts += [
+                (f"{node.name}.{f.name}" if isinstance(f, ast.FunctionDef) else node.name, f)
+                for f in node.body
+            ]
+        else:
+            parts.append((node.name if isinstance(node, ast.FunctionDef) else "<module>", node))
+    return sorted({owner for owner, part in parts if name in names_in(part)})
+
+
+def test_guard_sees_second_user():
+    source = (
+        "from .graphs import orbits\n"
+        "def root(G):\n    return orbits(G)\n"
+        "def walk(G):\n    def inner():\n        return graphs.orbits(G)\n    return inner()\n"
+        "class S:\n    find = orbits\n    def method(self):\n        return orbits\n"
+        "ALIAS = orbits\n"
+        "def other(G):\n    return G.n\n"
+    )
+    assert users_of(source, "orbits") == ["<module>", "S", "S.method", "root", "walk"]
+
+
+def test_solver_computes_orbits_in_one_root_routine():
+    source = (Path(grundydom.__file__).parent / "solver.py").read_text()
+    assert users_of(source, "vertex_orbits") == ["_root"]
 
 
 def silent_handlers(source: str) -> list[int]:
