@@ -55,8 +55,9 @@ which its bound skip width - c >= best reads 1 + 1 * (width - c) > best.
 - Root orbit skip. At the root, a move that an automorphism maps onto an
   earlier root move has the same value and is skipped. The orbits are
   merged from the automorphisms that the canonical labelling search records
-  (graphs.vertex_orbits), and are only computed once the first root move's
-  subtree has expanded at least n^2 nodes, so small solves never pay for it.
+  (graphs.vertex_orbits), and are only computed on n >= 2 vertices once the
+  first root move's subtree has expanded at least n^2 nodes, so small
+  solves never pay for it.
 - Witness walk. At each position the walk takes the least vertex whose
   child still reaches the value t that is left, so the witness is the
   lexicographically least optimal one. At the root it reads each child's
@@ -232,8 +233,9 @@ def _root(G: Graph, rows: list[int], width: int, value: Callable[[int], int],
     moves = sorted((row.bit_count(), u) for u, row in enumerate(rows))
     best = w_root + value(rows[moves[0][1]])
     reps: list[int] | None = None
-    # the memo was empty before the first move, so it holds that subtree
-    if len(memo) >= n * n:
+    # the memo was empty before the first move, so it holds that subtree; a
+    # single vertex has no second root move to skip
+    if n > 1 and len(memo) >= n * n:
         reps = vertex_orbits(G)
         # automorphic moves cover equally many vertices, so each orbit
         # comes first at its least vertex, its representative

@@ -47,7 +47,7 @@ from .graphs import (
     path,
 )
 from .products import check_product_order, normalize_kind, product
-from .sequences import SequenceReport, check_sequence
+from .sequences import check_sequence
 from .solver import (
     MAX_SOLVER_ORDER,
     WEIGHTED_MAX_ORDER,
@@ -544,29 +544,6 @@ def _require_sequence(G: Graph, items, mode: str, label: str) -> None:
         )
 
 
-def _layered_witness(
-    kind: str,
-    G: Graph,
-    seq_g: Sequence[int],
-    H: Graph,
-    fresh: Sequence[int],
-    dependent: Sequence[int],
-) -> tuple[list[int], SequenceReport]:
-    """Replicate seq_g layer by layer on the kind product of G and H.
-
-    An item of seq_g with no earlier neighbor (the a-value split) walks the
-    H-vertices fresh inside its layer, every other item walks dependent.
-    Returns the sequence and its check_sequence report on the product.
-    """
-    graph = product(kind, G, H).graph
-    out: list[int] = []
-    chosen = 0
-    for d in seq_g:
-        out.extend(d * H.n + h for h in (dependent if G.adj[d] & chosen else fresh))
-        chosen |= 1 << d
-    return out, check_sequence(graph, out)
-
-
 # per kind: the mode seq_h must be legal in (None: seq_h is not read), and
 # the two H-lists of the layered walk, taken from H and seq_h
 _LAYER_WALKS = {
@@ -595,19 +572,24 @@ def construct_product_witness(
     - strong: seq_h, both times. Length len(seq_g) * len(seq_h).
     For lexicographic and strong, seq_h must be a legal dominating sequence
     of H. The last three walks are legal for any legal inputs. The cartesian
-    one is legal whenever every seq_g item footprints some vertex other than
-    itself; an item whose only footprint is itself collapses inside its own
-    layer, and the sequence is rejected with the failing position named. The
-    replicated length can then be genuinely out of reach: every maximum
-    sequence of star(4) contains a self-only footprinter, and
-    grundy(cart(star(4), path(3))) is 8, short of 3 * 3.
+    one is legal exactly when H has no edge or every seq_g item footprints
+    some vertex other than itself; otherwise an item whose only footprint is
+    itself collapses inside its own layer, and the sequence is rejected with
+    the failing position named. The replicated length can then be genuinely
+    out of reach: every maximum sequence of star(4) contains a self-only
+    footprinter, and grundy(cart(star(4), path(3))) is 8, short of 3 * 3.
     """
     kind = normalize_kind(kind)
     mode, walks = _LAYER_WALKS[kind]
     _require_sequence(G, seq_g, "closed", "seq_g")
     if mode:
         _require_sequence(H, seq_h, mode, "total_seq_h" if mode == "open" else "seq_h")
-    out, rep = _layered_witness(kind, G, seq_g, H, *walks(H, seq_h))
+    fresh, dependent = walks(H, seq_h)
+    out, chosen = [], 0
+    for d in seq_g:
+        out.extend(d * H.n + h for h in (dependent if G.adj[d] & chosen else fresh))
+        chosen |= 1 << d
+    rep = check_sequence(product(kind, G, H).graph, out)
     if not rep.legal and kind == "cartesian":
         d, h = divmod(out[rep.illegal_at], H.n)
         raise ParameterError(
@@ -717,11 +699,11 @@ def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
     """Every applicable named bound for grundy of the given product.
 
     Each kind's lower bounds have their own source:
-    - cartesian: the layered walk of construct_product_witness. It walks a
-      maximum sequence of each factor across the other and keeps the longer
-      legal one; the entry is omitted when both collapse, since the
-      replicated length overstates the value on factors whose maximum
-      sequences all contain a self-only footprinter.
+    - cartesian: the walk of construct_product_witness, a maximum sequence
+      of each factor replicated across every layer of the other, decided on
+      the factors without building the product. The longer legal one is
+      kept; the entry is omitted when both collapse, as the replicated length
+      can overstate the value when every maximum sequence has a collapsing item.
     - direct: the weighted search of one factor A against the other B (no
       isolated vertex), an item weighing |V(B)| when no earlier item is
       adjacent to it and the total Grundy number of B otherwise; the better
@@ -739,14 +721,21 @@ def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
     # both products of H and G are isomorphic to those of G and H, so the
     # replication bounds try both orientations
     if kind == "cartesian":
-        # the layered walk builds the product: refuse its order before any solve
+        # refuse what construct cartesian refuses, then either factor, before any solve
         check_product_order(G.n * H.n)
+        for A in (G, H):
+            check_components(A, MAX_SOLVER_ORDER, "solver")
+        # Walking all of V(B) in each layer of seq is legal exactly when B has
+        # no edge or every item d of seq footprints some x != d. If: x gives a
+        # fresh (x, h) at every (d, h). Only if: a self-only item's layer is
+        # covered only from inside it, where the last vertex of a legal walk
+        # of all of V(B) must be isolated, and so on for the prefix before it.
         found = []
         for A, B in ((G, H), (H, G)):
-            seq, rep = _layered_witness(
-                "cartesian", A, grundy(A).witness, B, range(B.n), range(B.n))
-            if rep.legal:
-                found.append(len(seq))
+            seq = grundy(A).witness
+            owners = {d for x, d in check_sequence(A, seq).footprints.items() if x != d}
+            if not B.m or len(owners) == len(seq):
+                found.append(len(seq) * B.n)
         if found:
             lower.append(("cartesian_layer_replication", max(found)))
     elif kind == "direct":
@@ -774,6 +763,8 @@ def product_bounds(kind: str, G: Graph, H: Graph) -> BoundsReport:
         upper.append(("lex_sequence_formula", exact))
         upper.append(("lex_grundy_product", g_g * g_h))
     else:
+        for A in (G, H):
+            check_components(A, MAX_SOLVER_ORDER, "solver")
         g_g = grundy(G, witness=False).value
         g_h = grundy(H, witness=False).value
         lower.append(("strong_grundy_product", g_g * g_h))

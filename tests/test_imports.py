@@ -4,6 +4,7 @@ every public function is exported or referenced there,
 the package's __all__ lists exactly what its __init__ imports, sorted,
 the command line turns tokens into integers in one function only,
 the solver computes vertex orbits in one function only,
+the product bounds build no product outside the functions that need one,
 no except clause in the package swallows its exception with a bare pass,
 every parameter with a default is passed by some call,
 and every nested function that calls itself is deleted by the
@@ -330,6 +331,13 @@ def test_guard_sees_second_user():
 def test_solver_computes_orbits_in_one_root_routine():
     source = (Path(grundydom.__file__).parent / "solver.py").read_text()
     assert users_of(source, "vertex_orbits") == ["_root"]
+
+
+def test_product_bounds_builds_no_product():
+    # the bounds decide on the factors; only these build products
+    source = (Path(grundydom.__file__).parent / "theory.py").read_text()
+    assert users_of(source, "product") == [
+        "_scan_pair", "construct_product_witness", "isoperimetric_check", "strong_simplicial_upper"]
 
 
 def silent_handlers(source: str) -> list[int]:

@@ -624,6 +624,22 @@ def test_weighted_root_orbits_match_unpruned_search(monkeypatch):
     assert all(fired[-3:]) and sum(fired) == len(graphs) - 3, fired
 
 
+def test_one_vertex_components_compute_no_orbits(monkeypatch):
+    # a single vertex has one root move, so there is nothing for orbits to skip
+    calls = []
+
+    def counted(G: Graph) -> list[int]:
+        calls.append(G.n)
+        return vertex_orbits(G)
+
+    monkeypatch.setattr(solver, "vertex_orbits", counted)
+    assert grundy(Graph(1)).value == 1
+    res = grundy(disjoint_union(Graph(1), cycle(5)))
+    assert (res.value, res.stats.orbit_skips) == (4, 0)
+    assert max_weighted_sequence(Graph(1), 2, 1) == (2, [0])
+    assert calls == []
+
+
 def test_weighted_bound_skip_matches_unpruned_search():
     # the bound w_top * (free vertices) where w_top is the dependent weight,
     # (2, 3) and (0, 1), and at (0, 0), where it skips every child of a

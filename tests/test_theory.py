@@ -663,7 +663,7 @@ def test_product_bounds_strong():
 
 def test_product_bounds_check_caps_without_building_the_product(monkeypatch):
     # only the factors are solved, so oversize factors fail at the solver cap;
-    # the cartesian witness needs the product, whose order is refused first
+    # the cartesian kind refuses the product's order first, as construct does
     def refuse(kind, G, H):
         raise AssertionError(f"product {kind} built")
 
@@ -674,6 +674,9 @@ def test_product_bounds_check_caps_without_building_the_product(monkeypatch):
             product_bounds(kind, big, big)
     with pytest.raises(CapacityError, match="product order 40000 exceeds product cap 4096"):
         product_bounds("cartesian", big, big)
+    # the cartesian bound is decided on the factors
+    assert dict(product_bounds("cartesian", path(4), cycle(5)).lower) == {
+        "cartesian_layer_replication": 15}
     with pytest.raises(ParameterError, match="unknown product kind"):
         product_bounds("moebius", path(3), path(3))
     with pytest.raises(ParameterError, match="nonempty"):
@@ -700,6 +703,10 @@ def test_product_bounds_refuse_before_solving_the_first_factor(monkeypatch):
     for kind in ("direct", "lexicographic"):
         with pytest.raises(CapacityError, match="component order 36 exceeds weighted search cap 25"):
             product_bounds(kind, G, H)
+    # the strong and cartesian kinds would solve the grid before H is refused
+    for kind in ("strong", "cartesian"):
+        with pytest.raises(CapacityError, match="component order 65 exceeds solver cap 64"):
+            product_bounds(kind, product("cartesian", path(6), path(6)).graph, path(65))
     assert solved == []
 
 
@@ -769,6 +776,10 @@ def test_layered_lower_bounds_are_attained_by_builder_sequences():
     graphs += [
         disjoint_union(complete(2), disjoint_union(complete(1), complete(1))),
         disjoint_union(path(2), path(3)),
+        # 2K1, across which every walk is legal, and star(4) + K1, whose
+        # maximum sequences each hold an item whose only footprint is itself
+        disjoint_union(complete(1), complete(1)),
+        disjoint_union(star(4), complete(1)),
     ]
 
     def certified(kind, A, B, seq_a, seq_b=()):
