@@ -252,40 +252,66 @@ def mode_rows(G: Graph, mode: str) -> list[int]:
     raise ParameterError(f"unknown mode '{mode}'")
 
 
-def independence_number(G: Graph) -> int:
-    """Exact maximum independent set size: the sum over connected components
-    of a branching on a densest vertex."""
-    adj = G.adj
+def component_graphs(G: Graph, comps: list[int]) -> Iterator[tuple[list[int], Graph]]:
+    """Each component's vertices verts and its graph, in which verts[i] is
+    vertex i. A component that is all of G yields G itself, whose rows are
+    already those, so a connected graph is never copied."""
+    for comp in comps:
+        verts = bit_indices(comp)
+        if len(verts) == G.n:
+            yield verts, G
+            continue
+        bit = {v: 1 << i for i, v in enumerate(verts)}
+        # a component's rows stay inside it
+        yield verts, Graph._from_rows(sum(bit[w] for w in bit_indices(G.adj[v])) for v in verts)
 
-    def rec(cand: int, size: int):
-        nonlocal best
-        if size + cand.bit_count() <= best:
+
+def maximal_cliques(G: Graph) -> list[int]:
+    """All maximal cliques as vertex masks (Bron-Kerbosch with pivoting)."""
+    adj = G.adj
+    out: list[int] = []
+
+    def expand(r: int, p: int, x: int) -> None:
+        if not p:
+            if not x:
+                out.append(r)
             return
-        if not cand:
-            best = max(best, size)
-            return
-        pick, deg = -1, -1
-        m = cand
+        # pivot on the first vertex of p | x with the most neighbours in p
+        most, pivot_row = -1, 0
+        m = p | x
         while m:
             low = m & -m
-            v = low.bit_length() - 1
             m ^= low
-            d = (adj[v] & cand).bit_count()
-            if d > deg:
-                deg, pick = d, v
-        if deg == 0:
-            best = max(best, size + cand.bit_count())
-            return
-        bit = 1 << pick
-        rec(cand & ~(adj[pick] | bit), size + 1)
-        rec(cand & ~bit, size)
+            row = adj[low.bit_length() - 1]
+            d = (row & p).bit_count()
+            if d > most:
+                most, pivot_row = d, row
+        cand = p & ~pivot_row
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            row = adj[low.bit_length() - 1]
+            expand(r | low, p & row, x & row)
+            p ^= low
+            x |= low
 
+    if G.n:
+        expand(0, G.full_mask, 0)
+    # expand refers to itself through its closure; break that cycle so that
+    # its frame is freed now, not at the next cyclic garbage collection
+    del expand
+    return out
+
+
+def independence_number(G: Graph) -> int:
+    """Exact maximum independent set size: the sum over connected components
+    of the largest maximal clique of each one's complement (the complement
+    of a disconnected graph joins those, and its maximal cliques multiply)."""
     total = 0
-    for comp in connected_components(G):
-        best = 0
-        rec(comp, 0)
-        total += best
-    del rec  # as in _canonical_search
+    for _, sub in component_graphs(G, connected_components(G)):
+        full = sub.full_mask
+        co = Graph._from_rows(full ^ row ^ 1 << v for v, row in enumerate(sub.adj))
+        total += max(map(int.bit_count, maximal_cliques(co)))
     return total
 
 

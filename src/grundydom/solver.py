@@ -47,8 +47,9 @@ and the root's early stop count columns, not vertices.
 
 Both exact searches, this one and max_weighted_sequence below, see only
 connected graphs. The value adds up over connected components, so each
-component is solved as a graph of its own, vertex verts[i] relabelled i,
-and its memo is freed before the next one. Both start at one root routine
+component is solved as a graph of its own, vertex verts[i] relabelled i
+(a connected graph is searched as it is, with no copy), and its memo is
+freed before the next one. Both start at one root routine
 and end in one witness walk; the plain search passes unit weights, with
 which its bound skip width - c >= best reads 1 + 1 * (width - c) > best.
 
@@ -110,10 +111,10 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import astuple, dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .errors import CapacityError, ParameterError
-from .graphs import Graph, bit_indices, connected_components, mode_rows, vertex_orbits
+from .graphs import Graph, component_graphs, connected_components, mode_rows, vertex_orbits
 
 MAX_SOLVER_ORDER = 64
 BRUTE_MAX_ORDER = 10
@@ -155,15 +156,6 @@ def check_components(G: Graph, cap: int, search: str) -> list[int]:
     if largest > cap:
         raise CapacityError(f"component order {largest} exceeds {search} cap {cap}")
     return comps
-
-
-def _subgraphs(G: Graph, comps: list[int]) -> Iterator[tuple[list[int], Graph]]:
-    """Each component's vertices verts and its graph, in which verts[i] is vertex i."""
-    for comp in comps:
-        verts = bit_indices(comp)
-        bit = {v: 1 << i for i, v in enumerate(verts)}
-        # a component's rows stay inside it
-        yield verts, Graph._from_rows(sum(bit[w] for w in bit_indices(G.adj[v])) for v in verts)
 
 
 def _merged(walks: Iterable[tuple[list[int], list[int]]]) -> list[int]:
@@ -311,7 +303,7 @@ def grundy(G: Graph, mode: str = "closed", *, witness: bool = True) -> SolveResu
     if len(comps) == 1:
         return _grundy_connected(G, mode_rows(G, mode), witness)
     # every component's rows first, so that a bad mode fails before any search
-    subs = [(verts, sub, mode_rows(sub, mode)) for verts, sub in _subgraphs(G, comps)]
+    subs = [(verts, sub, mode_rows(sub, mode)) for verts, sub in component_graphs(G, comps)]
     parts = [(verts, _grundy_connected(sub, rows, witness)) for verts, sub, rows in subs]
     stats = SolveStats(*map(sum, zip(*(astuple(res.stats) for _, res in parts))))
     seq = _merged((verts, res.witness) for verts, res in parts)
@@ -377,7 +369,7 @@ def max_weighted_sequence(G: Graph, w_independent: int, w_dependent: int) -> tup
     if w_independent < 0 or w_dependent < 0:
         raise ParameterError("weights must be nonnegative")
     parts = [(verts, _weighted_connected(sub, w_independent, w_dependent))
-             for verts, sub in _subgraphs(G, comps)]
+             for verts, sub in component_graphs(G, comps)]
     return sum(total for _, (total, _) in parts), _merged((verts, seq) for verts, (_, seq) in parts)
 
 

@@ -44,6 +44,7 @@ from .graphs import (
     is_int,
     is_simplicial,
     mask_of,
+    maximal_cliques,
     path,
 )
 from .products import check_product_order, normalize_kind, product
@@ -72,43 +73,6 @@ def _chk(cond: bool, msg: str) -> None:
 
 # ---------------------------------------------------------------------------
 # Edge clique cover
-
-
-def maximal_cliques(G: Graph) -> list[int]:
-    """All maximal cliques as vertex masks (Bron-Kerbosch with pivoting)."""
-    adj = G.adj
-    out: list[int] = []
-
-    def expand(r: int, p: int, x: int) -> None:
-        if not p:
-            if not x:
-                out.append(r)
-            return
-        # pivot on the first vertex of p | x with the most neighbours in p
-        most, pivot_row = -1, 0
-        m = p | x
-        while m:
-            low = m & -m
-            m ^= low
-            row = adj[low.bit_length() - 1]
-            d = (row & p).bit_count()
-            if d > most:
-                most, pivot_row = d, row
-        cand = p & ~pivot_row
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            row = adj[low.bit_length() - 1]
-            expand(r | low, p & row, x & row)
-            p ^= low
-            x |= low
-
-    if G.n:
-        expand(0, G.full_mask, 0)
-    # expand refers to itself through its closure; break that cycle so that
-    # its frame is freed now, not at the next cyclic garbage collection
-    del expand
-    return out
 
 
 def _min_set_cover(n_items: int, sets: list[int]) -> int:
@@ -151,7 +115,7 @@ def _min_set_cover(n_items: int, sets: list[int]) -> int:
             descend(covered | s, used + 1)
 
     descend(start, len(forced))
-    del descend  # as in maximal_cliques
+    del descend  # as in graphs.maximal_cliques
     return best
 
 

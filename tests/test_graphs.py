@@ -58,6 +58,10 @@ def test_family_shapes():
     c = cycle(5)
     assert c.n == 5 and c.m == 5 and c.name == "C5"
     assert c.has_edge(0, 4) and c.has_edge(0, 1) and not c.has_edge(0, 2)
+    # equal rows hash equal, however the graph was built
+    assert complete(3) == Graph(3, [(0, 1), (0, 2), (1, 2)])
+    assert hash(complete(3)) == hash(Graph(3, [(0, 1), (0, 2), (1, 2)]))
+    assert repr(path(3)) == "Graph(P3: n=3, m=2)"
     k = complete(4)
     assert k.m == 6 and all(k.degree(v) == 3 for v in range(4))
     s = star(4)
@@ -188,12 +192,13 @@ def test_independence_number_brute():
 
 
 def _alpha_branches(G: Graph, cap: int) -> int:
-    """Calls of independence_number's branching on G; RuntimeError past cap."""
+    """Calls of maximal_cliques' Bron-Kerbosch expand while independence_number
+    runs on G; RuntimeError past cap."""
     calls = 0
 
     def count(frame, event, arg):
         nonlocal calls
-        if event == "call" and frame.f_code.co_name == "rec" \
+        if event == "call" and frame.f_code.co_name == "expand" \
                 and frame.f_globals["__name__"] == "grundydom.graphs":
             calls += 1
             if calls > cap:
@@ -209,8 +214,10 @@ def _alpha_branches(G: Graph, cap: int) -> int:
 
 def test_independence_number_adds_up_over_components():
     # alpha is a sum over components, so disjoint copies must cost the sum of
-    # their searches; branching over the whole union grew ~15x per copy of C9
+    # their clique searches; the complement of the whole union joins the
+    # copies' complements, and its maximal cliques multiply per copy of C9
     one = _alpha_branches(cycle(9), cap=10_000)
+    assert one >= 1
     union = cycle(9)
     for _ in range(7):
         union = disjoint_union(union, cycle(9))

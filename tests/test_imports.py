@@ -4,6 +4,7 @@ every public function is exported or referenced there,
 the package's __all__ lists exactly what its __init__ imports, sorted,
 the command line turns tokens into integers in one function only,
 the solver computes vertex orbits in one function only,
+only graphs defines the clique routine and the component split,
 the product bounds build no product outside the functions that need one,
 no except clause in the package swallows its exception with a bare pass,
 every parameter with a default is passed by some call,
@@ -331,6 +332,20 @@ def test_guard_sees_second_user():
 def test_solver_computes_orbits_in_one_root_routine():
     source = (Path(grundydom.__file__).parent / "solver.py").read_text()
     assert users_of(source, "vertex_orbits") == ["_root"]
+
+
+def definers(name: str) -> list[str]:
+    """Package modules that define name at module level."""
+    return [
+        path.name for path in MODULES
+        if any(name in defined_names(node) for node in ast.parse(path.read_text()).body)
+    ]
+
+
+def test_graphs_holds_the_one_clique_routine_and_component_split():
+    assert definers("maximal_cliques") == ["graphs.py"]
+    assert definers("component_graphs") == ["graphs.py"]
+    assert definers("_subgraphs") == []
 
 
 def test_product_bounds_builds_no_product():
