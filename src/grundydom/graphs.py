@@ -42,7 +42,7 @@ def add_edge(rows: list[int], u: int, v: int, line: int | None = None) -> None:
     """Join u and v in adjacency rows under construction, refusing an edge a
     simple graph on len(rows) vertices cannot have; line numbers the error."""
     n = len(rows)
-    if not (0 <= u < n and 0 <= v < n):
+    if not (is_int(u) and is_int(v) and 0 <= u < n and 0 <= v < n):
         raise ParseError(f"edge {u} {v} out of range for {n} vertices", line)
     if u == v:
         raise ParseError(f"loop edge at vertex {u}", line)
@@ -58,8 +58,8 @@ class Graph:
     __slots__ = ("n", "adj", "name")
 
     def __init__(self, n: int, edges: Iterable[tuple[int, int]] = (), name: str | None = None):
-        if n < 0:
-            raise ParameterError("vertex count must be nonnegative")
+        if not is_int(n) or n < 0:
+            raise ParameterError("vertex count must be a nonnegative integer")
         rows = [0] * n
         for u, v in edges:
             add_edge(rows, u, v)
@@ -115,28 +115,29 @@ class Graph:
         return f"Graph({self.display_name}: n={self.n}, m={self.m})"
 
 
+def _check_order(k: int, least: int, family: str) -> None:
+    if not is_int(k) or k < least:
+        raise ParameterError(f"{family} order must be at least {least}")
+
+
 def path(k: int) -> Graph:
-    if k < 1:
-        raise ParameterError("path order must be at least 1")
+    _check_order(k, 1, "path")
     return Graph(k, [(i, i + 1) for i in range(k - 1)], name=f"P{k}")
 
 
 def cycle(k: int) -> Graph:
-    if k < 3:
-        raise ParameterError("cycle order must be at least 3")
+    _check_order(k, 3, "cycle")
     return Graph(k, [(i, (i + 1) % k) for i in range(k)], name=f"C{k}")
 
 
 def complete(k: int) -> Graph:
-    if k < 1:
-        raise ParameterError("complete graph order must be at least 1")
+    _check_order(k, 1, "complete graph")
     return Graph._from_rows((((1 << k) - 1) ^ (1 << v) for v in range(k)), name=f"K{k}")
 
 
 def star(k: int) -> Graph:
     """Star on k vertices: center 0 joined to leaves 1..k-1."""
-    if k < 1:
-        raise ParameterError("star order must be at least 1")
+    _check_order(k, 1, "star")
     return Graph(k, [(0, i) for i in range(1, k)], name=f"S{k}")
 
 
@@ -146,11 +147,11 @@ def caterpillar(spine: int, legs: Iterable[int]) -> Graph:
     Vertex layout: spine 0..spine-1 first, then leaves grouped by spine vertex.
     """
     legs = list(legs)
-    if spine < 1:
+    if not is_int(spine) or spine < 1:
         raise ParameterError("caterpillar spine must have at least 1 vertex")
     if len(legs) != spine:
         raise ParameterError(f"caterpillar expects {spine} leg counts, got {len(legs)}")
-    if any(x < 0 for x in legs):
+    if not all(is_int(x) and x >= 0 for x in legs):
         raise ParameterError("leg counts must be nonnegative")
     edges = [(i, i + 1) for i in range(spine - 1)]
     nxt = spine
@@ -204,10 +205,14 @@ def boundary(G: Graph, S: int) -> int:
     return _neighbors(G.adj, S) & ~S
 
 
+def _check_vertex(G: Graph, v: int) -> None:
+    if not (is_int(v) and 0 <= v < G.n):
+        raise ParameterError(f"vertex {v} out of range")
+
+
 def ball(G: Graph, v: int, r: int) -> int:
     """All vertices within distance r of v."""
-    if not 0 <= v < G.n:
-        raise ParameterError(f"vertex {v} out of range")
+    _check_vertex(G, v)
     if r < 0:
         raise ParameterError("radius must be nonnegative")
     seen = frontier = 1 << v
@@ -317,8 +322,7 @@ def independence_number(G: Graph) -> int:
 
 def is_simplicial(G: Graph, v: int) -> bool:
     """True when N(v) induces a clique (leaves and isolated vertices count)."""
-    if not 0 <= v < G.n:
-        raise ParameterError(f"vertex {v} out of range")
+    _check_vertex(G, v)
     nb = G.adj[v]
     m = nb
     while m:
@@ -332,8 +336,7 @@ def is_simplicial(G: Graph, v: int) -> bool:
 
 def delete_vertex(G: Graph, v: int) -> Graph:
     """Remove v; vertices above v shift down by one."""
-    if not 0 <= v < G.n:
-        raise ParameterError(f"vertex {v} out of range")
+    _check_vertex(G, v)
     below = (1 << v) - 1
     return Graph._from_rows(
         row & below | row >> 1 & ~below for u, row in enumerate(G.adj) if u != v
@@ -586,12 +589,15 @@ def _orbits(n: int, perms: list[list[int]]) -> list[int]:
 
 def graph_from_code(n: int, code: int, name: str | None = None) -> Graph:
     """Inverse of the code packing used by canonical_code."""
-    edges = []
+    # a code has one bit per pair i < j, so it encodes no loop, duplicate or
+    # out-of-range edge, and the rows need no edge check
+    rows = [0] * n
     for i in range(n):
         for j in range(i + 1, n):
             if code >> _pair_bit(n, i, j) & 1:
-                edges.append((i, j))
-    return Graph(n, edges, name=name)
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph._from_rows(rows, name=name)
 
 
 # the classes of each order: canonical code, in increasing order, to the
@@ -706,7 +712,7 @@ def _subset_orbit_representatives(n: int, perms: list[list[int]]) -> list[int]:
 
 def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     """One representative per isomorphism class of connected graphs on n vertices."""
-    if n < 1:
+    if not is_int(n) or n < 1:
         raise ParameterError("order must be at least 1")
     if n > ENUM_MAX_VERTICES:
         raise ParameterError(f"enumeration capped at {ENUM_MAX_VERTICES} vertices")

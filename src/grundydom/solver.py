@@ -73,21 +73,19 @@ max_weighted_sequence (behind lex_grundy) also memoizes on the dominated
 set alone: in closed mode an unchosen vertex has a chosen neighbor exactly
 when it is dominated, so the dominated set fixes the weight of every move:
 w_dependent for a dominated vertex, w_independent for an undominated one.
-Two weighted forms of the one-fresh-vertex rule settle a position D by the
-first move u in vertex order that meets one of them:
-
-(a) The weights are equal, w each, and u has a single fresh vertex x.
-    Every item weighs w, so this is the rule above: value(D) = w +
-    value(D | x).
-(b) w_independent >= w_dependent, u is undominated and its fresh set is
-    {u}, so every neighbor of u is dominated. Then value(D) =
-    w_independent + value(D | u). Sketch: let b be the first move of an
-    optimal maximal sequence s to cover u. If b = u, move it to the front:
-    that covers only u earlier, no other move has u as its footprint, and
-    no earlier move is a neighbor of u, so every weight stays. If b != u,
-    then b is a neighbor of u, hence dominated in D and weighing
-    w_dependent. Play u first and drop b: every other move keeps a fresh
-    footprint, and dropping b can only turn dependent items independent.
+Equal positive weights need no search of their own: when every item weighs
+w, the best maximal sequences are the longest legal ones, so
+max_weighted_sequence returns w times grundy's value with grundy's witness.
+Otherwise one weighted form of the one-fresh-vertex rule settles a position
+D by the first move u in vertex order that meets it: w_independent >=
+w_dependent, u is undominated and its fresh set is {u}, so every neighbor
+of u is dominated. Then value(D) = w_independent + value(D | u). Sketch:
+let b be the first move of an optimal maximal sequence s to cover u. If
+b = u, move it to the front: that covers only u earlier, no other move has
+u as its footprint, and no earlier move is a neighbor of u, so every weight
+stays. If b != u, then b is a neighbor of u, hence dominated in D and
+weighing w_dependent. Play u first and drop b: every other move keeps a
+fresh footprint, and dropping b can only turn dependent items independent.
 
 Nothing else settles a position. On the path p-u-x from D = {p, u}, the
 dominated u has the one fresh vertex x but scores only w_dependent, while
@@ -110,7 +108,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass
 from typing import Callable, Iterable
 
 from .errors import CapacityError, ParameterError
@@ -140,8 +138,8 @@ class SolveStats:
 @dataclass
 class SolveResult:
     value: int
-    witness: list[int] = field(default_factory=list)
-    stats: SolveStats = field(default_factory=SolveStats)
+    witness: list[int]
+    stats: SolveStats
 
 
 def check_components(G: Graph, cap: int, search: str) -> list[int]:
@@ -313,9 +311,10 @@ def grundy(G: Graph, mode: str = "closed", *, witness: bool = True) -> SolveResu
 def grundy_bruteforce(G: Graph, mode: str = "closed") -> SolveResult:
     """Definition-level oracle: enumerate every legal sequence, no memoization.
 
-    Records the length whenever the covered union reaches V(G), keeping the
-    first longest sequence found; depth-first in ascending vertex order, so
-    the witness is the lexicographically least one of maximum length.
+    Keeps the first longest sequence whose covered union reaches V(G); a
+    played vertex has its whole row covered, so legality never replays it.
+    Depth-first in ascending vertex order, so the witness is the
+    lexicographically least one of maximum length.
     """
     n = G.n
     if n < 1:
@@ -325,30 +324,26 @@ def grundy_bruteforce(G: Graph, mode: str = "closed") -> SolveResult:
     rows = mode_rows(G, mode)
     full = G.full_mask
     start = time.perf_counter()
-    best_len = 0
     best_seq: list[int] = []
     seq: list[int] = []
     nodes = 0
 
-    def rec(dominated: int, chosen: int):
-        nonlocal best_len, best_seq, nodes
+    def rec(dominated: int):
+        nonlocal best_seq, nodes
         nodes += 1
-        if dominated == full and len(seq) > best_len:
-            best_len = len(seq)
+        if dominated == full and len(seq) > len(best_seq):
             best_seq = seq.copy()
         for u in range(n):
-            if chosen >> u & 1:
-                continue
             new = rows[u] & ~dominated
             if new:
                 seq.append(u)
-                rec(dominated | new, chosen | 1 << u)
+                rec(dominated | new)
                 seq.pop()
 
-    rec(0, 0)
+    rec(0)
     del rec  # as in graphs._canonical_search
-    stats = SolveStats(nodes=nodes, memo_entries=0, search_s=time.perf_counter() - start)
-    return SolveResult(value=best_len, witness=best_seq, stats=stats)
+    stats = SolveStats(nodes=nodes, search_s=time.perf_counter() - start)
+    return SolveResult(value=len(best_seq), witness=best_seq, stats=stats)
 
 
 def max_weighted_sequence(G: Graph, w_independent: int, w_dependent: int) -> tuple[int, list[int]]:
@@ -368,6 +363,10 @@ def max_weighted_sequence(G: Graph, w_independent: int, w_dependent: int) -> tup
     comps = check_components(G, WEIGHTED_MAX_ORDER, "weighted search")
     if w_independent < 0 or w_dependent < 0:
         raise ParameterError("weights must be nonnegative")
+    if w_independent == w_dependent > 0:
+        # every item weighs the same: the longest legal sequences (module docstring)
+        res = grundy(G)
+        return w_independent * res.value, res.witness
     parts = [(verts, _weighted_connected(sub, w_independent, w_dependent))
              for verts, sub in component_graphs(G, comps)]
     return sum(total for _, (total, _) in parts), _merged((verts, seq) for verts, (_, seq) in parts)
@@ -379,11 +378,7 @@ def _weighted_connected(G: Graph, w_independent: int, w_dependent: int) -> tuple
     rows = mode_rows(G, "closed")
     moves_of = list(zip(rows, (1 << u for u in range(n))))
     memo: dict[int, int] = {}
-    # which one-fresh-vertex moves settle a position (module docstring):
-    # any of them when the weights are equal, and an undominated one whose
-    # neighbors are all dominated when independent items weigh at least as
-    # much as dependent ones
-    settle_any = w_independent == w_dependent
+    # the one settling rule (module docstring) needs w_independent >= w_dependent
     settle_own = w_independent >= w_dependent
     # every move covers a fresh vertex and weighs at most w_top, so a position
     # with k free vertices is worth at most w_top * k
@@ -399,7 +394,7 @@ def _weighted_connected(G: Graph, w_independent: int, w_dependent: int) -> tuple
             new = row & free
             if new:
                 w = w_dependent if dom & bit else w_independent
-                if new.bit_count() == 1 and (settle_any or settle_own and new == bit):
+                if settle_own and new == bit:
                     best = memo[dom] = w + value(dom | new)
                     return best
                 moves.append((w, new))

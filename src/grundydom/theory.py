@@ -196,15 +196,13 @@ def boundary_sufficient_bound(
     explicitly flagged as uncertified.
     """
     _chk(1 <= m <= G.n, "m must satisfy 1 <= m <= n")
-    subsets, checked, exhaustive = _subsets(G.n, m, trials, seed)
+    subsets, checked = _subsets(G.n, m, trials, seed)
     best = min(boundary(G, mask).bit_count() for mask in subsets)
-    return BoundaryBound(G.n, m, best, certified=exhaustive, checked=checked)
+    return BoundaryBound(G.n, m, best, certified=trials is None, checked=checked)
 
 
-def _subsets(
-    n: int, m: int, trials: int | None, seed: int
-) -> tuple[Iterator[int], int, bool]:
-    """m-subsets of range(n) as masks, how many there are, and whether that is all.
+def _subsets(n: int, m: int, trials: int | None, seed: int) -> tuple[Iterator[int], int]:
+    """m-subsets of range(n) as masks, and how many there are.
 
     With trials=None every one of the C(n, m) subsets is yielded; otherwise
     trials subsets drawn by random.Random(seed).sample. Either count is
@@ -217,12 +215,12 @@ def _subsets(
                 f"C({n},{m}) = {total} subsets exceed the exhaustive guard"
                 f" ({SUBSET_ENUM_LIMIT}); pass trials= to sample"
             )
-        return (mask_of(c) for c in combinations(range(n), m)), total, True
+        return (mask_of(c) for c in combinations(range(n), m)), total
     _chk(trials >= 1, "trials must be positive")
     if trials > SUBSET_ENUM_LIMIT:
         raise CapacityError(f"{trials} trials exceed the subset guard ({SUBSET_ENUM_LIMIT})")
     rng = random.Random(seed)
-    return (mask_of(rng.sample(range(n), m)) for _ in range(trials)), trials, False
+    return (mask_of(rng.sample(range(n), m)) for _ in range(trials)), trials
 
 
 # ---------------------------------------------------------------------------
@@ -916,7 +914,7 @@ def isoperimetric_check(
     ball_boundary = boundary(prod_graph, ball_mask).bit_count()
     violations = 0
     examples: list[int] = []
-    subsets, checked, exhaustive = _subsets(prod_graph.n, size, trials, seed)
+    subsets, checked = _subsets(prod_graph.n, size, trials, seed)
     for mask in subsets:
         if boundary(prod_graph, mask).bit_count() < ball_boundary:
             violations += 1
@@ -930,6 +928,6 @@ def isoperimetric_check(
         ball_boundary=ball_boundary,
         checked=checked,
         violations=violations,
-        exhaustive=exhaustive,
+        exhaustive=trials is None,
         examples=tuple(examples),
     )

@@ -94,6 +94,36 @@ def test_family_errors():
         Graph(-1)
 
 
+def test_bools_and_floats_are_no_vertex_ids_or_counts():
+    # True == 1, but it names no vertex and counts none
+    bad = {
+        "Graph(True)": lambda: Graph(True),
+        "Graph(2.0)": lambda: Graph(2.0),
+        "path(True)": lambda: path(True),
+        "path(2.5)": lambda: path(2.5),
+        "star(True)": lambda: star(True),
+        "complete(True)": lambda: complete(True),
+        "cycle(3.0)": lambda: cycle(3.0),
+        "caterpillar(True, [1])": lambda: caterpillar(True, [1]),
+        "caterpillar(2, [True, 0])": lambda: caterpillar(2, [True, 0]),
+        "enumerate_connected_graphs(True)": lambda: list(enumerate_connected_graphs(True)),
+        "Graph(3, [(True, 2)])": lambda: Graph(3, [(True, 2)]),
+        "Graph(3, [(0, False)])": lambda: Graph(3, [(0, False)]),
+        "Graph(3, [(0.0, 1)])": lambda: Graph(3, [(0.0, 1)]),
+        "ball": lambda: ball(path(3), True, 1),
+        "is_simplicial": lambda: is_simplicial(path(3), True),
+        "delete_vertex": lambda: delete_vertex(path(3), True),
+    }
+    for name, call in bad.items():
+        with pytest.raises(ParameterError):
+            call()
+            pytest.fail(name)
+    with pytest.raises(ParameterError, match="^edge True 2 out of range for 3 vertices$"):
+        Graph(3, [(True, 2)])
+    with pytest.raises(ParameterError, match="^vertex True out of range$"):
+        ball(path(3), True, 1)
+
+
 def test_caterpillar_layout():
     g = caterpillar(3, [1, 0, 2])
     # spine 0-1-2 first, then legs grouped by spine vertex

@@ -512,7 +512,10 @@ def public_calls() -> dict[str, object]:
         "canonical_code": lambda: graphs.canonical_code(c5p3),
         "independence_number": lambda: graphs.independence_number(c5p3),
         "maximal_cliques": lambda: theory.maximal_cliques(c5p3),
-        "max_weighted_sequence": lambda: solver.max_weighted_sequence(gd.cycle(7), 2, 1),
+        "max_weighted_sequence": lambda: [
+            solver.max_weighted_sequence(gd.cycle(7), 2, 1),
+            solver.max_weighted_sequence(gd.cycle(7), 2, 2),
+        ],
         "vertex_orbits": lambda: graphs.vertex_orbits(c5p3),
     }
 

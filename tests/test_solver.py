@@ -126,6 +126,11 @@ def test_witness_flag_and_stats():
     assert res.stats.nodes > 0 and res.stats.search_s > 0.0 and res.stats.reconstruct_s > 0.0
     assert grundy_bruteforce(cycle(6)).stats.search_s > 0.0
     assert res.stats.memo_entries > 0
+    # the oracle's nodes are its legal prefixes, the empty one included,
+    # closed and open mode
+    graphs = [cycle(6), path(5), star(5), complete(4), product("cartesian", path(2), path(4)).graph]
+    nodes = [tuple(grundy_bruteforce(g, mode).stats.nodes for mode in ("closed", "open")) for g in graphs]
+    assert nodes == [(193, 361), (56, 114), (106, 14), (5, 17), (1361, 2157)]
 
 
 def test_forced_positions_are_counted():
@@ -530,8 +535,8 @@ def test_max_weighted_sequence_against_brute():
 def test_max_weighted_sequence_oracle_gate():
     # value and lexicographically least witness on every connected graph of
     # order <= 6 and on seeded random graphs of order 8; (2, 3) makes
-    # dependent items weigh more than independent ones, and (2, 2) and
-    # (3, 2) reach both one-fresh-vertex rules with weights above 1
+    # dependent items weigh more than independent ones, (3, 2) reaches the
+    # settling rule with weights above 1, and (2, 2) takes grundy's path
     graphs = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
     rng = random.Random(2016)
     graphs += [random_connected_graph(rng, 8) for _ in range(10)]
@@ -669,10 +674,24 @@ def test_max_weighted_sequence_dominated_move_does_not_settle():
     assert max_weighted_sequence(path(3), 3, 1) == (6, [0, 2])
 
 
-def test_max_weighted_sequence_unit_weights_match_grundy():
-    for g in (path(5), cycle(6), star(5)):
-        val, _ = max_weighted_sequence(g, 1, 1)
-        assert val == grundy(g).value
+def test_equal_positive_weights_take_grundy(monkeypatch):
+    # every item weighs w, so the value is w times grundy's and the witness
+    # is grundy's, with no weighted search; (0, 0) still runs that search
+    searched = []
+    weighted = solver._weighted_connected
+
+    def spy(G: Graph, wi: int, wd: int) -> tuple[int, list[int]]:
+        searched.append((G.n, wi, wd))
+        return weighted(G, wi, wd)
+
+    monkeypatch.setattr(solver, "_weighted_connected", spy)
+    for g in (path(5), cycle(6), star(5), disjoint_union(path(3), cycle(4))):
+        res = grundy(g)
+        for w in (1, 2):
+            assert max_weighted_sequence(g, w, w) == (w * res.value, res.witness)
+    assert searched == []
+    assert max_weighted_sequence(path(5), 0, 0) == (0, [0, 1, 2, 3])
+    assert searched == [(5, 0, 0)]
 
 
 def test_max_weighted_sequence_guards():
@@ -694,8 +713,8 @@ def test_weighted_cap_counts_the_largest_component():
 
 
 def test_max_weighted_sequence_accepts_cap_order():
-    val, seq = max_weighted_sequence(path(25), 1, 1)
-    assert val == grundy(path(25)).value == len(seq)
+    # unequal weights, so that the weighted search itself runs at order 25
+    assert max_weighted_sequence(star(25), 3, 1) == (72, list(range(1, 25)))
 
 
 @pytest.mark.parametrize("kind, mode", [("strong", "closed"), ("direct", "open")])

@@ -309,6 +309,53 @@ def test_formula_preconditions():
         assert str(err.value).startswith(f"{fid}:"), (fid, params)
 
 
+# the two-parameter path and cycle formulas: formula -> product kind and the
+# factor families of its parameters, in closed mode
+FACTOR_FORMULAS = {
+    "thm_cart_grid": ("cartesian", path, path),
+    "thm_cart_cylinder": ("cartesian", path, cycle),
+    "thm_cart_torus": ("cartesian", cycle, cycle),
+    "cor_direct_PC": ("direct", path, cycle),
+    "cor_direct_CC": ("direct", cycle, cycle),
+    "cor_direct_PP": ("direct", path, path),
+    "prop_direct_PP_upper": ("direct", path, path),
+    "cor_direct_PP_even": ("direct", path, path),
+    "cor_strong_grid": ("strong", path, path),
+    "cor_strong_cylinder": ("strong", path, cycle),
+    "cor_strong_torus_upper": ("strong", cycle, cycle),
+    "conj_strong_torus": ("strong", cycle, cycle),
+}
+
+
+def test_formulas_agree_with_the_solver():
+    # every parameter pair the formula accepts whose product has at most 30
+    # vertices: an exact or conjectured value equals the solver's, a lower
+    # bound does not exceed it and an upper bound does not fall below it
+    verdicts = {
+        "exact": int.__eq__,
+        "conjectured": int.__eq__,
+        "lower-bound": int.__le__,
+        "upper-bound": int.__ge__,
+    }
+    solved: dict[tuple, int] = {}
+    checks = Counter()
+    for fid, (kind, first, second) in FACTOR_FORMULAS.items():
+        for k in range(1, 31):
+            for l in range(1, 30 // k + 1):
+                try:
+                    claimed, exactness = formula_value(fid, (k, l))
+                except ParameterError:
+                    continue
+                key = (kind, first.__name__, k, second.__name__, l)
+                if key not in solved:
+                    g = product(kind, first(k), second(l)).graph
+                    solved[key] = grundy(g, witness=False).value
+                assert verdicts[exactness](claimed, solved[key]), (fid, k, l, claimed, solved[key])
+                checks[fid] += 1
+    assert set(checks) == set(FACTOR_FORMULAS)
+    assert (sum(checks.values()), len(solved)) == (305, 245)
+
+
 def test_formula_unknown_and_arity():
     with pytest.raises(ParameterError) as err:
         formula_value("thm_unheard_of", (3,))
