@@ -90,9 +90,12 @@ class Graph:
         return self.name if self.name else f"G{self.n}v{self.m}e"
 
     def degree(self, v: int) -> int:
+        _check_vertex(self, v)
         return self.adj[v].bit_count()
 
     def has_edge(self, u: int, v: int) -> bool:
+        _check_vertex(self, u)
+        _check_vertex(self, v)
         return bool(self.adj[u] >> v & 1)
 
     def edges(self) -> list[tuple[int, int]]:

@@ -57,8 +57,9 @@ which its bound skip width - c >= best reads 1 + 1 * (width - c) > best.
   earlier root move has the same value and is skipped. The orbits are
   merged from the automorphisms that the canonical labelling search records
   (graphs.vertex_orbits), and are only computed on n >= 2 vertices once the
-  first root move's subtree has expanded at least n^2 nodes, so small
-  solves never pay for it.
+  first root move's subtree has expanded at least 8n nodes. The orbits cost
+  about as much as 10n to 25n search positions, so a search pays for them
+  only after comparable work, and no graph of order <= 7 computes them.
 - Witness walk. At each position the walk takes the least vertex whose
   child still reaches the value t that is left, so the witness is the
   lexicographically least optimal one. At the root it reads each child's
@@ -216,16 +217,20 @@ def _root(G: Graph, rows: list[int], width: int, value: Callable[[int], int],
 
     Root moves run in ascending vertex order within equal coverage size, so
     each orbit is first met at its least vertex. In the plain search, a first
-    move that settles the root never trips the n^2 trigger, as it forces
-    every position under it.
+    move that settles the root never trips the 8n trigger, as it forces
+    every position under it: its subtree holds fewer than n entries.
     """
     n = G.n
     moves = sorted((row.bit_count(), u) for u, row in enumerate(rows))
     best = w_root + value(rows[moves[0][1]])
     reps: list[int] | None = None
     # the memo was empty before the first move, so it holds that subtree; a
-    # single vertex has no second root move to skip
-    if n > 1 and len(memo) >= n * n:
+    # single vertex has no second root move to skip. vertex_orbits costs as
+    # much as about 10n to 25n search positions (0.14 ms on cartesian(P4,P4),
+    # 0.78 ms on cartesian(C6,C6)), so orbits wait for a first subtree of 8n
+    # entries: n^2 missed cartesian(C3,C5) in the weighted search (180
+    # entries), 4n computed them for nothing on a census's small products.
+    if n > 1 and len(memo) >= 8 * n:
         reps = vertex_orbits(G)
         # automorphic moves cover equally many vertices, so each orbit
         # comes first at its least vertex, its representative
@@ -297,7 +302,11 @@ def grundy(G: Graph, mode: str = "closed", *, witness: bool = True) -> SolveResu
     SolveStats field is the sum over the components. A component's memo
     keeps every position it expands until the component is done.
     """
-    comps = check_components(G, MAX_SOLVER_ORDER, "solver")
+    return _grundy_split(G, check_components(G, MAX_SOLVER_ORDER, "solver"), mode, witness)
+
+
+def _grundy_split(G: Graph, comps: list[int], mode: str, witness: bool) -> SolveResult:
+    # grundy on the components comps that check_components found
     if len(comps) == 1:
         return _grundy_connected(G, mode_rows(G, mode), witness)
     # every component's rows first, so that a bad mode fails before any search
@@ -365,7 +374,7 @@ def max_weighted_sequence(G: Graph, w_independent: int, w_dependent: int) -> tup
         raise ParameterError("weights must be nonnegative")
     if w_independent == w_dependent > 0:
         # every item weighs the same: the longest legal sequences (module docstring)
-        res = grundy(G)
+        res = _grundy_split(G, comps, "closed", True)
         return w_independent * res.value, res.witness
     parts = [(verts, _weighted_connected(sub, w_independent, w_dependent))
              for verts, sub in component_graphs(G, comps)]
@@ -389,23 +398,23 @@ def _weighted_connected(G: Graph, w_independent: int, w_dependent: int) -> tuple
         if cached is not None:
             return cached
         free = full ^ dom
-        moves = []
+        if settle_own:
+            # the first undominated move whose fresh set is itself settles dom
+            for row, bit in moves_of:
+                if row & free == bit:
+                    best = memo[dom] = w_independent + value(dom | bit)
+                    return best
+        # a move that cannot beat best even at that bound is skipped
+        left = free.bit_count()
+        best = 0
         for row, bit in moves_of:
             new = row & free
             if new:
                 w = w_dependent if dom & bit else w_independent
-                if settle_own and new == bit:
-                    best = memo[dom] = w + value(dom | new)
-                    return best
-                moves.append((w, new))
-        # a move that cannot beat best even at that bound is skipped
-        left = free.bit_count()
-        best = 0
-        for w, new in moves:
-            if w + w_top * (left - new.bit_count()) > best:
-                got = w + value(dom | new)
-                if got > best:
-                    best = got
+                if w + w_top * (left - new.bit_count()) > best:
+                    got = w + value(dom | new)
+                    if got > best:
+                        best = got
         memo[dom] = best
         return best
 

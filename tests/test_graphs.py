@@ -124,6 +124,25 @@ def test_bools_and_floats_are_no_vertex_ids_or_counts():
         ball(path(3), True, 1)
 
 
+def test_degree_and_has_edge_check_their_vertices():
+    # unchecked, -1 and True would read the last vertex and vertex 1 of P3
+    g = path(3)
+    assert [g.degree(v) for v in range(3)] == [1, 2, 1]
+    assert g.has_edge(0, 1) and g.has_edge(2, 1) and not g.has_edge(0, 2)
+    bad = {
+        "degree(-1)": lambda: g.degree(-1),
+        "degree(True)": lambda: g.degree(True),
+        "degree(7)": lambda: g.degree(7),
+        "has_edge(-1, 1)": lambda: g.has_edge(-1, 1),
+        "has_edge(0, 99)": lambda: g.has_edge(0, 99),
+        "has_edge(True, 2)": lambda: g.has_edge(True, 2),
+    }
+    for name, call in bad.items():
+        with pytest.raises(ParameterError, match="^vertex .* out of range$"):
+            call()
+            pytest.fail(name)
+
+
 def test_caterpillar_layout():
     g = caterpillar(3, [1, 0, 2])
     # spine 0-1-2 first, then legs grouped by spine vertex

@@ -31,6 +31,7 @@ from grundydom.solver import (
     lex_grundy,
     max_weighted_sequence,
 )
+from grundydom.theory import conjecture_scan
 from helpers import disjoint_union, random_connected_graph, rectangle_cover_number
 
 
@@ -146,16 +147,16 @@ def test_forced_positions_are_counted():
 # (mode, kind, G, H, value, nodes, memo_entries, forced, orbit_skips) for the
 # fixed products of the solve benchmark, witness on
 PINNED_COUNTS = (
-    ("closed", "cartesian", "C5", "C5", 16, 4176, 4175, 3543, 0),
-    ("closed", "cartesian", "P6", "P6", 30, 5441, 5440, 5049, 0),
-    ("closed", "strong", "C5", "C6", 12, 5136, 5135, 4706, 0),
+    ("closed", "cartesian", "C5", "C5", 16, 473, 472, 395, 24),
+    ("closed", "cartesian", "P6", "P6", 30, 1138, 1137, 1062, 30),
+    ("closed", "strong", "C5", "C6", 12, 562, 561, 513, 29),
     ("closed", "direct", "C5", "C6", 18, 4059, 4058, 3852, 29),
     ("closed", "direct", "P5", "P6", 24, 180, 178, 154, 0),
     ("closed", "cartesian", "C6", "C6", 24, 8374, 8373, 7881, 35),
     ("open", "cartesian", "C5", "C5", 16, 1642, 1641, 1567, 24),
     ("open", "direct", "C5", "C5", 16, 1480, 1479, 1405, 24),
     ("open", "cartesian", "P5", "C6", 24, 2834, 2833, 2734, 27),
-    ("open", "cartesian", "P5", "P6", 26, 3266, 3265, 3186, 0),
+    ("open", "cartesian", "P5", "P6", 26, 1809, 1808, 1761, 21),
     ("open", "strong", "C6", "C6", 18, 6391, 6390, 5875, 35),
 )
 
@@ -174,7 +175,7 @@ def test_witness_walk_solves_no_child_the_search_skipped():
     # the walk skips a child that cannot reach the value left, as the
     # search's bound skip does, so here it adds no position to the memo
     g = product("cartesian", cycle(5), cycle(5)).graph
-    assert grundy(g, witness=True).stats.nodes == grundy(g, witness=False).stats.nodes == 4176
+    assert grundy(g, witness=True).stats.nodes == grundy(g, witness=False).stats.nodes == 473
 
 
 def test_additive_over_components():
@@ -291,7 +292,7 @@ G7 = Graph(7, [(0, 1), (0, 2), (0, 5), (0, 6), (1, 3), (1, 4), (1, 6), (2, 4), (
 
 def test_reductions_match_unreduced_search():
     # value and lexicographically least witness on products where the orbit
-    # trigger fires (four vertex-transitive ones, and one that is not), on
+    # trigger fires (six vertex-transitive ones, and two that are not), on
     # relabelled copies, and on unions
     rng = random.Random(3)
     cases = [
@@ -302,6 +303,12 @@ def test_reductions_match_unreduced_search():
         ("open", product("cartesian", G7, complete(3)).graph),
     ]
     cases += [(mode, relabel(g, rng)) for mode, g in cases for _ in range(2)]
+    # three whose first root subtree holds between 8n and n^2 states
+    cases += [
+        ("closed", product("cartesian", cycle(5), cycle(5)).graph),
+        ("closed", product("strong", cycle(5), cycle(6)).graph),
+        ("open", product("cartesian", path(5), path(6)).graph),
+    ]
     for mode, g in cases:
         res = grundy(g, mode)
         assert (res.value, res.witness) == unreduced_grundy(g, mode), (mode, g.edges())
@@ -357,7 +364,7 @@ def test_twin_columns_match_unmerged_searches():
 
 
 def test_component_orbits_on_interleaved_components():
-    # the k^2 trigger fires on a component whose vertex ids interleave with
+    # the 8k trigger fires on a component whose vertex ids interleave with
     # another component's; the value adds up over the components, and in
     # closed mode value and witness match the unreduced search
     rng = random.Random(5)
@@ -623,10 +630,49 @@ def test_weighted_root_orbits_match_unpruned_search(monkeypatch):
             got = max_weighted_sequence(g, wi, wd)
             assert got == unpruned_weighted(g, wi, wd), (g.edges(), wi, wd)
         fired.append(len(calls) > before)
-    # every graph but the three copies of C3 □ C5, whose first root subtree
-    # stays under n^2 states, computes orbits at some weights; the last three
-    # among them, so the test cannot pass without the skip
-    assert all(fired[-3:]) and sum(fired) == len(graphs) - 3, fired
+    # every graph computes orbits at some weights, the copies of C3 □ C5
+    # too, whose first root subtree holds 180 states: above 8n = 120, under
+    # n^2 = 225; the test cannot pass without the skip
+    assert all(fired), fired
+
+
+def test_census_solves_compute_no_orbits(monkeypatch):
+    # no first root subtree reaches 8n states in the many small solves of a
+    # census: every connected graph of order <= 7 in both modes, and the
+    # strong products that scanning those with P2, and those of order <= 6
+    # with P3 and C4, solves; at 4n nine of the products computed orbits
+    calls = []
+
+    def counted(G: Graph) -> list[int]:
+        calls.append(G.n)
+        return vertex_orbits(G)
+
+    monkeypatch.setattr(solver, "vertex_orbits", counted)
+    every = [g for n in range(1, 8) for g in enumerate_connected_graphs(n)]
+    for g in every:
+        grundy(g)
+        if g.n > 1:
+            grundy(g, "open")
+    assert calls == []
+    conjecture_scan([(g, path(2)) for g in every])
+    conjecture_scan([(g, h) for h in (path(3), cycle(4)) for g in every if g.n <= 6])
+    assert calls == []
+
+
+def test_equal_weights_split_the_graph_once(monkeypatch):
+    # the equal-weight path hands its components to grundy's search
+    calls = []
+
+    def counted(G: Graph) -> list[int]:
+        calls.append(G.n)
+        return connected_components(G)
+
+    monkeypatch.setattr(solver, "connected_components", counted)
+    for g in (product("cartesian", path(4), path(4)).graph, disjoint_union(cycle(5), path(3))):
+        res = grundy(g)
+        calls.clear()
+        assert max_weighted_sequence(g, 2, 2) == (2 * res.value, res.witness)
+        assert calls == [g.n]
 
 
 def test_one_vertex_components_compute_no_orbits(monkeypatch):
