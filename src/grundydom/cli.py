@@ -423,6 +423,10 @@ def _cmd_scan(args) -> str:
             f"pair={r.name_g}x{r.name_h} gL={r.gamma_g} gR={r.gamma_h}"
             f" gProd={r.gamma_product} status={r.status}"
         )
+        lines.append(
+            f"# {r.name_g}x{r.name_h} decided_by={r.decided_by} nodes={r.nodes}"
+            f" elapsed={r.elapsed:.6f}s"
+        )
     lines.append(
         f"counterexamples={len(report.counterexamples)}"
         f" skipped={len(report.skipped)} checked={len(report.records)}"

@@ -250,8 +250,11 @@ def _walk(rows: list[int], full: int, value: Callable[[int], int], t: int,
     seq: list[int] = []
     S = 0
     if reps:
-        # at the root, each child is read at its orbit representative
-        u = next(u for u in range(len(rows)) if w_independent + value(rows[reps[u]]) == t)
+        # at the root, each child is read at its orbit representative, and
+        # one that cannot reach t even at the bound is not solved
+        u = next(u for u, row in enumerate(rows)
+                 if w_independent + w_top * (full ^ row).bit_count() >= t
+                 and w_independent + value(rows[reps[u]]) == t)
         seq.append(u)
         S = rows[u]
         t -= w_independent

@@ -753,9 +753,10 @@ class ScanRecord:
     witness_h: tuple[int, ...] | None = None
     witness_product: tuple[int, ...] | None = None
     # seconds spent on the pair; the search nodes of its solves of G, H and,
-    # unless a bound settled the pair, the product (with witnesses too for a
-    # counterexample; the peeling bound's own solves are not counted); and
-    # "product" or the name of that bound ("" if skipped). Not compared
+    # unless a bound or a complete factor settled the pair, the product (with
+    # witnesses too for a counterexample; the peeling bound's own solves are
+    # not counted); and "product", the name of that bound or
+    # "complete_factor" ("" if skipped). Not compared
     elapsed: float = field(default=0.0, compare=False)
     nodes: int = field(default=0, compare=False)
     decided_by: str = field(default="", compare=False)
@@ -789,10 +790,14 @@ def conjecture_scan(
     grundy(G) * grundy(H). A product of more than PEEL_EXACT_CAP vertices
     then gets the blow-up and simplicial peeling upper bounds; when they
     meet the lower bound the pair is settled as an equality without solving
-    the product, and an upper bound below it raises InvariantError. Every
-    other product is solved and checked against both bounds (its peeling
-    bound would be its own value, so the blow-up bound checks the solver
-    there); a violation would mean a solver bug and raises InvariantError.
+    the product, and an upper bound below it raises InvariantError. A pair
+    that no bound settles but one of whose factors is complete (K1 included)
+    is settled as an equality without building the product: the strong
+    product with K_k blows each vertex up into k true twins, so its value is
+    the other factor's. Every other product is solved and checked against
+    both bounds (its peeling bound would be its own value, so the blow-up
+    bound checks the solver there); a violation would mean a solver bug and
+    raises InvariantError.
     A counterexample is reported with full witnesses, never asserted away.
     A time budget must be a nonnegative number of seconds.
     """
@@ -828,6 +833,15 @@ def _scan_pair(G: Graph, H: Graph, deadline: float | None) -> ScanRecord:
                 f" upper bound {upper} is below lower bound {lower}"
             )
         decided_by = bound if upper == lower else "product"
+        if decided_by == "product" and any(2 * A.m == A.n * (A.n - 1) for A in (G, H)):
+            # a complete factor K_k, K1 included: (g, x) has closed neighbourhood
+            # N[g] x V(K_k) in strong(G, K_k), so each fiber {g} x V(K_k) is a
+            # class of true twins. A legal sequence plays at most one vertex
+            # per fiber and its projection to G is legal, and every sequence
+            # of G lifts to the product, so its value is grundy(G) = lower
+            decided_by = "complete_factor"
+            if not peeled:
+                upper = lower
         if decided_by != "product":
             g_p = lower
         else:

@@ -484,13 +484,45 @@ def test_scan_verb(capsys):
     assert lines[0] == "pair=g1_0xP3 gL=1 gR=2 gProd=2 status=equality"
     assert lines[1] == "pair=g2_0xP3 gL=1 gR=2 gProd=2 status=equality"
     assert lines[2] == "counterexamples=0 skipped=0 checked=2"
+    # K1 and K2 are complete, so neither pair solves its product
+    assert out.splitlines()[-2] == "# settled=2 complete_factor=2"
     stats = out.splitlines()[-1]
-    assert stats.startswith("# stats pairs=2 solved=2 nodes=") and " elapsed=" in stats
-    # solved= counts only the pairs whose product was solved, not those the bounds settled
+    assert stats.startswith("# stats pairs=2 solved=0 nodes=") and " elapsed=" in stats
+    # solved= counts only the pairs whose product was solved, not those the
+    # bounds or a complete factor settled
     code, out, _ = run(capsys, "scan", "--max-n", "6", "--families", "P3")
     assert code == 0
-    assert out.splitlines()[-2] == "# settled=112 strong_simplicial_peeling=112"
-    assert out.splitlines()[-1].startswith("# stats pairs=143 solved=31 nodes=")
+    assert out.splitlines()[-2] == "# settled=117 complete_factor=5 strong_simplicial_peeling=112"
+    assert out.splitlines()[-1].startswith("# stats pairs=143 solved=26 nodes=")
+
+
+def test_scan_prints_a_line_per_decided_pair(capsys):
+    # each decided pair is followed by what decided it, its search nodes and
+    # its time, a skipped pair by its reason; the summary lines come last
+    code, out, _ = run(capsys, "scan", "--max-n", "3", "--families", "P3", "P6", "C22")
+    assert code == 0
+    lines = out.splitlines()
+    per_pair = [ln for ln in lines if re.fullmatch(
+        r"# \S+ decided_by=\w+ nodes=\d+ elapsed=\d+\.\d{6}s", ln)]
+    assert [ln.split(" elapsed=")[0] for ln in per_pair] == [
+        "# g1_0xP3 decided_by=complete_factor nodes=5",
+        "# g1_0xP6 decided_by=complete_factor nodes=8",
+        "# g1_0xC22 decided_by=strong_min_blowup nodes=23",
+        "# g2_0xP3 decided_by=complete_factor nodes=5",
+        "# g2_0xP6 decided_by=complete_factor nodes=8",
+        "# g2_0xC22 decided_by=complete_factor nodes=23",
+        "# g3_0xP3 decided_by=product nodes=20",
+        "# g3_0xP6 decided_by=strong_simplicial_peeling nodes=9",
+        "# g3_1xP3 decided_by=complete_factor nodes=5",
+        "# g3_1xP6 decided_by=strong_simplicial_peeling nodes=8",
+    ]
+    for line in per_pair:
+        assert lines[lines.index(line) - 1].startswith(f"pair={line.split()[1]} gL=")
+    skipped = lines.index("pair=g3_0xC22 gL=- gR=- gProd=- status=skipped")
+    assert lines[skipped + 1] == "# skipped g3_0xC22: product order 66 exceeds 64"
+    assert lines[-2] == (
+        "# settled=9 complete_factor=6 strong_min_blowup=1 strong_simplicial_peeling=2")
+    assert lines[-1].startswith("# stats pairs=12 solved=1 nodes=114 elapsed=")
 
 
 def test_scan_self_pairs_and_budget(capsys):
@@ -544,14 +576,17 @@ def test_search_budget_exits_2_and_skips_scan_pairs(tmp_path, capsys, monkeypatc
 
 
 def test_scan_prints_a_counterexample(capsys, monkeypatch):
-    # the pairs are solved on the cartesian product, which makes K2 x P2 = C4
-    # (value 2) a counterexample to the strong-product equality
+    # the pairs are solved on the cartesian product, which makes P3 x P3 the
+    # 3x3 grid (value 6) a counterexample to the strong-product equality;
+    # the pairs with a complete factor (K1, K2, K3) build no product
     monkeypatch.setattr(theory, "product", lambda kind, G, H: product("cartesian", G, H))
-    code, out, _ = run(capsys, "scan", "--max-n", "2", "--families", "P2")
+    code, out, _ = run(capsys, "scan", "--max-n", "3", "--families", "P3")
     assert code == 0
-    assert stable(out) == ["pair=g1_0xP2 gL=1 gR=1 gProd=1 status=equality",
-                           "pair=g2_0xP2 gL=1 gR=1 gProd=2 status=counterexample",
-                           "counterexamples=1 skipped=0 checked=2"]
+    assert stable(out) == ["pair=g1_0xP3 gL=1 gR=2 gProd=2 status=equality",
+                           "pair=g2_0xP3 gL=1 gR=2 gProd=2 status=equality",
+                           "pair=g3_0xP3 gL=2 gR=2 gProd=6 status=counterexample",
+                           "pair=g3_1xP3 gL=1 gR=2 gProd=2 status=equality",
+                           "counterexamples=1 skipped=0 checked=4"]
 
 
 def test_scan_checks_family_order_before_building(capsys, monkeypatch):
@@ -568,15 +603,16 @@ def test_scan_checks_family_order_before_building(capsys, monkeypatch):
 
 def test_scan_bound_violation_is_an_error_line(capsys, monkeypatch):
     # g1_0xP18 has 18 vertices, so its upper bound is the peeled one; the
-    # squares of --max-n 2 have at most 16 and check their product solve,
-    # here of an edgeless graph whose value 4 exceeds K2xK2's blow-up bound 2
+    # squares of --max-n 3 have at most 16 and check their product solve,
+    # here of an edgeless graph whose value 9 exceeds P3xP3's blow-up bound
+    # 6 (the squares of K1, K2 and K3 have a complete factor and solve none)
     with monkeypatch.context() as patch:
         patch.setattr(theory, "_strong_uppers", lambda *args: [("blowup", 0), ("peel", 0)])
         code, out, err = run(capsys, "scan", "--max-n", "1", "--families", "P18")
         assert code == 1 and out == ""
         assert err.startswith("error: bound violation") and "Traceback" not in err
     monkeypatch.setattr(theory, "product", lambda kind, G, H: product(kind, Graph(G.n), Graph(H.n)))
-    code, out, err = run(capsys, "scan", "--max-n", "2")
+    code, out, err = run(capsys, "scan", "--max-n", "3")
     assert code == 1 and out == ""
     assert err.startswith("error: bound violation") and "Traceback" not in err
 

@@ -171,11 +171,28 @@ def test_counters_are_pinned():
         assert got == want, (mode, kind, g, h)
 
 
-def test_witness_walk_solves_no_child_the_search_skipped():
+def test_witness_walk_solves_no_child_the_search_skipped(monkeypatch):
     # the walk skips a child that cannot reach the value left, as the
     # search's bound skip does, so here it adds no position to the memo
     g = product("cartesian", cycle(5), cycle(5)).graph
     assert grundy(g, witness=True).stats.nodes == grundy(g, witness=False).stats.nodes == 473
+    # the same holds at a root that computed orbits (here every orbit is a
+    # single vertex), where the walk reads each child at its representative:
+    # on this graph of order 21 in open mode it solved two root children
+    # that cannot reach the value, which only the search's bound skip had
+    # passed over
+    calls = []
+
+    def counted(G: Graph) -> list[int]:
+        calls.append(G.n)
+        return vertex_orbits(G)
+
+    monkeypatch.setattr(solver, "vertex_orbits", counted)
+    rng = random.Random(0)
+    g = [random_connected_graph(rng, rng.randrange(10, 22)) for _ in range(15)][-1]
+    res = grundy(g, "open")
+    assert calls == [21] and res.stats.orbit_skips == 0
+    assert res.stats.nodes == grundy(g, "open", witness=False).stats.nodes == 644
 
 
 def test_additive_over_components():
@@ -639,8 +656,9 @@ def test_weighted_root_orbits_match_unpruned_search(monkeypatch):
 def test_census_solves_compute_no_orbits(monkeypatch):
     # no first root subtree reaches 8n states in the many small solves of a
     # census: every connected graph of order <= 7 in both modes, and the
-    # strong products that scanning those with P2, and those of order <= 6
-    # with P3 and C4, solves; at 4n nine of the products computed orbits
+    # strong products that scanning those of order <= 6 with P3 and C4
+    # solves (with P2, a complete factor, the scan solves no product); at 4n
+    # nine of the products computed orbits
     calls = []
 
     def counted(G: Graph) -> list[int]:

@@ -931,16 +931,18 @@ def test_conjecture_scan_equalities():
 
 
 def test_conjecture_scan_reports_a_counterexample(monkeypatch):
-    # P2 x P2 solved on its cartesian product C4 (value 2) in place of the
-    # strong product K4 (value 1) is a counterexample to the equality
+    # P3 x P3 solved on its cartesian product, the 3x3 grid (value 6), in
+    # place of the strong product (value 4) is a counterexample to the
+    # equality; a pair with a complete factor builds no product
     real = theory.product
     monkeypatch.setattr(theory, "product", lambda kind, G, H: real("cartesian", G, H))
-    report = conjecture_scan([(path(2), path(2))])
+    report = conjecture_scan([(path(3), path(3))])
     (rec,) = report.records
     assert report.counterexamples == [rec]
-    assert (rec.status, rec.lower, rec.gamma_product, rec.upper) == ("counterexample", 1, 2, 2)
-    assert (rec.witness_g, rec.witness_h, rec.witness_product) == ((0,), (0,), (0, 1))
-    seq = check_sequence(real("cartesian", path(2), path(2)).graph, rec.witness_product)
+    assert (rec.status, rec.lower, rec.gamma_product, rec.upper) == ("counterexample", 4, 6, 6)
+    assert (rec.witness_g, rec.witness_h, rec.witness_product) == (
+        (0, 1), (0, 1), (0, 1, 2, 3, 4, 5))
+    seq = check_sequence(real("cartesian", path(3), path(3)).graph, rec.witness_product)
     assert seq.legal and seq.dominating
 
 
@@ -970,18 +972,62 @@ def test_conjecture_scan_upper_is_the_bound_without_product_value():
     # reference whose upper bound is the blow-up and both peeling
     # orientations computed without the product's value; the C4 pairs of
     # order 5 and the order-6 P3 pairs have over 16 vertices, so their
-    # peeling bound deletes vertices and can settle the pair
+    # peeling bound deletes vertices and can settle the pair; a pair that no
+    # bound settles and that has a complete factor is settled by that factor
     graphs = [g for n in range(1, 6) for g in enumerate_connected_graphs(n)]
     pairs = [(G, H) for H in (path(2), path(3), cycle(4)) for G in graphs]
     pairs += [(G, path(3)) for G in enumerate_connected_graphs(6)]
     records = conjecture_scan(pairs).records
     for (G, H), rec in zip(pairs, records):
         assert rec == solve_first_record(G, H), (G.name, H.name)
-        settled = G.n * H.n > theory.PEEL_EXACT_CAP and rec.upper == rec.lower
-        assert (rec.decided_by != "product") == settled
-    # 123 of the 133 pairs over 16 vertices, all by peeling
+        if G.n * H.n > theory.PEEL_EXACT_CAP and rec.upper == rec.lower:
+            assert rec.decided_by == "strong_simplicial_peeling"
+        elif any(2 * A.m == A.n * (A.n - 1) for A in (G, H)):
+            assert rec.decided_by == "complete_factor"
+        else:
+            assert rec.decided_by == "product"
+    # 123 of the 133 pairs over 16 vertices by peeling, and 41 pairs, one of
+    # them over 16 vertices, by a complete factor
     assert Counter(rec.decided_by for rec in records) == {
-        "product": len(pairs) - 123, "strong_simplicial_peeling": 123}
+        "product": 41, "strong_simplicial_peeling": 123, "complete_factor": 41}
+
+
+def test_conjecture_scan_settles_a_complete_factor_without_the_product(monkeypatch):
+    # strong(G, K_k) is G with every vertex blown up into k true twins, so
+    # its value is grundy(G) and the scan builds no such product; the records
+    # equal the solve-first reference, which solves every product
+    small = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
+    pairs = [(G, complete(k)) for G in small for k in (1, 2, 3)]
+    pairs += [(H, G) for G, H in pairs]
+    pairs += [(G, path(2)) for G in enumerate_connected_graphs(7)]
+    real = theory.product
+
+    def refuse(kind, A, B):
+        # the peeling bound may still build the product of what it leaves
+        if any(A is G and B is H for G, H in pairs):
+            raise AssertionError(f"built {A.name} x {B.name}")
+        return real(kind, A, B)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(theory, "product", refuse)
+        records = conjecture_scan(pairs).records
+    assert len(records) == 2 * 143 * 3 + 853
+    for (G, H), rec in zip(pairs, records):
+        assert rec == solve_first_record(G, H), (G.name, H.name)
+    # the K3 pairs of order 6 have 18 vertices, and peeling settles most of them
+    assert Counter(rec.decided_by for rec in records) == {
+        "complete_factor": 1583, "strong_simplicial_peeling": 128}
+    # a pair with no complete factor still builds and solves its product
+    built = []
+
+    def building(kind, A, B):
+        built.append((A, B))
+        return real(kind, A, B)
+
+    monkeypatch.setattr(theory, "product", building)
+    pairs = [(path(3), path(3)), (cycle(4), star(3))]
+    records = conjecture_scan(pairs).records
+    assert built == pairs and [rec.decided_by for rec in records] == ["product", "product"]
 
 
 def test_conjecture_scan_settles_by_bounds_without_solving_the_product(monkeypatch):
