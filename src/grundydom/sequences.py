@@ -9,7 +9,7 @@ to them (the first item always counts).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import ParameterError
 from .graphs import Graph, bit_indices, is_int, mode_rows
@@ -18,10 +18,10 @@ from .graphs import Graph, bit_indices, is_int, mode_rows
 @dataclass
 class SequenceReport:
     dominating: bool
-    footprints: dict[int, int] = field(default_factory=dict)
-    a_value: int = 0
-    length: int = 0
-    illegal_at: int | None = None
+    footprints: dict[int, int]
+    a_value: int
+    length: int
+    illegal_at: int | None
 
     @property
     def legal(self) -> bool:

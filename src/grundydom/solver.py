@@ -49,9 +49,10 @@ Both exact searches, this one and max_weighted_sequence below, see only
 connected graphs. The value adds up over connected components, so each
 component is solved as a graph of its own, vertex verts[i] relabelled i
 (a connected graph is searched as it is, with no copy), and its memo is
-freed before the next one. Both start at one root routine
-and end in one witness walk; the plain search passes unit weights, with
-which its bound skip width - c >= best reads 1 + 1 * (width - c) > best.
+freed before the next one. Both start at one root routine and end in one
+witness walk, which take the weight w of an independent move, the most a
+move weighs; the plain search passes 1, with which the root's bound skip
+w * (1 + width - c) > best reads width - c >= best, as in _Search.
 
 - Root orbit skip. At the root, a move that an automorphism maps onto an
   earlier root move has the same value and is skipped. The orbits are
@@ -70,23 +71,24 @@ which its bound skip width - c >= best reads 1 + 1 * (width - c) > best.
 grundy_bruteforce is an independent oracle: plain enumeration of all legal
 sequences straight from the definition, no memo, no pruning.
 
-max_weighted_sequence (behind lex_grundy) also memoizes on the dominated
-set alone: in closed mode an unchosen vertex has a chosen neighbor exactly
-when it is dominated, so the dominated set fixes the weight of every move:
+max_weighted_sequence (behind lex_grundy) takes weights w_independent >=
+w_dependent >= 0 and also memoizes on the dominated set alone: in closed
+mode an unchosen vertex has a chosen neighbor exactly when it is
+dominated, so the dominated set fixes the weight of every move:
 w_dependent for a dominated vertex, w_independent for an undominated one.
 Equal positive weights need no search of their own: when every item weighs
 w, the best maximal sequences are the longest legal ones, so
-max_weighted_sequence returns w times grundy's value with grundy's witness.
-Otherwise one weighted form of the one-fresh-vertex rule settles a position
-D by the first move u in vertex order that meets it: w_independent >=
-w_dependent, u is undominated and its fresh set is {u}, so every neighbor
-of u is dominated. Then value(D) = w_independent + value(D | u). Sketch:
-let b be the first move of an optimal maximal sequence s to cover u. If
-b = u, move it to the front: that covers only u earlier, no other move has
-u as its footprint, and no earlier move is a neighbor of u, so every weight
-stays. If b != u, then b is a neighbor of u, hence dominated in D and
-weighing w_dependent. Play u first and drop b: every other move keeps a
-fresh footprint, and dropping b can only turn dependent items independent.
+max_weighted_sequence returns w times grundy's value with grundy's
+witness. Otherwise one weighted form of the one-fresh-vertex rule settles
+a position D by the first move u in vertex order that meets it: u is
+undominated and its fresh set is {u}, so every neighbor of u is dominated.
+Then value(D) = w_independent + value(D | u). Sketch: let b be the first
+move of an optimal maximal sequence s to cover u. If b = u, move it to the
+front: that covers only u earlier, no other move has u as its footprint,
+and no earlier move is a neighbor of u, so every weight stays. If b != u,
+then b is a neighbor of u, hence dominated in D and weighing w_dependent
+<= w_independent. Play u first and drop b: every other move keeps a fresh
+footprint, and dropping b can only turn dependent items independent.
 
 Nothing else settles a position. On the path p-u-x from D = {p, u}, the
 dominated u has the one fresh vertex x but scores only w_dependent, while
@@ -94,10 +96,10 @@ playing x scores w_independent. Two exact prunings skip moves without
 settling anything, as the plain search's do:
 
 - Bound skip. Every move covers at least one fresh vertex and weighs at
-  most w_top = max(w_independent, w_dependent), so a position with k
-  undominated vertices is worth at most w_top * k. At a branching position
-  a move of weight w to D' is skipped when w + w_top * |V - D'| cannot beat
-  the best sibling so far; the maximum over the moves is unchanged.
+  most w_independent, so a position with k undominated vertices is worth
+  at most w_independent * k. At a branching position a move of weight w to
+  D' is skipped when w + w_independent * |V - D'| cannot beat the best
+  sibling so far; the maximum over the moves is unchanged.
 - Root orbit skip. An automorphism p of G maps closed rows to closed rows,
   so it maps a legal sequence from D to one from p(D), and an item is
   dominated in D exactly when its image is dominated in p(D). Weights are
@@ -125,7 +127,7 @@ MAX_SEARCH_NODES = 10_000_000
 
 @dataclass
 class SolveStats:
-    nodes: int = 0
+    nodes: int
     memo_entries: int = 0
     search_s: float = 0.0
     reconstruct_s: float = 0.0
@@ -211,9 +213,9 @@ class _Search:
 
 
 def _root(G: Graph, rows: list[int], width: int, value: Callable[[int], int],
-          memo: dict[int, int], w_top: int, w_root: int) -> tuple[int, list[int] | None]:
-    """Value of a connected graph, each root move weighing w_root, and the
-    orbit representatives used at its root (None if none were computed).
+          memo: dict[int, int], w: int) -> tuple[int, list[int] | None]:
+    """Value of a connected graph whose root moves weigh w, the most a move
+    weighs, and the orbit representatives used at its root (None if none).
 
     Root moves run in ascending vertex order within equal coverage size, so
     each orbit is first met at its least vertex. In the plain search, a first
@@ -222,7 +224,7 @@ def _root(G: Graph, rows: list[int], width: int, value: Callable[[int], int],
     """
     n = G.n
     moves = sorted((row.bit_count(), u) for u, row in enumerate(rows))
-    best = w_root + value(rows[moves[0][1]])
+    best = w + value(rows[moves[0][1]])
     reps: list[int] | None = None
     # the memo was empty before the first move, so it holds that subtree; a
     # single vertex has no second root move to skip. vertex_orbits costs as
@@ -236,36 +238,29 @@ def _root(G: Graph, rows: list[int], width: int, value: Callable[[int], int],
         # comes first at its least vertex, its representative
         moves = [(c, u) for c, u in moves if reps[u] == u]
     # the first move is played again, as a memo hit or a bound skip; a move
-    # is skipped when it cannot beat best even at w_top per column it leaves
+    # is skipped when it cannot beat best even at w per column it leaves
     for c, u in moves:
-        if w_root + w_top * (width - c) > best:
-            best = max(best, w_root + value(rows[u]))
+        if w * (1 + width - c) > best:
+            best = max(best, w + value(rows[u]))
     return best, reps
 
 
 def _walk(rows: list[int], full: int, value: Callable[[int], int], t: int,
-          reps: list[int] | None, w_independent: int, w_dependent: int, w_top: int) -> list[int]:
+          reps: list[int] | None, w_independent: int, w_dependent: int) -> list[int]:
     # The least optimal witness (module docstring). It extends until every
     # column is covered, so that it is dominating even with zero weights.
     seq: list[int] = []
     S = 0
-    if reps:
-        # at the root, each child is read at its orbit representative, and
-        # one that cannot reach t even at the bound is not solved
-        u = next(u for u, row in enumerate(rows)
-                 if w_independent + w_top * (full ^ row).bit_count() >= t
-                 and w_independent + value(rows[reps[u]]) == t)
-        seq.append(u)
-        S = rows[u]
-        t -= w_independent
     while S != full:
         free = full ^ S
         for u, row in enumerate(rows):
             new = row & free
             if new:
                 w = w_dependent if S >> u & 1 else w_independent
-                # a child that cannot reach t even at the bound is not solved
-                if w + w_top * (free ^ new).bit_count() >= t and w + value(S | new) == t:
+                # a child that cannot reach t even at the bound is not solved,
+                # and a root child is read at its orbit representative
+                child = S | new if S or not reps else rows[reps[u]]
+                if w + w_independent * (free ^ new).bit_count() >= t and w + value(child) == t:
                     seq.append(u)
                     S |= new
                     t -= w
@@ -278,9 +273,9 @@ def _walk(rows: list[int], full: int, value: Callable[[int], int], t: int,
 def _grundy_connected(G: Graph, rows: list[int], witness: bool) -> SolveResult:
     start = time.perf_counter()
     search = _Search(G, rows)
-    val, reps = _root(G, search.rows, search.width, search.value, search.memo, 1, 1)
+    val, reps = _root(G, search.rows, search.width, search.value, search.memo, 1)
     searched = time.perf_counter()
-    seq = _walk(search.rows, search.full, search.value, val, reps, 1, 1, 1) if witness else []
+    seq = _walk(search.rows, search.full, search.value, val, reps, 1, 1) if witness else []
     # every position but the root writes one memo entry, and every position
     # that did not branch was settled by a forced move
     entries = len(search.memo)
@@ -365,16 +360,17 @@ def max_weighted_sequence(G: Graph, w_independent: int, w_dependent: int) -> tup
     w_dependent otherwise, mirroring the a-value split. Positions are
     dominated sets: an unchosen vertex has a chosen neighbor exactly when it
     is dominated, and a chosen vertex has nothing new to dominate, so the
-    dominated set fixes every move and its weight. Weights must be
-    nonnegative so that extending a sequence never hurts; the maximum is then
-    attained by a maximal legal sequence, which is automatically dominating.
+    dominated set fixes every move and its weight. Weights outside
+    w_independent >= w_dependent >= 0 raise ParameterError after the cap
+    check. Extending a sequence then never hurts, so the maximum is attained
+    by a maximal legal sequence, which is automatically dominating.
     The witness is the lexicographically least optimal maximal sequence.
     Each connected component is solved on its own, as in grundy, so
     WEIGHTED_MAX_ORDER caps the order of each component, not of G.
     """
     comps = check_components(G, WEIGHTED_MAX_ORDER, "weighted search")
-    if w_independent < 0 or w_dependent < 0:
-        raise ParameterError("weights must be nonnegative")
+    if not w_independent >= w_dependent >= 0:
+        raise ParameterError("weights must satisfy w_independent >= w_dependent >= 0")
     if w_independent == w_dependent > 0:
         # every item weighs the same: the longest legal sequences (module docstring)
         res = _grundy_split(G, comps, "closed", True)
@@ -390,31 +386,26 @@ def _weighted_connected(G: Graph, w_independent: int, w_dependent: int) -> tuple
     rows = mode_rows(G, "closed")
     moves_of = list(zip(rows, (1 << u for u in range(n))))
     memo: dict[int, int] = {}
-    # the one settling rule (module docstring) needs w_independent >= w_dependent
-    settle_own = w_independent >= w_dependent
-    # every move covers a fresh vertex and weighs at most w_top, so a position
-    # with k free vertices is worth at most w_top * k
-    w_top = max(w_independent, w_dependent)
 
     def value(dom: int) -> int:
         cached = memo.get(dom)
         if cached is not None:
             return cached
         free = full ^ dom
-        if settle_own:
-            # the first undominated move whose fresh set is itself settles dom
-            for row, bit in moves_of:
-                if row & free == bit:
-                    best = memo[dom] = w_independent + value(dom | bit)
-                    return best
-        # a move that cannot beat best even at that bound is skipped
+        # the first undominated move whose fresh set is itself settles dom
+        for row, bit in moves_of:
+            if row & free == bit:
+                best = memo[dom] = w_independent + value(dom | bit)
+                return best
+        # every move covers a fresh vertex and weighs at most w_independent,
+        # so a move that cannot beat best even at that per free vertex is skipped
         left = free.bit_count()
         best = 0
         for row, bit in moves_of:
             new = row & free
             if new:
                 w = w_dependent if dom & bit else w_independent
-                if w + w_top * (left - new.bit_count()) > best:
+                if w + w_independent * (left - new.bit_count()) > best:
                     got = w + value(dom | new)
                     if got > best:
                         best = got
@@ -422,8 +413,8 @@ def _weighted_connected(G: Graph, w_independent: int, w_dependent: int) -> tuple
         return best
 
     # every root move is undominated, so it weighs w_independent
-    total, reps = _root(G, rows, n, value, memo, w_top, w_independent)
-    seq = _walk(rows, full, value, total, reps, w_independent, w_dependent, w_top)
+    total, reps = _root(G, rows, n, value, memo, w_independent)
+    seq = _walk(rows, full, value, total, reps, w_independent, w_dependent)
     # value refers to itself through its closure; break that cycle so that
     # the memo is freed now, not at the next cyclic garbage collection
     del value

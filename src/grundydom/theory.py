@@ -628,8 +628,8 @@ def strong_simplicial_upper(
 
     A simplicial vertex of G accounts for at most g_h sequence items, so it
     is deleted and g_h is added. When the remaining product is small enough
-    it is solved exactly (a single vertex left adds g_h, as strong(K1, H) is
-    H); if no simplicial vertex remains the blow-up bound
+    its value is added, solved only if neither side is complete (_complete);
+    if no simplicial vertex remains the blow-up bound
     min{|V| * g_h, grundy * |V(H)|} finishes instead. When
     G.n * H.n <= exact_cap nothing is peeled.
     """
@@ -642,9 +642,19 @@ def strong_simplicial_upper(
             return total + min(cur.n * g_h, g_cur * H.n)
         total += g_h
         cur = delete_vertex(cur, v)
-    if cur.n == 1:  # strong(K1, H) is H
+    if _complete(cur):
         return total + g_h
+    if _complete(H):
+        return total + (g_g if cur is G else grundy(cur, witness=False).value)
     return total + grundy(product("strong", cur, H).graph, witness=False).value
+
+
+def _complete(F: Graph) -> bool:
+    """Whether F is complete (K1 included), so that strong(A, F) has value
+    grundy(A): (a, x) has closed neighbourhood N[a] x V(F), so a legal
+    sequence plays at most one vertex of each fiber {a} x V(F) of true
+    twins and projects to a legal sequence of A, and each of those lifts."""
+    return 2 * F.m == F.n * (F.n - 1)
 
 
 def _strong_uppers(G: Graph, H: Graph, g_g: int, g_h: int) -> list[tuple[str, int]]:
@@ -833,12 +843,8 @@ def _scan_pair(G: Graph, H: Graph, deadline: float | None) -> ScanRecord:
                 f" upper bound {upper} is below lower bound {lower}"
             )
         decided_by = bound if upper == lower else "product"
-        if decided_by == "product" and any(2 * A.m == A.n * (A.n - 1) for A in (G, H)):
-            # a complete factor K_k, K1 included: (g, x) has closed neighbourhood
-            # N[g] x V(K_k) in strong(G, K_k), so each fiber {g} x V(K_k) is a
-            # class of true twins. A legal sequence plays at most one vertex
-            # per fiber and its projection to G is legal, and every sequence
-            # of G lifts to the product, so its value is grundy(G) = lower
+        if decided_by == "product" and (_complete(G) or _complete(H)):
+            # the product has the other factor's value, which is lower
             decided_by = "complete_factor"
             if not peeled:
                 upper = lower
@@ -887,7 +893,7 @@ class IsoReport:
     checked: int
     violations: int
     exhaustive: bool
-    examples: tuple[int, ...] = field(default=())
+    examples: tuple[int, ...]
 
 
 def isoperimetric_check(

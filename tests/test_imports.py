@@ -7,7 +7,8 @@ the solver computes vertex orbits in one function only,
 only graphs defines the clique routine and the component split,
 the product bounds build no product outside the functions that need one,
 no except clause in the package swallows its exception with a bare pass,
-every parameter with a default is passed by some call,
+every parameter with a default is passed by some call, every dataclass
+field default that could be removed is left out by some construction,
 and every nested function that calls itself is deleted by the
 function around it; plus the run-time check behind the last: no public
 entry point leaves garbage for the cyclic collector."""
@@ -385,13 +386,16 @@ def test_no_handler_swallows_its_exception(path):
 
 def unset_parameters(package: dict[str, str], callers: list[str]) -> list[str]:
     """Parameters with a default, of the functions and methods defined in the
-    package sources, that no call in the caller sources passes.
+    package sources, that no call in the caller sources passes; and field
+    defaults of the dataclasses defined there that every call of the class
+    passes, so that the default is never used.
 
     Calls match definitions by name: f(...) and x.f(...) count for every
-    function named f, and a call of a class counts for its __init__. A call
-    passes a parameter by keyword, or by position when it has enough
-    positional arguments; *args passes every positional parameter and
-    **kwargs every parameter. _Parser.parse_args keeps argparse's signature.
+    function named f, and a call of a class counts for its __init__ or, for
+    a dataclass, its fields in order. A call passes a parameter by keyword,
+    or by position when it has enough positional arguments; *args passes
+    every positional parameter and **kwargs every parameter.
+    _Parser.parse_args keeps argparse's signature.
     """
     calls = [
         node
@@ -400,9 +404,12 @@ def unset_parameters(package: dict[str, str], callers: list[str]) -> list[str]:
         if isinstance(node, ast.Call)
     ]
 
-    def passes(call: ast.Call, callee: str, param: str, position: int | None) -> bool:
+    def called(call: ast.Call) -> str | None:
         func = call.func
-        if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != callee:
+        return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+    def passes(call: ast.Call, callee: str, param: str, position: int | None) -> bool:
+        if called(call) != callee:
             return False
         if any(k.arg in (param, None) for k in call.keywords):
             return True
@@ -415,6 +422,23 @@ def unset_parameters(package: dict[str, str], callers: list[str]) -> list[str]:
     def visit(node: ast.AST, cls: ast.ClassDef | None, module: str) -> None:
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.ClassDef):
+                if any("dataclass" in ast.unparse(d) for d in child.decorator_list):
+                    fields = [a for a in child.body if isinstance(a, ast.AnnAssign)]
+                    # a field without a default cannot follow one with a default,
+                    # so only the defaults before the first one in use can go
+                    for position, a in enumerate(fields):
+                        # field(...) gives a default only by default= or default_factory=
+                        value = a.value
+                        if value is None or (
+                            isinstance(value, ast.Call) and ast.unparse(value.func) == "field"
+                            and not any(k.arg in ("default", "default_factory")
+                                        for k in value.keywords)
+                        ):
+                            continue
+                        if not all(passes(call, child.name, a.target.id, position)
+                                   for call in calls if called(call) == child.name):
+                            break
+                        out.append(f"{module}:{child.name}.{a.target.id}=")
                 visit(child, child, module)
                 continue
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -465,6 +489,22 @@ def test_guard_sees_unset_parameters():
     assert unset_parameters(package, callers) == [
         "a.py:f(w=)", "a.py:inner(k=)", "a.py:C.method(q=)"
     ]
+
+
+def test_guard_sees_field_defaults_every_call_passes():
+    package = {
+        "a.py": (
+            "from dataclasses import dataclass, field\n"
+            "@dataclass\nclass D:\n    a: int\n    b: int = 0\n"
+            "    c: list = field(default_factory=list)\n"
+            "@dataclass(frozen=True)\nclass E:\n    a: int = field(compare=False)\n"
+            "    b: int = 0\n    c: int = 0\n"
+            "class F:\n    a: int = 0\n"
+        ),
+    }
+    callers = [package["a.py"], "D(1, 2, c=[])\nx.D(*row)\nE(1, b=2, c=3)\nE(1, c=3)\nF()\n"]
+    # E.c is passed by both calls, but E.b before it keeps its default
+    assert unset_parameters(package, callers) == ["a.py:D.b=", "a.py:D.c="]
 
 
 def test_every_parameter_default_is_passed_by_some_call():

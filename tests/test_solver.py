@@ -537,7 +537,7 @@ def brute_max_weight(g: Graph, wi: int, wd: int) -> tuple[int, list[int]]:
     return best, best_seq
 
 
-GATE_WEIGHTS = [(1, 1), (3, 1), (1, 0), (0, 1), (2, 3), (2, 2), (3, 2), (0, 0)]
+GATE_WEIGHTS = [(1, 1), (3, 1), (1, 0), (2, 2), (3, 2), (0, 0)]
 
 
 def assert_weighted_matches_brute(g: Graph, wi: int, wd: int) -> None:
@@ -550,7 +550,7 @@ def assert_weighted_matches_brute(g: Graph, wi: int, wd: int) -> None:
 
 def test_max_weighted_sequence_against_brute():
     graphs = [path(4), cycle(5), star(4), complete(3), disjoint_union(path(2), path(3))]
-    weights = [(1, 1), (4, 1), (1, 0), (3, 2), (0, 1)]
+    weights = [(1, 1), (4, 1), (1, 0), (3, 2)]
     for g in graphs:
         for wi, wd in weights:
             assert_weighted_matches_brute(g, wi, wd)
@@ -558,8 +558,7 @@ def test_max_weighted_sequence_against_brute():
 
 def test_max_weighted_sequence_oracle_gate():
     # value and lexicographically least witness on every connected graph of
-    # order <= 6 and on seeded random graphs of order 8; (2, 3) makes
-    # dependent items weigh more than independent ones, (3, 2) reaches the
+    # order <= 6 and on seeded random graphs of order 8; (3, 2) reaches the
     # settling rule with weights above 1, and (2, 2) takes grundy's path
     graphs = [g for n in range(1, 7) for g in enumerate_connected_graphs(n)]
     rng = random.Random(2016)
@@ -599,7 +598,7 @@ def test_max_weighted_sequence_matches_unpruned_search():
     # value and witness against the search without the one-fresh-vertex
     # rules, on every connected graph of order 7 and on seeded random graphs
     # of order 9-18, some with isolated vertices; independent items weigh
-    # more than, as much as and less than dependent ones, or nothing
+    # more than or as much as dependent ones, or nothing
     graphs = list(enumerate_connected_graphs(7))
     rng = random.Random(2017)
     for _ in range(16):
@@ -612,7 +611,7 @@ def test_max_weighted_sequence_matches_unpruned_search():
                                          random_connected_graph(rng, 7)), rng))
     assert sum(has_isolated_vertex(g) for g in graphs) >= 3
     for g in graphs:
-        for wi, wd in ((3, 1), (3, 2), (2, 2), (1, 1), (2, 3), (0, 1), (0, 0)):
+        for wi, wd in ((3, 1), (3, 2), (2, 2), (1, 1), (0, 0)):
             got = max_weighted_sequence(g, wi, wd)
             assert got == unpruned_weighted(g, wi, wd), (g.edges(), wi, wd)
 
@@ -620,8 +619,7 @@ def test_max_weighted_sequence_matches_unpruned_search():
 def test_weighted_root_orbits_match_unpruned_search(monkeypatch):
     # value and least witness where the weighted search's root orbit skip can
     # fire: four vertex-transitive products with two relabelled copies each,
-    # G7 □ K3, a direct product whose last root orbit is the only optimal one
-    # at (2, 3), and a union whose components' vertex ids interleave
+    # G7 □ K3, and a union whose components' vertex ids interleave
     calls = []
 
     def counted(G: Graph) -> list[int]:
@@ -634,16 +632,13 @@ def test_weighted_root_orbits_match_unpruned_search(monkeypatch):
         (cycle(3), cycle(5)), (path(4), path(4)), (cycle(4), cycle(5)), (complete(3), cycle(6)))]
     graphs += [relabel(g, rng) for g in graphs for _ in range(2)]
     graphs.append(product("cartesian", G7, complete(3)).graph)
-    # C5 with the chords 0-3 and 1-4
-    chorded = Graph(5, [(0, 1), (0, 3), (0, 4), (1, 2), (1, 4), (2, 3), (3, 4)])
-    graphs.append(product("direct", chorded, cycle(4)).graph)
     union = relabel(disjoint_union(path(3), product("cartesian", G7, complete(3)).graph), rng)
     assert any(comp[-1] - comp[0] >= len(comp) for comp in map(bit_indices, connected_components(union)))
     graphs.append(union)
     fired = []
     for g in graphs:
         before = len(calls)
-        for wi, wd in ((3, 2), (2, 1), (4, 2), (2, 3)):
+        for wi, wd in ((3, 2), (2, 1), (4, 2)):
             got = max_weighted_sequence(g, wi, wd)
             assert got == unpruned_weighted(g, wi, wd), (g.edges(), wi, wd)
         fired.append(len(calls) > before)
@@ -651,6 +646,18 @@ def test_weighted_root_orbits_match_unpruned_search(monkeypatch):
     # too, whose first root subtree holds 180 states: above 8n = 120, under
     # n^2 = 225; the test cannot pass without the skip
     assert all(fired), fired
+
+
+def test_root_expands_its_last_orbit_representative():
+    # P5 has the orbits {0, 4}, {1, 3} and {2}; with a memo of 8n entries
+    # after the first move, the root computes them and expands each least
+    # vertex once. Under a stub value the only optimal child is that of the
+    # last representative, the centre; the others are never read
+    G = path(5)
+    rows = mode_rows(G, "closed")
+    child = {rows[0]: 0, rows[1]: 1, rows[2]: 2}
+    memo = dict.fromkeys(range(8 * G.n), 0)
+    assert solver._root(G, rows, G.n, child.__getitem__, memo, 2) == (4, [0, 1, 2, 1, 0])
 
 
 def test_census_solves_compute_no_orbits(monkeypatch):
@@ -710,10 +717,9 @@ def test_one_vertex_components_compute_no_orbits(monkeypatch):
 
 
 def test_weighted_bound_skip_matches_unpruned_search():
-    # the bound w_top * (free vertices) where w_top is the dependent weight,
-    # (2, 3) and (0, 1), and at (0, 0), where it skips every child of a
-    # branching position and the walk alone finds the least maximal sequence;
-    # on products above the brute-force cap
+    # the bound w_independent * (free vertices) at (3, 1), and at (0, 0),
+    # where it skips every child of a branching position and the walk alone
+    # finds the least maximal sequence; on products above the brute-force cap
     rng = random.Random(31)
     graphs = [
         product("cartesian", path(3), cycle(4)).graph,
@@ -725,7 +731,7 @@ def test_weighted_bound_skip_matches_unpruned_search():
     graphs.append(relabel(graphs[-1], rng))
     assert min(g.n for g in graphs) > BRUTE_MAX_ORDER
     for g in graphs:
-        for wi, wd in ((2, 3), (0, 1), (0, 0)):
+        for wi, wd in ((3, 1), (0, 0)):
             got = max_weighted_sequence(g, wi, wd)
             assert got == unpruned_weighted(g, wi, wd), (g.edges(), wi, wd)
             rep = check_sequence(g, got[1])
@@ -763,6 +769,20 @@ def test_max_weighted_sequence_guards():
         max_weighted_sequence(path(3), -1, 1)
     with pytest.raises(CapacityError):
         max_weighted_sequence(path(26), 1, 1)
+
+
+def test_weights_outside_the_domain_are_refused(monkeypatch):
+    # the search takes w_independent >= w_dependent >= 0 only, and refuses
+    # other weights before it searches, but after the cap check
+    searched = []
+    monkeypatch.setattr(solver, "_weighted_connected", lambda *args: searched.append(args))
+    for wi, wd in ((1, 2), (0, 1), (-1, 1), (1, -1)):
+        with pytest.raises(ParameterError, match=r"^weights must satisfy w_independent >= "
+                                                 r"w_dependent >= 0$"):
+            max_weighted_sequence(path(3), wi, wd)
+    assert searched == []
+    with pytest.raises(CapacityError, match="component order 26"):
+        max_weighted_sequence(path(26), 1, 2)
 
 
 def test_weighted_cap_counts_the_largest_component():
