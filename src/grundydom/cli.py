@@ -447,10 +447,10 @@ def _cmd_iso_check(args) -> str:
     rep = isoperimetric_check(
         args.kind, args.factors, args.r, trials=args.trials, seed=args.seed
     )
-    factors = ",".join(str(f) for f in rep.factors)
+    factors = ",".join(str(f) for f in args.factors)
     exhaustive = "true" if rep.exhaustive else "false"
     return (
-        f"kind={rep.kind} factors={factors} r={rep.r}"
+        f"kind={args.kind} factors={factors} r={args.r}"
         f" ball_size={rep.ball_size} ball_boundary={rep.ball_boundary}"
         f" checked={rep.checked} violations={rep.violations}"
         f" exhaustive={exhaustive}\n"

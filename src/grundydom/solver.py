@@ -115,7 +115,7 @@ from dataclasses import astuple, dataclass
 from typing import Callable, Iterable
 
 from .errors import CapacityError, ParameterError
-from .graphs import Graph, component_graphs, connected_components, mode_rows, vertex_orbits
+from .graphs import Graph, component_graphs, connected_components, is_int, mode_rows, vertex_orbits
 
 MAX_SOLVER_ORDER = 64
 BRUTE_MAX_ORDER = 10
@@ -360,15 +360,18 @@ def max_weighted_sequence(G: Graph, w_independent: int, w_dependent: int) -> tup
     w_dependent otherwise, mirroring the a-value split. Positions are
     dominated sets: an unchosen vertex has a chosen neighbor exactly when it
     is dominated, and a chosen vertex has nothing new to dominate, so the
-    dominated set fixes every move and its weight. Weights outside
-    w_independent >= w_dependent >= 0 raise ParameterError after the cap
-    check. Extending a sequence then never hurts, so the maximum is attained
-    by a maximal legal sequence, which is automatically dominating.
+    dominated set fixes every move and its weight. Weights that are not
+    integers with w_independent >= w_dependent >= 0 raise ParameterError
+    after the cap check. Extending a sequence then never hurts, so the
+    maximum is attained by a maximal legal sequence, which is automatically
+    dominating.
     The witness is the lexicographically least optimal maximal sequence.
     Each connected component is solved on its own, as in grundy, so
     WEIGHTED_MAX_ORDER caps the order of each component, not of G.
     """
     comps = check_components(G, WEIGHTED_MAX_ORDER, "weighted search")
+    if not (is_int(w_independent) and is_int(w_dependent)):
+        raise ParameterError("weights must be integers")
     if not w_independent >= w_dependent >= 0:
         raise ParameterError("weights must satisfy w_independent >= w_dependent >= 0")
     if w_independent == w_dependent > 0:
@@ -427,6 +430,6 @@ def lex_grundy(G: Graph, gamma_h: int) -> tuple[int, list[int]]:
     This equals the longest legal dominating sequence length of the
     lexicographic product of G with any graph whose value is gamma_h.
     """
-    if gamma_h < 1:
-        raise ParameterError("gamma_h must be at least 1")
+    if not is_int(gamma_h) or gamma_h < 1:
+        raise ParameterError("gamma_h must be an integer of at least 1")
     return max_weighted_sequence(G, gamma_h, 1)

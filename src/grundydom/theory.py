@@ -61,7 +61,7 @@ from .solver import (
 THETA_MAX_ORDER = 16
 SUBSET_ENUM_LIMIT = 10_000_000
 # the peeling bound solves what is left once the product has at most this
-# many vertices, and the scan solves such a product whole without bounds;
+# many vertices, so it peels no product that small, which is solved whole;
 # on the census scan pairs 16 measured faster than 8, 12, 20 or 24
 PEEL_EXACT_CAP = 16
 
@@ -171,7 +171,6 @@ class BoundaryBound:
     """
 
     n: int
-    m: int
     min_boundary: int
     certified: bool
     checked: int
@@ -198,7 +197,7 @@ def boundary_sufficient_bound(
     _chk(1 <= m <= G.n, "m must satisfy 1 <= m <= n")
     subsets, checked = _subsets(G.n, m, trials, seed)
     best = min(boundary(G, mask).bit_count() for mask in subsets)
-    return BoundaryBound(G.n, m, best, certified=trials is None, checked=checked)
+    return BoundaryBound(G.n, best, certified=trials is None, checked=checked)
 
 
 def _subsets(n: int, m: int, trials: int | None, seed: int) -> tuple[Iterator[int], int]:
@@ -659,11 +658,12 @@ def _complete(F: Graph) -> bool:
 
 def _strong_uppers(G: Graph, H: Graph, g_g: int, g_h: int) -> list[tuple[str, int]]:
     """Named blow-up and simplicial peeling upper bounds for grundy(strong(G, H)),
-    from g_g = grundy(G) and g_h = grundy(H), peeling at its better orientation."""
-    peel = min(
-        strong_simplicial_upper(G, H, g_g, g_h),
-        strong_simplicial_upper(H, G, g_h, g_g),
-    )
+    from g_g = grundy(G) and g_h = grundy(H), peeling at its better orientation.
+    A product of at most PEEL_EXACT_CAP vertices is not peeled, so both
+    orientations give its own value and only one is computed."""
+    peel = strong_simplicial_upper(G, H, g_g, g_h)
+    if G.n * H.n > PEEL_EXACT_CAP:
+        peel = min(peel, strong_simplicial_upper(H, G, g_h, g_g))
     return [("strong_min_blowup", min(G.n * g_h, g_g * H.n)), ("strong_simplicial_peeling", peel)]
 
 
@@ -765,8 +765,8 @@ class ScanRecord:
     # seconds spent on the pair; the search nodes of its solves of G, H and,
     # unless a bound or a complete factor settled the pair, the product (with
     # witnesses too for a counterexample; the peeling bound's own solves are
-    # not counted); and "product", the name of that bound or
-    # "complete_factor" ("" if skipped). Not compared
+    # not counted); and the rule that decided it (conjecture_scan): the name
+    # of the bound, "complete_factor" or "product" ("" if skipped). Not compared
     elapsed: float = field(default=0.0, compare=False)
     nodes: int = field(default=0, compare=False)
     decided_by: str = field(default="", compare=False)
@@ -798,16 +798,17 @@ def conjecture_scan(
     (solver.MAX_SEARCH_NODES) are recorded as skipped, with the reason.
     The factors are solved first, which gives the product lower bound
     grundy(G) * grundy(H). A product of more than PEEL_EXACT_CAP vertices
-    then gets the blow-up and simplicial peeling upper bounds; when they
-    meet the lower bound the pair is settled as an equality without solving
-    the product, and an upper bound below it raises InvariantError. A pair
-    that no bound settles but one of whose factors is complete (K1 included)
-    is settled as an equality without building the product: the strong
-    product with K_k blows each vertex up into k true twins, so its value is
-    the other factor's. Every other product is solved and checked against
-    both bounds (its peeling bound would be its own value, so the blow-up
-    bound checks the solver there); a violation would mean a solver bug and
-    raises InvariantError.
+    also gets the blow-up and simplicial peeling upper bounds; a smaller one
+    gets only the blow-up bound, since its peeling bound would be its own
+    value. An upper bound below the lower bound raises InvariantError. Then
+    the first of these rules that holds decides the pair:
+    - a peeled product's upper bound meets the lower bound: an equality;
+    - a factor is complete (K1 included): an equality, as the strong product
+      with K_k blows each vertex up into k true twins, so its value is the
+      other factor's;
+    - otherwise the product is solved and checked against both bounds, and
+      a violation, which would mean a solver bug, raises InvariantError.
+    Only the last rule builds the product.
     A counterexample is reported with full witnesses, never asserted away.
     A time budget must be a nonnegative number of seconds.
     """
@@ -831,36 +832,35 @@ def _scan_pair(G: Graph, H: Graph, deadline: float | None) -> ScanRecord:
         solves = [grundy(G, witness=False), grundy(H, witness=False)]
         g_g, g_h = (sol.value for sol in solves)
         lower = g_g * g_h
-        peeled = G.n * H.n > PEEL_EXACT_CAP
-        # on a smaller product the peeling bound deletes no vertex and would be
-        # the product's own value, so the product is checked by the blow-up bound
-        blowup = min(G.n * g_h, g_g * H.n)
-        uppers = _strong_uppers(G, H, g_g, g_h) if peeled else [("product", blowup)]
-        bound, upper = min(uppers, key=lambda named: named[1])
+        small = G.n * H.n <= PEEL_EXACT_CAP
+        if small:
+            # a small product is solved, not peeled: its peeling bound would be
+            # its own value, so the blow-up bound only checks the solve
+            bound, upper = None, min(G.n * g_h, g_g * H.n)
+        else:
+            bound, upper = min(_strong_uppers(G, H, g_g, g_h), key=lambda named: named[1])
         if upper < lower:
             raise InvariantError(
                 f"bound violation on {name_g} x {name_h}:"
                 f" upper bound {upper} is below lower bound {lower}"
             )
-        decided_by = bound if upper == lower else "product"
-        if decided_by == "product" and (_complete(G) or _complete(H)):
-            # the product has the other factor's value, which is lower
-            decided_by = "complete_factor"
-            if not peeled:
-                upper = lower
-        if decided_by != "product":
-            g_p = lower
+        # the first rule that holds decides the pair (conjecture_scan)
+        if bound and upper == lower:
+            decided_by, g_p = bound, lower
+        elif _complete(G) or _complete(H):
+            decided_by, g_p = "complete_factor", lower
         else:
+            decided_by = "product"
             prod_graph = product("strong", G, H).graph
             solves.append(grundy(prod_graph, witness=False))
             g_p = solves[-1].value
-            if not peeled:
-                upper = min(upper, g_p)
             if not lower <= g_p <= upper:
                 raise InvariantError(
                     f"bound violation on {name_g} x {name_h}:"
                     f" expected {lower} <= {g_p} <= {upper}"
                 )
+        if small:
+            upper = min(upper, g_p)
         witnesses = (None, None, None)
         if g_p != lower:
             witnessed = [grundy(G), grundy(H), grundy(prod_graph)]
@@ -885,9 +885,6 @@ def _scan_pair(G: Graph, H: Graph, deadline: float | None) -> ScanRecord:
 
 @dataclass(frozen=True)
 class IsoReport:
-    kind: str
-    factors: tuple[int, ...]
-    r: int
     ball_size: int
     ball_boundary: int
     checked: int
@@ -941,9 +938,6 @@ def isoperimetric_check(
             if len(examples) < 5:
                 examples.append(mask)
     return IsoReport(
-        kind=kind,
-        factors=factors,
-        r=r,
         ball_size=size,
         ball_boundary=ball_boundary,
         checked=checked,

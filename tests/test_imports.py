@@ -9,7 +9,8 @@ the product bounds build no product outside the functions that need one,
 no except clause in the package swallows its exception with a bare pass,
 every parameter with a default is passed by some call, every dataclass
 field default that could be removed is left out by some construction,
-and every nested function that calls itself is deleted by the
+no dataclass field only hands back an argument of every function that
+builds it, and every nested function that calls itself is deleted by the
 function around it; plus the run-time check behind the last: no public
 entry point leaves garbage for the cyclic collector."""
 
@@ -511,6 +512,90 @@ def test_every_parameter_default_is_passed_by_some_call():
     package = {p.name: p.read_text() for p in Path(grundydom.__file__).parent.glob("*.py")}
     callers = [*package.values(), *(p.read_text() for p in TEST_MODULES + BENCH_MODULES)]
     assert unset_parameters(package, callers) == []
+
+
+def echoed_fields(sources: dict[str, str]) -> list[str]:
+    """Fields of the dataclasses defined in sources that every construction
+    in sources fills with a bare parameter name of the function around it,
+    so that the caller only gets its own argument back.
+
+    A construction is a call of the class by name, bare or as an attribute;
+    it fills a field by keyword, or by position in field order. A field that
+    no construction fills is not reported.
+    """
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    fields = {
+        node.name: (module, [a.target.id for a in node.body if isinstance(a, ast.AnnAssign)])
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any("dataclass" in ast.unparse(d) for d in node.decorator_list)
+    }
+    fills: dict[tuple[str, str], list[bool]] = {}
+
+    def visit(node: ast.AST, params: set[str]) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                a = child.args
+                visit(child, {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs})
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                cls = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if cls in fields and not any(isinstance(x, ast.Starred) for x in child.args):
+                    given = dict(zip(fields[cls][1], child.args))
+                    given.update((k.arg, k.value) for k in child.keywords if k.arg)
+                    for name, value in given.items():
+                        echoed = isinstance(value, ast.Name) and value.id in params
+                        fills.setdefault((cls, name), []).append(echoed)
+            visit(child, params)
+
+    for tree in trees.values():
+        visit(tree, set())
+    del visit
+    return [
+        f"{fields[cls][0]}:{cls}.{name}"
+        for cls, (_, names) in fields.items() for name in names
+        if all(fills.get((cls, name), [False]))
+    ]
+
+
+def test_guard_sees_echoed_fields():
+    sources = {
+        "a.py": (
+            "from dataclasses import dataclass\n"
+            "@dataclass(frozen=True)\nclass R:\n    kind: str\n    n: int\n    size: int\n"
+            "    seed: int\n"
+            "def build(kind, G, *, seed=0):\n    kind = kind.lower()\n"
+            "    return R(kind, G.n, size=len(G), seed=seed)\n"
+            "class Plain:\n    kind: str\n"
+        ),
+        "b.py": (
+            "from . import a\n"
+            "def again(kind, seed):\n    return a.R(kind, 3, 4, seed + 1)\n"
+            "def rows(*row):\n    return a.R(*row)\n"
+            "def outer(size):\n    def inner(kind):\n        return a.R(kind, 0, size, 0)\n"
+            "    return inner('x')\n"
+        ),
+    }
+    # kind is a parameter of every function that builds R; size in inner
+    # is a parameter of the function around inner, which does not count;
+    # the starred construction fills nothing
+    assert echoed_fields(sources) == ["a.py:R.kind"]
+
+
+# report fields that hand an argument back on purpose, with the reason
+ECHOES_KEPT = {
+    # the kind after normalize_kind, not as passed; perfbench pins it and its
+    # tracer names the bound's layer by it
+    "theory.py:BoundsReport.kind",
+}
+
+
+def test_no_report_echoes_its_arguments():
+    package = Path(grundydom.__file__).parent
+    sources = {p.name: p.read_text() for p in sorted(package.glob("*.py"))}
+    assert set(echoed_fields(sources)) == ECHOES_KEPT
 
 
 def public_calls() -> dict[str, object]:

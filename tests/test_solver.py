@@ -781,8 +781,27 @@ def test_weights_outside_the_domain_are_refused(monkeypatch):
                                                  r"w_dependent >= 0$"):
             max_weighted_sequence(path(3), wi, wd)
     assert searched == []
-    with pytest.raises(CapacityError, match="component order 26"):
-        max_weighted_sequence(path(26), 1, 2)
+    for wi, wd in ((1, 2), (1.5, 1)):
+        with pytest.raises(CapacityError, match="component order 26"):
+            max_weighted_sequence(path(26), wi, wd)
+
+
+@pytest.mark.parametrize("G, wi, wd", [
+    (path(7), 0.3, 0.1),
+    (cycle(7), 0.7, 0.1),
+    (product("cartesian", path(3), path(4)).graph, 0.7, 0.1),
+    (cycle(5), float("inf"), 1),
+], ids=["P7", "C7", "P3xP4", "C5-inf"])
+def test_non_integer_weights_are_refused(G, wi, wd):
+    # float rounding broke the witness walk's exact test w + value(child) == t
+    with pytest.raises(ParameterError, match=r"^weights must be integers$"):
+        max_weighted_sequence(G, wi, wd)
+
+
+@pytest.mark.parametrize("gamma_h", [2.5, True, "3"])
+def test_lex_grundy_refuses_a_non_integer_gamma_h(gamma_h):
+    with pytest.raises(ParameterError, match=r"^gamma_h must be an integer of at least 1$"):
+        lex_grundy(path(4), gamma_h)
 
 
 def test_weighted_cap_counts_the_largest_component():

@@ -2,9 +2,10 @@
 
 import hashlib
 import inspect
+import math
 import random
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product as cartesian_power
 
 import pytest
 
@@ -354,6 +355,61 @@ def test_formulas_agree_with_the_solver():
                 checks[fid] += 1
     assert set(checks) == set(FACTOR_FORMULAS)
     assert (sum(checks.values()), len(solved)) == (305, 245)
+
+
+def solve_iterated(kind, graphs):
+    """grundy of graphs[0] x graphs[1] x ..., the kind product taken left to right."""
+    g = graphs[0]
+    for h in graphs[1:]:
+        g = product(kind, g, h).graph
+    return grundy(g, witness=False).value
+
+
+# the other nine entries: formula -> the order of the instance its
+# parameters name, and that instance's value by the solver or lex_grundy
+SOLVED_FORMULAS = {
+    "thm_cart_torus_odd": (lambda k: k * k, lambda k: solve_iterated("cartesian", [cycle(k)] * 2)),
+    "gamma_t_path": (lambda k: k, lambda k: grundy(path(k), "open", witness=False).value),
+    "gamma_t_cycle": (lambda l: l, lambda l: grundy(cycle(l), "open", witness=False).value),
+    "prop_cart_multi_paths": (
+        lambda *ks: math.prod(ks), lambda *ks: solve_iterated("cartesian", [path(k) for k in ks])),
+    "prop_cart_multi_cycles": (
+        lambda *ks: math.prod(2 * k for k in ks),
+        lambda *ks: solve_iterated("cartesian", [cycle(2 * k) for k in ks])),
+    "cor_strong_multi_paths": (
+        lambda *ks: math.prod(ks), lambda *ks: solve_iterated("strong", [path(k) for k in ks])),
+    "cor_strong_multi_paths_cycle": (
+        lambda *ks: math.prod(ks),
+        lambda *ks: solve_iterated("strong", [path(k) for k in ks[:-1]] + [cycle(ks[-1])])),
+    "cor_lex_path_H": (lambda k, g_h: k, lambda k, g_h: lex_grundy(path(k), g_h)[0]),
+    "cor_lex_cycle_H": (lambda k, g_h: k, lambda k, g_h: lex_grundy(cycle(k), g_h)[0]),
+}
+
+
+def test_other_formulas_agree_with_the_solver():
+    # every parameter tuple in 1..12 (one to three of them for a variadic
+    # entry) that the formula accepts and whose instance has at most 32
+    # vertices; all nine entries are exact
+    checks = Counter()
+    for fid, (order, value) in SOLVED_FORMULAS.items():
+        params = inspect.signature(FORMULAS[fid][1]).parameters
+        variadic = any(p.kind is p.VAR_POSITIONAL for p in params.values())
+        for length in (1, 2, 3) if variadic else (len(params),):
+            for ps in cartesian_power(range(1, 13), repeat=length):
+                if order(*ps) > 32:
+                    continue
+                try:
+                    claimed, exactness = formula_value(fid, ps)
+                except ParameterError:
+                    continue
+                assert (exactness, claimed) == ("exact", value(*ps)), (fid, ps)
+                checks[fid] += 1
+    assert checks == {
+        "cor_lex_path_H": 121, "cor_lex_cycle_H": 99, "cor_strong_multi_paths": 97,
+        "cor_strong_multi_paths_cycle": 56, "prop_cart_multi_paths": 37,
+        "prop_cart_multi_cycles": 12, "gamma_t_path": 11, "gamma_t_cycle": 10,
+        "thm_cart_torus_odd": 2,
+    }
 
 
 def test_formula_unknown_and_arity():
@@ -909,6 +965,21 @@ def test_peeling_down_to_one_vertex_does_not_solve_again(monkeypatch):
     rep = product_bounds("strong", grid, path(2))
     assert solved == [20, 2]
     assert rep.upper == (("strong_min_blowup", 20), ("strong_simplicial_peeling", 20))
+
+
+def test_small_strong_product_is_solved_once(monkeypatch):
+    # P3xP4 has 12 <= PEEL_EXACT_CAP vertices, so neither orientation peels
+    # and both would solve the product itself
+    solved = []
+
+    def counting(A, *args, **kwargs):
+        solved.append(A.n)
+        return grundy(A, *args, **kwargs)
+
+    monkeypatch.setattr(theory, "grundy", counting)
+    rep = product_bounds("strong", path(3), path(4))
+    assert solved == [3, 4, 12]
+    assert rep.upper == (("strong_min_blowup", 8), ("strong_simplicial_peeling", 6))
 
 
 # === conjecture scan ===
