@@ -216,6 +216,8 @@ def _check_vertex(G: Graph, v: int) -> None:
 def ball(G: Graph, v: int, r: int) -> int:
     """All vertices within distance r of v."""
     _check_vertex(G, v)
+    if not is_int(r):
+        raise ParameterError("radius must be an integer")
     if r < 0:
         raise ParameterError("radius must be nonnegative")
     seen = frontier = 1 << v

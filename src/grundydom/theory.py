@@ -10,7 +10,8 @@ graph products:
 * a catalog of closed forms (cartesian grids, cylinders, tori and multi-factor
   products; lexicographic and direct products of paths and cycles; strong
   grids, cylinders, the torus bounds and the multi-path products; total
-  Grundy domination of paths and cycles), each guarded by its preconditions,
+  Grundy domination of paths and cycles), each guarded by its preconditions
+  and naming the graph and mode its value is about,
 * constructive witness builders: one builder for the four product lower
   bounds, which replicates a factor sequence layer by layer and splits its
   items by the a-value rule, and closed-form complete grid and odd torus ones,
@@ -194,6 +195,7 @@ def boundary_sufficient_bound(
     SUBSET_ENUM_LIMIT) switches to seeded random sampling; the result is then
     explicitly flagged as uncertified.
     """
+    _chk(is_int(m), "m must be an integer")
     _chk(1 <= m <= G.n, "m must satisfy 1 <= m <= n")
     subsets, checked = _subsets(G.n, m, trials, seed)
     best = min(boundary(G, mask).bit_count() for mask in subsets)
@@ -215,6 +217,7 @@ def _subsets(n: int, m: int, trials: int | None, seed: int) -> tuple[Iterator[in
                 f" ({SUBSET_ENUM_LIMIT}); pass trials= to sample"
             )
         return (mask_of(c) for c in combinations(range(n), m)), total
+    _chk(is_int(trials), "trials must be an integer")
     _chk(trials >= 1, "trials must be positive")
     if trials > SUBSET_ENUM_LIMIT:
         raise CapacityError(f"{trials} trials exceed the subset guard ({SUBSET_ENUM_LIMIT})")
@@ -226,27 +229,43 @@ def _subsets(n: int, m: int, trials: int | None, seed: int) -> tuple[Iterator[in
 # Formula catalog
 
 
-# id -> (exactness, fn): exactness is exact, lower-bound, upper-bound or
-# conjectured; fn's parameters are the entry's, any count when it takes *params
-FORMULAS: dict[str, tuple[str, Callable[..., int]]] = {}
+# id -> (exactness, fn, instance): exactness is exact, lower-bound,
+# upper-bound or conjectured; fn's parameters are the entry's, any count when
+# it takes *params; instance takes the same parameters and returns the graph
+# and mode whose Grundy number fn's value is about
+FORMULAS: dict[str, tuple[str, Callable[..., int], Callable[..., tuple[Graph, str]]]] = {}
 
 
-def _formula(formula_id: str, exactness: str):
+def _formula(formula_id: str, exactness: str, instance: Callable[..., tuple[Graph, str]]):
     def register(fn: Callable[..., int]):
-        FORMULAS[formula_id] = (exactness, fn)
+        FORMULAS[formula_id] = (exactness, fn, instance)
         return fn
 
     return register
 
 
-@_formula("thm_cart_grid", "exact")
+def _product_of(kind: str, *factors: Graph) -> Graph:
+    """The kind product of the factors, taken left to right; one factor is itself.
+    Each step is refused over MAX_PRODUCT_ORDER only when it is reached."""
+    prod_graph = factors[0]
+    for g in factors[1:]:
+        prod_graph = product(kind, prod_graph, g).graph
+    return prod_graph
+
+
+def _closed(kind: str, *factors: Graph) -> tuple[Graph, str]:
+    """A catalog instance: the kind product of the factors, in closed mode."""
+    return _product_of(kind, *factors), "closed"
+
+
+@_formula("thm_cart_grid", "exact", lambda k, l: _closed("cartesian", path(k), path(l)))
 def _cart_grid(k, l):
     """cart(P_k, P_l) = k(l-1) for 2 <= k <= l."""
     _chk(2 <= k <= l, "requires 2 <= k <= l")
     return k * (l - 1)
 
 
-@_formula("thm_cart_cylinder", "exact")
+@_formula("thm_cart_cylinder", "exact", lambda k, l: _closed("cartesian", path(k), cycle(l)))
 def _cart_cylinder(k, l):
     """cart(P_k, C_l) = max{l(k-1), k(l-2)} for k >= 2, l >= 3."""
     _chk(k >= 2, "requires k >= 2")
@@ -254,7 +273,7 @@ def _cart_cylinder(k, l):
     return max(l * (k - 1), k * (l - 2))
 
 
-@_formula("thm_cart_torus", "exact")
+@_formula("thm_cart_torus", "exact", lambda k, l: _closed("cartesian", cycle(k), cycle(l)))
 def _cart_torus(k, l):
     """cart(C_k, C_l) = k(l-2) for 3 <= k <= l, except k = l odd."""
     _chk(3 <= k <= l, "requires 3 <= k <= l")
@@ -262,14 +281,15 @@ def _cart_torus(k, l):
     return k * (l - 2)
 
 
-@_formula("thm_cart_torus_odd", "exact")
+@_formula("thm_cart_torus_odd", "exact", lambda k: _closed("cartesian", cycle(k), cycle(k)))
 def _cart_torus_odd(k):
     """cart(C_k, C_k) = k(k-2)+1 for odd k >= 3."""
     _chk(k >= 3 and k % 2 == 1, "requires odd k >= 3")
     return k * (k - 2) + 1
 
 
-@_formula("prop_cart_multi_cycles", "exact")
+@_formula("prop_cart_multi_cycles", "exact",
+          lambda *ks: _closed("cartesian", *(cycle(2 * k) for k in ks)))
 def _cart_multi_cycles(*params):
     """cart(C_2k1, ..., C_2kn) = 2^n k1...k(n-1) (kn - 1); params are half-lengths."""
     _chk(len(params) >= 1, "expects at least one half-length")
@@ -282,7 +302,7 @@ def _cart_multi_cycles(*params):
     return 2 ** len(params) * math.prod(params[:-1]) * (params[-1] - 1)
 
 
-@_formula("prop_cart_multi_paths", "exact")
+@_formula("prop_cart_multi_paths", "exact", lambda *ks: _closed("cartesian", *map(path, ks)))
 def _cart_multi_paths(*params):
     """cart(P_k1, ..., P_kn) = k1...k(n-1) (kn - 1)."""
     _chk(len(params) >= 1, "expects at least one order")
@@ -295,7 +315,9 @@ def _cart_multi_paths(*params):
     return math.prod(params[:-1]) * (params[-1] - 1)
 
 
-@_formula("cor_lex_path_H", "exact")
+# the instances of the two *_H entries take H edgeless on gamma_h vertices:
+# not complete, and grundy(H) = gamma_h
+@_formula("cor_lex_path_H", "exact", lambda k, g: _closed("lexicographic", path(k), Graph(g)))
 def _lex_path_value(k: int, gamma_h: int) -> int:
     """lex(P_k, H) from gamma_h = grundy(H); k >= 1, k != 2, H not complete."""
     _chk(k >= 1, "requires k >= 1")
@@ -306,7 +328,7 @@ def _lex_path_value(k: int, gamma_h: int) -> int:
     return ((k + 1) // 2) * gamma_h
 
 
-@_formula("cor_lex_cycle_H", "exact")
+@_formula("cor_lex_cycle_H", "exact", lambda k, g: _closed("lexicographic", cycle(k), Graph(g)))
 def _lex_cycle_value(k: int, gamma_h: int) -> int:
     """lex(C_k, H) from gamma_h = grundy(H); k >= 4, H not complete."""
     _chk(k >= 4, "requires k >= 4")
@@ -316,7 +338,7 @@ def _lex_cycle_value(k: int, gamma_h: int) -> int:
     return (k // 2) * gamma_h + 1
 
 
-@_formula("cor_lex_path_path", "exact")
+@_formula("cor_lex_path_path", "exact", lambda k, l: _closed("lexicographic", path(k), path(l)))
 def _lex_path_path(k, l):
     """lex(P_k, P_l) for k, l >= 3."""
     _chk(k >= 3, "requires k >= 3")
@@ -324,7 +346,7 @@ def _lex_path_path(k, l):
     return _lex_path_value(k, l - 1)
 
 
-@_formula("cor_lex_path_cycle", "exact")
+@_formula("cor_lex_path_cycle", "exact", lambda k, l: _closed("lexicographic", path(k), cycle(l)))
 def _lex_path_cycle(k, l):
     """lex(P_k, C_l) for k >= 3, l >= 4 (C_3 is complete, so l = 3 is out)."""
     _chk(k >= 3, "requires k >= 3")
@@ -332,7 +354,7 @@ def _lex_path_cycle(k, l):
     return _lex_path_value(k, l - 2)
 
 
-@_formula("cor_lex_cycle_cycle", "exact")
+@_formula("cor_lex_cycle_cycle", "exact", lambda k, l: _closed("lexicographic", cycle(k), cycle(l)))
 def _lex_cycle_cycle(k, l):
     """lex(C_k, C_l) for k >= 4, l >= 4."""
     _chk(k >= 4, "requires k >= 4")
@@ -340,7 +362,7 @@ def _lex_cycle_cycle(k, l):
     return _lex_cycle_value(k, l - 2)
 
 
-@_formula("cor_direct_PC", "lower-bound")
+@_formula("cor_direct_PC", "lower-bound", lambda k, l: _closed("direct", path(k), cycle(l)))
 def _direct_pc(k, l):
     """direct(P_k, C_l) lower bound for k >= 2, l >= 4, by parity.
 
@@ -361,7 +383,7 @@ def _direct_pc(k, l):
     return k * l - 2 * k - l + 6
 
 
-@_formula("cor_direct_CC", "lower-bound")
+@_formula("cor_direct_CC", "lower-bound", lambda k, l: _closed("direct", cycle(k), cycle(l)))
 def _direct_cc(k, l):
     """direct(C_k, C_l) lower bound for 4 <= k <= l, by parity."""
     _chk(4 <= k <= l, "requires 4 <= k <= l")
@@ -372,7 +394,7 @@ def _direct_cc(k, l):
     return k * l - k - 2 * l + 3
 
 
-@_formula("cor_direct_PP", "lower-bound")
+@_formula("cor_direct_PP", "lower-bound", lambda k, l: _closed("direct", path(k), path(l)))
 def _direct_pp(k, l):
     """direct(P_k, P_l) lower bound for 2 <= k <= l, by parity."""
     _chk(2 <= k <= l, "requires 2 <= k <= l")
@@ -383,14 +405,14 @@ def _direct_pp(k, l):
     return max(k * l - l, k * l - k - l + 3)
 
 
-@_formula("prop_direct_PP_upper", "upper-bound")
+@_formula("prop_direct_PP_upper", "upper-bound", lambda k, l: _closed("direct", path(k), path(l)))
 def _direct_pp_upper(k, l):
     """direct(P_k, P_l) <= kl - k for 2 <= k <= l."""
     _chk(2 <= k <= l, "requires 2 <= k <= l")
     return k * l - k
 
 
-@_formula("cor_direct_PP_even", "exact")
+@_formula("cor_direct_PP_even", "exact", lambda k, l: _closed("direct", path(k), path(l)))
 def _direct_pp_even(k, l):
     """direct(P_k, P_l) = kl - k for even 2 <= k <= l."""
     _chk(2 <= k <= l, "requires 2 <= k <= l")
@@ -398,7 +420,7 @@ def _direct_pp_even(k, l):
     return k * l - k
 
 
-@_formula("cor_strong_grid", "exact")
+@_formula("cor_strong_grid", "exact", lambda k, l: _closed("strong", path(k), path(l)))
 def _strong_grid(k, l):
     """strong(P_k, P_l) = (k-1)(l-1) for k, l >= 2."""
     _chk(k >= 2, "requires k >= 2")
@@ -406,7 +428,7 @@ def _strong_grid(k, l):
     return (k - 1) * (l - 1)
 
 
-@_formula("cor_strong_cylinder", "exact")
+@_formula("cor_strong_cylinder", "exact", lambda k, l: _closed("strong", path(k), cycle(l)))
 def _strong_cylinder(k, l):
     """strong(P_k, C_l) = (k-1)(l-2) for k >= 2, l >= 3."""
     _chk(k >= 2, "requires k >= 2")
@@ -414,21 +436,22 @@ def _strong_cylinder(k, l):
     return (k - 1) * (l - 2)
 
 
-@_formula("cor_strong_torus_upper", "upper-bound")
+@_formula("cor_strong_torus_upper", "upper-bound",
+          lambda k, l: _closed("strong", cycle(k), cycle(l)))
 def _strong_torus_upper(k, l):
     """strong(C_k, C_l) <= (k-2)(l-1) for 3 <= k <= l."""
     _chk(3 <= k <= l, "requires 3 <= k <= l")
     return (k - 2) * (l - 1)
 
 
-@_formula("conj_strong_torus", "conjectured")
+@_formula("conj_strong_torus", "conjectured", lambda k, l: _closed("strong", cycle(k), cycle(l)))
 def _strong_torus_conj(k, l):
     """strong(C_k, C_l) = (k-2)(l-2) for 3 <= k <= l, if the product conjecture holds."""
     _chk(3 <= k <= l, "requires 3 <= k <= l")
     return (k - 2) * (l - 2)
 
 
-@_formula("cor_strong_multi_paths", "exact")
+@_formula("cor_strong_multi_paths", "exact", lambda *ks: _closed("strong", *map(path, ks)))
 def _strong_multi_paths(*params):
     """strong(P_k1, ..., P_kn) = (k1-1)...(kn-1)."""
     _chk(len(params) >= 1, "expects at least one order")
@@ -436,7 +459,8 @@ def _strong_multi_paths(*params):
     return math.prod(k - 1 for k in params)
 
 
-@_formula("cor_strong_multi_paths_cycle", "exact")
+@_formula("cor_strong_multi_paths_cycle", "exact",
+          lambda *ks: _closed("strong", *map(path, ks[:-1]), cycle(ks[-1])))
 def _strong_multi_paths_cycle(*params):
     """strong(P_k1, ..., P_kn, C_l) = (k1-1)...(kn-1)(l-2); last parameter is l."""
     _chk(len(params) >= 2, "expects path orders followed by a cycle length")
@@ -446,14 +470,14 @@ def _strong_multi_paths_cycle(*params):
     return math.prod(k - 1 for k in ks) * (l - 2)
 
 
-@_formula("gamma_t_path", "exact")
+@_formula("gamma_t_path", "exact", lambda k: (path(k), "open"))
 def _gamma_t_path(k):
     """Grundy total domination number of P_k for k >= 2."""
     _chk(k >= 2, "requires k >= 2")
     return k if k % 2 == 0 else k - 1
 
 
-@_formula("gamma_t_cycle", "exact")
+@_formula("gamma_t_cycle", "exact", lambda l: (cycle(l), "open"))
 def _gamma_t_cycle(l):
     """Grundy total domination number of C_l for l >= 3."""
     _chk(l >= 3, "requires l >= 3")
@@ -470,7 +494,7 @@ def formula_value(formula_id: str, params: Iterable[int]) -> tuple[int, str]:
         raise ParameterError(
             f"unknown formula id {quoted(formula_id)} (grundydom formula -h lists the known ids)"
         )
-    exactness, fn = FORMULAS[formula_id]
+    exactness, fn, _ = FORMULAS[formula_id]
     params = tuple(params)
     _chk(all(is_int(p) for p in params), "parameters must be integers")
     names = inspect.signature(fn).parameters
@@ -570,6 +594,7 @@ def construct_complete_grid_witness(n: int, m: int) -> list[int]:
     fresh column. Exceeds the layer-replication lower bound max{n, m}. A
     product above MAX_PRODUCT_ORDER vertices raises CapacityError.
     """
+    _chk(is_int(n) and is_int(m), "n and m must be integers")
     _chk(n >= 3 and m >= 3, "requires n >= 3 and m >= 3")
     check_product_order(n * m)
     return [i * m for i in range(n - 1)] + [j for j in range(1, m)]
@@ -585,6 +610,7 @@ def construct_odd_torus_witness(k: int) -> list[int]:
     ascending). A product above MAX_PRODUCT_ORDER vertices raises
     CapacityError.
     """
+    _chk(is_int(k), "k must be an integer")
     _chk(k >= 3 and k % 2 == 1, "requires odd k >= 3")
     check_product_order(k * k)
     t = (k - 1) // 2
@@ -810,10 +836,13 @@ def conjecture_scan(
       a violation, which would mean a solver bug, raises InvariantError.
     Only the last rule builds the product.
     A counterexample is reported with full witnesses, never asserted away.
-    A time budget must be a nonnegative number of seconds.
+    A time budget must be a nonnegative number of seconds (an int or a
+    float, not a bool).
     """
-    if time_budget is not None and not time_budget >= 0:
-        raise ParameterError(f"time budget must be nonnegative, got {time_budget}")
+    if time_budget is not None:
+        _chk(is_int(time_budget) or isinstance(time_budget, float),
+             f"time budget must be a number, got {quoted(time_budget)}")
+        _chk(time_budget >= 0, f"time budget must be nonnegative, got {time_budget}")
     deadline = None if time_budget is None else time.monotonic() + time_budget
     return ScanReport(tuple(_scan_pair(G, H, deadline) for G, H in pairs))
 
@@ -916,15 +945,14 @@ def isoperimetric_check(
     _chk(kind in ("even-torus", "grid"), "kind must be 'even-torus' or 'grid'")
     factors = tuple(factors)
     _chk(len(factors) >= 1, "at least one factor is required")
+    _chk(all(is_int(f) for f in factors), "factors must be integers")
     _chk(all(f >= 2 for f in factors), "factors must be at least 2")
+    _chk(is_int(r), "r must be an integer")
     _chk(r >= 0, "r must be non-negative")
     torus = kind == "even-torus"
     order = math.prod(2 * f if torus else f for f in factors)
     check_product_order(order)
-    graphs = [cycle(2 * f) if torus else path(f) for f in factors]
-    prod_graph = graphs[0]
-    for g in graphs[1:]:
-        prod_graph = product("cartesian", prod_graph, g).graph
+    prod_graph = _product_of("cartesian", *(cycle(2 * f) if torus else path(f) for f in factors))
     # vertex 0 is (0, ..., 0): any torus vertex, the grid corner
     ball_mask = ball(prod_graph, 0, r)
     size = ball_mask.bit_count()

@@ -354,7 +354,8 @@ def test_product_bounds_builds_no_product():
     # the bounds decide on the factors; only these build products
     source = (Path(grundydom.__file__).parent / "theory.py").read_text()
     assert users_of(source, "product") == [
-        "_scan_pair", "construct_product_witness", "isoperimetric_check", "strong_simplicial_upper"]
+        "_product_of", "_scan_pair", "construct_product_witness", "strong_simplicial_upper"]
+    assert "product_bounds" not in users_of(source, "_product_of")
 
 
 def silent_handlers(source: str) -> list[int]:

@@ -2,10 +2,9 @@
 
 import hashlib
 import inspect
-import math
 import random
 from collections import Counter
-from itertools import combinations, product as cartesian_power
+from itertools import combinations
 
 import pytest
 
@@ -13,6 +12,7 @@ from grundydom import solver, theory
 from grundydom.errors import CapacityError, InvariantError, ParameterError
 from grundydom.graphs import (
     Graph,
+    ball,
     bit_indices,
     boundary,
     caterpillar,
@@ -310,106 +310,90 @@ def test_formula_preconditions():
         assert str(err.value).startswith(f"{fid}:"), (fid, params)
 
 
-# the two-parameter path and cycle formulas: formula -> product kind and the
-# factor families of its parameters, in closed mode
-FACTOR_FORMULAS = {
-    "thm_cart_grid": ("cartesian", path, path),
-    "thm_cart_cylinder": ("cartesian", path, cycle),
-    "thm_cart_torus": ("cartesian", cycle, cycle),
-    "cor_direct_PC": ("direct", path, cycle),
-    "cor_direct_CC": ("direct", cycle, cycle),
-    "cor_direct_PP": ("direct", path, path),
-    "prop_direct_PP_upper": ("direct", path, path),
-    "cor_direct_PP_even": ("direct", path, path),
-    "cor_strong_grid": ("strong", path, path),
-    "cor_strong_cylinder": ("strong", path, cycle),
-    "cor_strong_torus_upper": ("strong", cycle, cycle),
-    "conj_strong_torus": ("strong", cycle, cycle),
-}
+def tuples_up_to(length, cap):
+    """Tuples of length positive integers whose product is at most cap."""
+    if length == 0:
+        yield ()
+        return
+    for first in range(1, cap + 1):
+        for rest in tuples_up_to(length - 1, cap // first):
+            yield (first, *rest)
 
 
-def test_formulas_agree_with_the_solver():
-    # every parameter pair the formula accepts whose product has at most 30
-    # vertices: an exact or conjectured value equals the solver's, a lower
-    # bound does not exceed it and an upper bound does not fall below it
-    verdicts = {
-        "exact": int.__eq__,
-        "conjectured": int.__eq__,
-        "lower-bound": int.__le__,
-        "upper-bound": int.__ge__,
+# what each exactness claims of a formula's value against the solver's
+VERDICTS = {"exact": int.__eq__, "conjectured": int.__eq__,
+            "lower-bound": int.__le__, "upper-bound": int.__ge__}
+
+
+@pytest.fixture(scope="module")
+def formula_sweep():
+    # every tuple the entry accepts (one to three parameters for a variadic
+    # entry) whose instance has at most 32 vertices; no instance has fewer
+    # vertices than its parameters' product, which bounds the loop. An exact or
+    # conjectured value equals the solver's, a lower bound does not exceed it
+    # and an upper bound does not fall below it. A lexicographic instance
+    # lex(G, H), its factors read off the recorded product call, is also
+    # solved by lex_grundy(G, grundy(H)). Returns the checks per entry, the
+    # lex_grundy checks, the distinct instances and the disagreements.
+    built, solved, checks, lex_checks, wrong = [], {}, Counter(), 0, []
+    product_of = theory._product_of
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(theory, "_product_of",
+                   lambda kind, *fs: built.append((kind, fs)) or product_of(kind, *fs))
+        for fid, (_, fn, instance) in FORMULAS.items():
+            params = inspect.signature(fn).parameters
+            variadic = any(p.kind is p.VAR_POSITIONAL for p in params.values())
+            for length in (1, 2, 3) if variadic else (len(params),):
+                for ps in tuples_up_to(length, 32):
+                    try:
+                        claimed, exactness = formula_value(fid, ps)
+                    except ParameterError:
+                        continue
+                    built.clear()
+                    graph, mode = instance(*ps)
+                    if graph.n > 32:
+                        continue
+                    if (graph, mode) not in solved:
+                        solved[graph, mode] = grundy(graph, mode, witness=False).value
+                    value = solved[graph, mode]
+                    if not VERDICTS[exactness](claimed, value):
+                        wrong.append((fid, ps, claimed, value))
+                    checks[fid] += 1
+                    if built and built[0][0] == "lexicographic":
+                        G, H = built[0][1]
+                        if lex_grundy(G, grundy(H, witness=False).value)[0] != value:
+                            wrong.append((fid, ps, "lex_grundy", value))
+                        lex_checks += 1
+    return checks, lex_checks, len(solved), wrong
+
+
+def test_formulas_agree_with_the_solver(formula_sweep):
+    # the twelve entries on a product of two paths or cycles in closed mode
+    checks, _, _, wrong = formula_sweep
+    pinned = {
+        "cor_strong_grid": 56, "cor_strong_cylinder": 41, "thm_cart_cylinder": 41,
+        "cor_direct_PC": 32, "cor_direct_PP": 30, "prop_direct_PP_upper": 30, "thm_cart_grid": 30,
+        "cor_direct_PP_even": 20, "conj_strong_torus": 15, "cor_strong_torus_upper": 15,
+        "thm_cart_torus": 13, "cor_direct_CC": 7,
     }
-    solved: dict[tuple, int] = {}
-    checks = Counter()
-    for fid, (kind, first, second) in FACTOR_FORMULAS.items():
-        for k in range(1, 31):
-            for l in range(1, 30 // k + 1):
-                try:
-                    claimed, exactness = formula_value(fid, (k, l))
-                except ParameterError:
-                    continue
-                key = (kind, first.__name__, k, second.__name__, l)
-                if key not in solved:
-                    g = product(kind, first(k), second(l)).graph
-                    solved[key] = grundy(g, witness=False).value
-                assert verdicts[exactness](claimed, solved[key]), (fid, k, l, claimed, solved[key])
-                checks[fid] += 1
-    assert set(checks) == set(FACTOR_FORMULAS)
-    assert (sum(checks.values()), len(solved)) == (305, 245)
+    assert [w for w in wrong if w[0] in pinned] == []
+    assert {fid: checks[fid] for fid in pinned} == pinned
 
 
-def solve_iterated(kind, graphs):
-    """grundy of graphs[0] x graphs[1] x ..., the kind product taken left to right."""
-    g = graphs[0]
-    for h in graphs[1:]:
-        g = product(kind, g, h).graph
-    return grundy(g, witness=False).value
-
-
-# the other nine entries: formula -> the order of the instance its
-# parameters name, and that instance's value by the solver or lex_grundy
-SOLVED_FORMULAS = {
-    "thm_cart_torus_odd": (lambda k: k * k, lambda k: solve_iterated("cartesian", [cycle(k)] * 2)),
-    "gamma_t_path": (lambda k: k, lambda k: grundy(path(k), "open", witness=False).value),
-    "gamma_t_cycle": (lambda l: l, lambda l: grundy(cycle(l), "open", witness=False).value),
-    "prop_cart_multi_paths": (
-        lambda *ks: math.prod(ks), lambda *ks: solve_iterated("cartesian", [path(k) for k in ks])),
-    "prop_cart_multi_cycles": (
-        lambda *ks: math.prod(2 * k for k in ks),
-        lambda *ks: solve_iterated("cartesian", [cycle(2 * k) for k in ks])),
-    "cor_strong_multi_paths": (
-        lambda *ks: math.prod(ks), lambda *ks: solve_iterated("strong", [path(k) for k in ks])),
-    "cor_strong_multi_paths_cycle": (
-        lambda *ks: math.prod(ks),
-        lambda *ks: solve_iterated("strong", [path(k) for k in ks[:-1]] + [cycle(ks[-1])])),
-    "cor_lex_path_H": (lambda k, g_h: k, lambda k, g_h: lex_grundy(path(k), g_h)[0]),
-    "cor_lex_cycle_H": (lambda k, g_h: k, lambda k, g_h: lex_grundy(cycle(k), g_h)[0]),
-}
-
-
-def test_other_formulas_agree_with_the_solver():
-    # every parameter tuple in 1..12 (one to three of them for a variadic
-    # entry) that the formula accepts and whose instance has at most 32
-    # vertices; all nine entries are exact
-    checks = Counter()
-    for fid, (order, value) in SOLVED_FORMULAS.items():
-        params = inspect.signature(FORMULAS[fid][1]).parameters
-        variadic = any(p.kind is p.VAR_POSITIONAL for p in params.values())
-        for length in (1, 2, 3) if variadic else (len(params),):
-            for ps in cartesian_power(range(1, 13), repeat=length):
-                if order(*ps) > 32:
-                    continue
-                try:
-                    claimed, exactness = formula_value(fid, ps)
-                except ParameterError:
-                    continue
-                assert (exactness, claimed) == ("exact", value(*ps)), (fid, ps)
-                checks[fid] += 1
-    assert checks == {
-        "cor_lex_path_H": 121, "cor_lex_cycle_H": 99, "cor_strong_multi_paths": 97,
-        "cor_strong_multi_paths_cycle": 56, "prop_cart_multi_paths": 37,
-        "prop_cart_multi_cycles": 12, "gamma_t_path": 11, "gamma_t_cycle": 10,
-        "thm_cart_torus_odd": 2,
+def test_other_formulas_agree_with_the_solver(formula_sweep):
+    # the other twelve: open mode, the odd torus, iterated and lexicographic
+    # products; with the first test's entries they are the whole catalog
+    checks, lex_checks, solved, wrong = formula_sweep
+    pinned = {
+        "cor_strong_multi_paths": 125, "cor_lex_path_H": 72, "prop_cart_multi_paths": 61,
+        "cor_strong_multi_paths_cycle": 60, "cor_lex_cycle_H": 32, "gamma_t_path": 31,
+        "gamma_t_cycle": 30, "cor_lex_path_path": 27, "cor_lex_path_cycle": 19,
+        "prop_cart_multi_cycles": 16, "cor_lex_cycle_cycle": 12, "thm_cart_torus_odd": 2,
     }
+    assert [w for w in wrong if w[0] in pinned] == []
+    assert {fid: checks[fid] for fid in pinned} == pinned
+    assert set(checks) == set(FORMULAS) and len(FORMULAS) == 24
+    assert (sum(checks.values()), solved, lex_checks) == (817, 597, 162)
 
 
 def test_formula_unknown_and_arity():
@@ -451,7 +435,7 @@ FIXED_ARITY = {
 
 def test_formula_arity_error_texts_are_pinned():
     variadic = {
-        fid for fid, (_, fn) in FORMULAS.items()
+        fid for fid, (_, fn, _) in FORMULAS.items()
         if any(p.kind is p.VAR_POSITIONAL for p in inspect.signature(fn).parameters.values())
     }
     assert set(FIXED_ARITY) == set(FORMULAS) - variadic
@@ -1136,8 +1120,13 @@ def test_conjecture_scan_skips():
     assert "budget" in report.records[0].reason
     assert report.records[0].nodes == 0 and report.records[0].elapsed == 0.0
     for budget in (-1.0, float("nan")):
-        with pytest.raises(ParameterError, match="time budget"):
+        with pytest.raises(ParameterError, match="^time budget must be nonnegative, got"):
             conjecture_scan([(path(3), path(3))], time_budget=budget)
+    # a budget must be a number, and a bool is none
+    for budget, shown in (("x", "'x'"), (True, "'True'"), ([1], "'[1]'")):
+        with pytest.raises(ParameterError) as err:
+            conjecture_scan([(path(3), path(3))], time_budget=budget)
+        assert str(err.value) == f"time budget must be a number, got {shown}"
 
 
 def test_conjecture_scan_skips_a_pair_over_the_search_budget(monkeypatch):
@@ -1224,3 +1213,26 @@ def test_iso_checks_order_before_building(monkeypatch):
     monkeypatch.undo()
     rep = isoperimetric_check("even-torus", [32, 32], 0, trials=1)
     assert rep.ball_size == 1 and rep.ball_boundary == 4
+
+
+@pytest.mark.parametrize("call, text", [
+    (lambda: boundary_sufficient_bound(path(3), 1.5), "m must be an integer"),
+    (lambda: boundary_sufficient_bound(path(3), True), "m must be an integer"),
+    (lambda: boundary_sufficient_bound(path(3), 1, trials=2.5), "trials must be an integer"),
+    (lambda: boundary_sufficient_bound(path(3), 1, trials=True), "trials must be an integer"),
+    (lambda: isoperimetric_check("grid", [3, 3], 1.5), "r must be an integer"),
+    (lambda: isoperimetric_check("grid", [3, 3], True), "r must be an integer"),
+    (lambda: isoperimetric_check("grid", [3, 3], 1, trials=3.5), "trials must be an integer"),
+    (lambda: isoperimetric_check("grid", [3, 3], 1, trials=True), "trials must be an integer"),
+    (lambda: isoperimetric_check("grid", [3.0, 3], 1), "factors must be integers"),
+    (lambda: ball(path(3), 0, 1.5), "radius must be an integer"),
+    (lambda: ball(path(3), 0, True), "radius must be an integer"),
+    (lambda: construct_odd_torus_witness(5.0), "k must be an integer"),
+    (lambda: construct_complete_grid_witness(3.0, 3), "n and m must be integers"),
+    (lambda: construct_complete_grid_witness(3, 3.0), "n and m must be integers"),
+], ids=("m m-bool trials trials-bool r r-bool iso-trials iso-trials-bool factors"
+        " radius radius-bool odd-torus-k grid-n grid-m").split())
+def test_count_arguments_must_be_integers(call, text):
+    # a float is no count, and True is not read as 1
+    with pytest.raises(ParameterError, match=f"^{text}$"):
+        call()
